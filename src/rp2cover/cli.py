@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__, kernels
 from .branch import (
@@ -91,10 +90,6 @@ def _scalar(v) -> str:
     return str(v)
 
 
-def _parse_data(text: str) -> BranchData:
-    return parse_branch_data(text)
-
-
 def _data_payload(data: BranchData) -> dict:
     adm = is_admissible(data)
     payload = {
@@ -136,13 +131,13 @@ def _add_bounds_args(sub) -> None:
 
 
 def cmd_check(args, out, err) -> int:
-    data = _parse_data(args.data)
+    data = parse_branch_data(args.data)
     _emit(_data_payload(data), args.format, out)
     return OK if is_admissible(data).ok else NEGATIVE
 
 
 def cmd_classify(args, out, err) -> int:
-    data = _parse_data(args.data)
+    data = parse_branch_data(args.data)
     cls = classify(data)
     payload = _data_payload(data)
     payload["classification"] = cls.to_dict()
@@ -153,7 +148,7 @@ def cmd_classify(args, out, err) -> int:
 
 
 def cmd_realize(args, out, err) -> int:
-    data = _parse_data(args.data)
+    data = parse_branch_data(args.data)
     cls = classify(data)
     payload = _data_payload(data)
     payload["classification"] = cls.to_dict()
@@ -190,18 +185,27 @@ def cmd_realize(args, out, err) -> int:
 
 
 def cmd_verify(args, out, err) -> int:
-    data = _parse_data(args.data)
+    data = parse_branch_data(args.data)
     if args.witness == "-":
         raw = sys.stdin.read()
     else:
         with open(args.witness, "r", encoding="utf-8") as fh:
             raw = fh.read()
     rec = json.loads(raw)
+    if not isinstance(rec, dict):
+        raise ValueError("witness file must hold a JSON object")
     if "witness" in rec:
-        row_map = rec.get("certificate", {}).get("row_permutation_applied")
+        cert = rec.get("certificate", {})
+        if not isinstance(cert, dict):
+            raise ValueError("'certificate' must be a JSON object")
+        row_map = cert.get("row_permutation_applied")
         rec = rec["witness"]
     else:
         row_map = rec.get("row_map")
+    if row_map is not None and not (
+        isinstance(row_map, list) and all(type(i) is int for i in row_map)
+    ):
+        raise ValueError("row map must be a list of row indices")
     witness = HurwitzWitness.from_dict(rec)
     cert = verify_witness(data, witness, row_map=row_map)
     payload = {
@@ -222,7 +226,7 @@ def cmd_oracle(args, out, err) -> int:
     if args.data is None:
         print("error: give branch data or --pair-survey DEGREE", file=err)
         return PARSE_ERROR
-    data = _parse_data(args.data)
+    data = parse_branch_data(args.data)
     if args.survey:
         survey = tuple_survey(data, bounds, first_row_reduced=not args.unreduced)
         _emit(survey.to_dict(), args.format, out)
@@ -259,11 +263,7 @@ def cmd_batch(args, out, err) -> int:
             print(f"error: {e}", file=err)
             return PARSE_ERROR
     work = [ln.strip() for ln in lines if ln.strip() and not ln.strip().startswith("#")]
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_classify_line, work))
-    else:
-        results = [_classify_line(ln) for ln in work]
+    results = [_classify_line(ln) for ln in work]
     for rec in results:
         if args.format == "json":
             print(json.dumps(rec, sort_keys=True), file=out)
@@ -350,7 +350,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("batch", help="classify branch data line by line")
     p.add_argument("file", help="input file, one branch datum per line (- for stdin)")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="accepted for compatibility; lines are always classified serially",
+    )
     common(p)
     p.set_defaults(func=cmd_batch)
 

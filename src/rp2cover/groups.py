@@ -10,6 +10,7 @@ of a point in the result is the minimal block containing the seed pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from . import kernels
 from .perm import Permutation
@@ -137,23 +138,11 @@ def elements(G: GeneratedGroup, cap: int = 20000) -> list[Permutation]:
 
     Raises GroupTooLargeError as soon as the closure exceeds cap.
     """
-    gens = G.generator_images()
-    ident = kernels.identity(G.degree)
-    seen = {ident}
-    queue = [ident]
-    while queue:
-        u = queue.pop()
-        for g in gens:
-            v = kernels.compose(u, g)
-            if v not in seen:
-                if len(seen) >= cap:
-                    raise GroupTooLargeError(f"group exceeds cap {cap}")
-                seen.add(v)
-                queue.append(v)
+    seen = _closure_images(G.generator_images(), G.degree, cap)
     return [Permutation(t) for t in sorted(seen)]
 
 
-def _closure_images(gens: list[tuple[int, ...]], d: int, cap: int) -> set[tuple[int, ...]]:
+def _closure_images(gens: Sequence[tuple[int, ...]], d: int, cap: int) -> set[tuple[int, ...]]:
     ident = kernels.identity(d)
     seen = {ident}
     queue = [ident]
@@ -163,7 +152,7 @@ def _closure_images(gens: list[tuple[int, ...]], d: int, cap: int) -> set[tuple[
             v = kernels.compose(u, g)
             if v not in seen:
                 if len(seen) >= cap:
-                    raise GroupTooLargeError(f"closure exceeds cap {cap}")
+                    raise GroupTooLargeError(f"group exceeds cap {cap}")
                 seen.add(v)
                 queue.append(v)
     return seen

@@ -33,10 +33,8 @@ from .groups import (
 )
 from .perm import Permutation, canonical_of_type
 from .realize import (
-    Case,
     Classification,
     HurwitzWitness,
-    Reason,
     Verdict,
     canonical_involution_pair,
 )
@@ -198,39 +196,36 @@ def exists_realization(
     return False
 
 
-def exists_primitive_realization(
-    data: BranchData, bounds: SearchBounds | None = None
-) -> bool:
+def _first_witness(
+    data: BranchData, bounds: SearchBounds | None, primitive: bool
+) -> HurwitzWitness | None:
+    """First connected nonorientable witness of the scan whose group is
+    primitive, or imprimitive, as asked."""
     for gammas, alpha, transitive, orientable in iter_relation_pairs(data, bounds):
         if not transitive or orientable:
             continue
-        if is_primitive(_witness_of(data.degree, gammas, alpha).group()):
-            return True
-    return False
+        w = _witness_of(data.degree, gammas, alpha)
+        if is_primitive(w.group()) == primitive:
+            return w
+    return None
+
+
+def exists_primitive_realization(
+    data: BranchData, bounds: SearchBounds | None = None
+) -> bool:
+    return _first_witness(data, bounds, primitive=True) is not None
 
 
 def find_primitive_witness(
     data: BranchData, bounds: SearchBounds | None = None
 ) -> HurwitzWitness | None:
-    for gammas, alpha, transitive, orientable in iter_relation_pairs(data, bounds):
-        if not transitive or orientable:
-            continue
-        w = _witness_of(data.degree, gammas, alpha)
-        if is_primitive(w.group()):
-            return w
-    return None
+    return _first_witness(data, bounds, primitive=True)
 
 
 def find_imprimitive_witness(
     data: BranchData, bounds: SearchBounds | None = None
 ) -> HurwitzWitness | None:
-    for gammas, alpha, transitive, orientable in iter_relation_pairs(data, bounds):
-        if not transitive or orientable:
-            continue
-        w = _witness_of(data.degree, gammas, alpha)
-        if not is_primitive(w.group()):
-            return w
-    return None
+    return _first_witness(data, bounds, primitive=False)
 
 
 @dataclass(frozen=True)
@@ -315,12 +310,14 @@ def classify_by_search(
 
     The case and reason tags of the closed-form rule are left unset; a
     search can tell realizable from not, but not which structural clause
-    applied.
+    applied.  A realizable verdict carries the primitive witness found,
+    which `realize_indecomposable` returns as it is.
     """
     if not is_admissible(data).ok:
         return Classification(Verdict.NOT_ADMISSIBLE)
-    if exists_primitive_realization(data, bounds):
-        return Classification(Verdict.INDECOMPOSABLE_REALIZABLE)
+    witness = find_primitive_witness(data, bounds)
+    if witness is not None:
+        return Classification(Verdict.INDECOMPOSABLE_REALIZABLE, witness=witness)
     if exists_realization(data, bounds):
         return Classification(Verdict.ONLY_DECOMPOSABLE)
     raise RuntimeError(

@@ -17,7 +17,8 @@ primitive.
 a primitive group.  `realize_indecomposable` builds one constructively by
 folding rows together two at a time, steering each intermediate product
 toward a prescribed cycle type or orbit count with `assemble_pair`, and
-finally extracting alpha as an inverse square root of the total product.
+finally extracting alpha as an inverse square root of the total product;
+for odd degree it takes the witness the oracle found while classifying.
 `verify_witness` re-checks every claimed property from scratch and returns
 a certificate.
 """
@@ -31,15 +32,10 @@ from enum import Enum
 from typing import Iterator, Sequence
 
 from . import kernels
-from .branch import BranchData, Partition, is_admissible
-from .groups import (
-    group_of,
-    imprimitivity_block,
-    is_primitive,
-    conjugator,
-)
+from .branch import BranchData, is_admissible
+from .groups import conjugator, group_of, imprimitivity_block
 from .perm import Permutation, canonical_of_type, format_cycles, parse_permutation
-from .squares import all_square_roots, is_square, sqrt
+from .squares import all_square_roots, is_square
 
 
 class RealizationError(Exception):
@@ -99,9 +95,17 @@ class Reason(Enum):
 
 @dataclass(frozen=True)
 class Classification:
+    """A verdict with its tag.
+
+    `witness` is the primitive witness an exhaustive search found on the
+    way to an odd-degree verdict; it is not part of the verdict, so it is
+    left out of equality and of `to_dict`.
+    """
+
     verdict: Verdict
     case: Case | None = None
     reason: Reason | None = None
+    witness: HurwitzWitness | None = field(default=None, compare=False, repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -179,10 +183,21 @@ class HurwitzWitness:
 
     @classmethod
     def from_dict(cls, rec: dict) -> "HurwitzWitness":
-        d = int(rec["degree"])
-        gammas = tuple(parse_permutation(t, d) for t in rec["gammas"])
-        alpha = parse_permutation(rec["alpha"], d)
-        return cls(d, gammas, alpha)
+        """Read a witness record; a record of the wrong shape is a ValueError."""
+        if not isinstance(rec, dict):
+            raise ValueError("witness record must be a JSON object")
+        missing = [k for k in ("degree", "gammas", "alpha") if k not in rec]
+        if missing:
+            raise ValueError(f"witness record lacks {', '.join(missing)}")
+        d, texts, alpha = rec["degree"], rec["gammas"], rec["alpha"]
+        if type(d) is not int:
+            raise ValueError("witness degree must be an integer")
+        if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
+            raise ValueError("witness gammas must be a list of cycle strings")
+        if not isinstance(alpha, str):
+            raise ValueError("witness alpha must be a cycle string")
+        gammas = tuple(parse_permutation(t, d) for t in texts)
+        return cls(d, gammas, parse_permutation(alpha, d))
 
 
 @dataclass(frozen=True)
@@ -321,7 +336,7 @@ def canonical_involution_pair(d: int) -> tuple[Permutation, Permutation]:
 
     >>> p, q = canonical_involution_pair(6)
     >>> str(p * q)
-    '(1 3 5)(2 4 6)'
+    '(1 3 5)(2 6 4)'
     """
     if d < 4 or d % 2:
         raise ValueError("need even degree at least 4")
@@ -847,7 +862,7 @@ def _goal_ladder(nu_prod: int, nu_row: int, d: int, rem_after: int) -> list[Pair
 
 def _fold_chain(
     data: BranchData, order: list[int], rng: random.Random, budget: int
-) -> tuple[list[Permutation], Permutation, list[FoldStep]]:
+) -> tuple[list[Permutation], list[FoldStep]]:
     """Absorb rows one at a time, keeping the running product canonical.
 
     Each fold walks its goal ladder; when a later fold finds no workable
@@ -855,9 +870,8 @@ def _fold_chain(
     fold.  Goals whose search ran out of nodes get a couple of randomized
     retries before being abandoned.
 
-    Returns the gammas in processing order, the final product (of type
-    [d-1, 1]), and the trace.  Raises _FoldStall if no goal sequence
-    works.
+    Returns the gammas in processing order, whose product has type
+    [d-1, 1], and the trace.  Raises _FoldStall if no goal sequence works.
     """
     d = data.degree
     rows = [data.rows[j] for j in order]
@@ -868,7 +882,7 @@ def _fold_chain(
     def extend(gammas, prod, j, trace):
         nonlocal attempts
         if j == len(rows):
-            return gammas, prod, trace
+            return gammas, trace
         final = j == len(rows) - 1
         rem_after = sum(nus[j + 1 :])
         ptype = prod.cycle_type()
@@ -917,7 +931,7 @@ def _fold_chain(
 
 
 def _alpha_for_product(
-    prod: Permutation, gammas: list[Permutation], rng: random.Random | None = None
+    prod: Permutation, gammas: Sequence[Permutation]
 ) -> Permutation | None:
     """Pick alpha with alpha^-2 = prod making the witness work, if possible.
 
@@ -929,48 +943,54 @@ def _alpha_for_product(
         return None
     gimgs = [g.images for g in gammas]
     labels = kernels.component_labels(gimgs, d)
-    best = None
     for root in all_square_roots(prod):
         alpha = root.inverse()
         transitive, orientable = kernels.alpha_extension(labels, alpha.images, d)
         if transitive and not orientable:
             return alpha
-        if best is None and transitive:
-            best = alpha
     return None
 
 
-def _finish_witness(
+def _accept(
     data: BranchData,
-    gammas: list[Permutation],
-    prod: Permutation,
-    order: list[int],
+    gammas: Sequence[Permutation],
+    alpha: Permutation | None,
     engine: str,
-    trace: list[FoldStep],
     seed: int | None,
+    *,
+    order: Sequence[int] | None = None,
+    trace: list[FoldStep] | None = None,
+    primitive: bool = True,
 ) -> RealizationResult | None:
-    alpha = _alpha_for_product(prod, gammas)
+    """Verify a candidate witness and wrap it, or None if it falls short.
+
+    With alpha None, alpha is extracted from the product of the gammas.
+    gamma_i must carry the cycle type of row order[i] (row i by default).
+    The certificate must show the relation, the row types, a transitive
+    group and a nonorientable surface, and primitivity exactly as asked.
+    """
     if alpha is None:
-        return None
+        prod = Permutation(kernels.product_of([g.images for g in gammas], data.degree))
+        alpha = _alpha_for_product(prod, gammas)
+        if alpha is None:
+            return None
     witness = HurwitzWitness(data.degree, tuple(gammas), alpha)
+    if order is None:
+        order = range(data.rows_count)
     cert = verify_witness(data, witness, row_map=order)
-    if not cert.all_ok:
+    if not (
+        cert.relation_ok
+        and cert.row_types_ok
+        and cert.transitive
+        and cert.nonorientable
+        and cert.primitive == primitive
+    ):
         return None
-    return RealizationResult(witness, cert, engine, trace, seed)
-
-
-def _realize_degree_two(data: BranchData, seed: int | None) -> RealizationResult:
-    flip = Permutation.from_cycles(2, [(1, 2)])
-    gammas = [flip] * data.rows_count
-    witness = HurwitzWitness(2, tuple(gammas), Permutation.identity(2))
-    cert = verify_witness(data, witness, row_map=list(range(data.rows_count)))
-    if not cert.all_ok:
-        raise EngineDefect("degree-two construction failed verification")
-    return RealizationResult(witness, cert, "degree_two", [], seed)
+    return RealizationResult(witness, cert, engine, trace or [], seed)
 
 
 def _realize_all_twos(
-    data: BranchData, rng: random.Random, budget: int, seed: int | None
+    data: BranchData, budget: int, seed: int | None
 ) -> RealizationResult | None:
     """Rows all of type [2,...,2]: start from the canonical involution pair.
 
@@ -1027,49 +1047,13 @@ def _realize_all_twos(
     if pads < 0 or pads % 2:
         raise EngineDefect("all-twos padding parity is off")
     gammas = core[:2] + [core[1]] * pads + core[2:]
-    order = list(range(s))
-    return _finish_witness(data, gammas, prod, order, "all_twos_chain", trace, seed)
+    return _accept(data, gammas, None, "all_twos_chain", seed, trace=trace)
 
 
 def _random_class_element(parts: tuple[int, ...], d: int, rng: random.Random):
     base = canonical_of_type(d, parts)
     lam = Permutation(tuple(rng.sample(range(1, d + 1), d)))
     return base.conjugate(lam)
-
-
-def _realize_random(
-    data: BranchData, rng: random.Random, tries: int, seed: int | None
-) -> RealizationResult | None:
-    """Last-resort sampler: draw whole tuples, keep one that verifies."""
-    d = data.degree
-    order = list(range(data.rows_count))
-    for _ in range(tries):
-        gammas = [_random_class_element(r.parts, d, rng) for r in data.rows]
-        prod = Permutation.identity(d)
-        for g in gammas:
-            prod = prod * g
-        if not is_square(prod):
-            continue
-        res = _finish_witness(data, gammas, prod, order, "random_tuple", [], seed)
-        if res is not None:
-            return res
-    return None
-
-
-def _realize_by_oracle(data: BranchData, seed: int | None) -> RealizationResult | None:
-    from .oracle import SearchBounds, find_primitive_witness
-
-    bounds = SearchBounds()
-    if data.degree > bounds.max_degree or data.rows_count > bounds.max_rows:
-        return None
-    witness = find_primitive_witness(data, bounds)
-    if witness is None:
-        return None
-    order = list(range(data.rows_count))
-    cert = verify_witness(data, witness, row_map=order)
-    if not cert.all_ok:
-        return None
-    return RealizationResult(witness, cert, "exhaustive_scan", [], seed)
 
 
 def realize_indecomposable(
@@ -1080,8 +1064,13 @@ def realize_indecomposable(
 ) -> RealizationResult:
     """Construct a verified witness with primitive monodromy.
 
+    One engine per degree regime: `degree_two`; `all_twos_chain` when every
+    row is all twos; `fold_chain` for the other even degrees; and for odd
+    degrees `exhaustive_scan`, which takes the first primitive witness of
+    the scan `classify` already ran (so it ignores the seed).
+
     Raises NotRealizableError when `classify` rules the data out, and
-    EngineDefect if construction fails for data classified realizable
+    EngineDefect if the engine fails for data classified realizable
     (which would be a bug, not a property of the data).
     """
     cls = classify(data)
@@ -1091,29 +1080,30 @@ def realize_indecomposable(
             if cls.verdict is not Verdict.UNKNOWN
             else "realizability of this branch data is undecided"
         )
-    rng = random.Random(seed)
     d = data.degree
-
-    if d == 2:
-        return _realize_degree_two(data, seed)
-
     result: RealizationResult | None = None
-    if d % 2 == 0:
-        if data.all_rows_all_twos():
-            result = _realize_all_twos(data, rng, node_budget, seed)
-        else:
-            order = _row_order(data)
-            try:
-                gammas, prod, trace = _fold_chain(data, order, rng, node_budget)
-                result = _finish_witness(
-                    data, gammas, prod, order, "fold_chain", trace, seed
-                )
-            except _FoldStall:
-                result = None
-    if result is None:
-        result = _realize_random(data, rng, tries=4000, seed=seed)
-    if result is None:
-        result = _realize_by_oracle(data, seed)
+    if d == 2:
+        flip = Permutation.from_cycles(2, [(1, 2)])
+        gammas = [flip] * data.rows_count
+        result = _accept(data, gammas, Permutation.identity(2), "degree_two", seed)
+    elif d % 2 == 1:
+        w = cls.witness
+        if w is not None:
+            result = _accept(data, w.gammas, w.alpha, "exhaustive_scan", seed)
+    elif data.all_rows_all_twos():
+        result = _realize_all_twos(data, node_budget, seed)
+    else:
+        order = _row_order(data)
+        try:
+            gammas, trace = _fold_chain(data, order, random.Random(seed), node_budget)
+        except _FoldStall as e:
+            raise EngineDefect(
+                f"fold chain stalled on {data.to_text()}: {e}; this contradicts "
+                "its classification and indicates an engine bug or undersized budget"
+            ) from e
+        result = _accept(
+            data, gammas, None, "fold_chain", seed, order=order, trace=trace
+        )
     if result is None:
         raise EngineDefect(
             f"no witness produced for {data.to_text()}; this contradicts its "
@@ -1140,31 +1130,13 @@ def realize_decomposable_search(
         return None
     d = data.degree
     rng = random.Random(seed)
-    order = list(range(data.rows_count))
-
-    def finish(gammas: list[Permutation]) -> RealizationResult | None:
-        prod = Permutation.identity(d)
-        for g in gammas:
-            prod = prod * g
-        alpha = _alpha_for_product(prod, gammas)
-        if alpha is None:
-            return None
-        witness = HurwitzWitness(d, tuple(gammas), alpha)
-        cert = verify_witness(data, witness, row_map=order)
-        if not (
-            cert.relation_ok
-            and cert.row_types_ok
-            and cert.transitive
-            and cert.nonorientable
-            and not cert.primitive
-        ):
-            return None
-        return RealizationResult(witness, cert, "decomposable_search", [], seed)
 
     if d >= 4 and d % 2 == 0 and data.all_rows_all_twos():
         g1, g2 = canonical_involution_pair(d)
         for gammas in _all_twos_variants(d, data.rows_count, g1, g2, rng):
-            res = finish(gammas)
+            res = _accept(
+                data, gammas, None, "decomposable_search", seed, primitive=False
+            )
             if res is not None:
                 return res
 
@@ -1172,17 +1144,11 @@ def realize_decomposable_search(
 
     bounds = SearchBounds()
     if d <= bounds.max_degree and data.rows_count <= bounds.max_rows:
-        witness = find_imprimitive_witness(data, bounds)
-        if witness is not None:
-            cert = verify_witness(data, witness, row_map=order)
-            if (
-                cert.relation_ok
-                and cert.row_types_ok
-                and cert.transitive
-                and cert.nonorientable
-                and not cert.primitive
-            ):
-                return RealizationResult(witness, cert, "exhaustive_scan", [], seed)
+        w = find_imprimitive_witness(data, bounds)
+        if w is not None:
+            return _accept(
+                data, w.gammas, w.alpha, "exhaustive_scan", seed, primitive=False
+            )
     return None
 
 

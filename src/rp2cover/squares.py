@@ -32,6 +32,13 @@ def is_square(p: Permutation) -> bool:
     return kernels.is_square_type(p.images)
 
 
+def _root_cycle_odd(cycle: Sequence[int]) -> tuple[int, ...]:
+    """Point order of the root of an odd cycle; see `sqrt_odd_cycle`."""
+    r = len(cycle)
+    h = (r + 1) // 2
+    return tuple(cycle[k // 2] if k % 2 == 0 else cycle[h + k // 2] for k in range(r))
+
+
 def sqrt_odd_cycle(cycle: Sequence[int], degree: int) -> Permutation:
     """The unique root of an odd cycle supported on the same points.
 
@@ -42,14 +49,9 @@ def sqrt_odd_cycle(cycle: Sequence[int], degree: int) -> Permutation:
     >>> str(sqrt_odd_cycle((1, 2, 3, 4, 5), 5))
     '(1 4 2 5 3)'
     """
-    r = len(cycle)
-    if r % 2 == 0:
-        raise ValueError(f"cycle length {r} is even")
-    h = (r + 1) // 2
-    order = []
-    for k in range(r):
-        order.append(cycle[k // 2] if k % 2 == 0 else cycle[h + k // 2])
-    return Permutation.from_cycles(degree, [order])
+    if len(cycle) % 2 == 0:
+        raise ValueError(f"cycle length {len(cycle)} is even")
+    return Permutation.from_cycles(degree, [_root_cycle_odd(cycle)])
 
 
 def _interleave(a: Sequence[int], b: Sequence[int], offset: int) -> tuple[int, ...]:
@@ -92,12 +94,6 @@ def sqrt(p: Permutation) -> Permutation | None:
             for i in range(0, len(group), 2):
                 root_cycles.append(_interleave(group[i], group[i + 1], 0))
     return Permutation.from_cycles(p.degree, root_cycles)
-
-
-def _root_cycle_odd(cycle: Sequence[int]) -> tuple[int, ...]:
-    r = len(cycle)
-    h = (r + 1) // 2
-    return tuple(cycle[k // 2] if k % 2 == 0 else cycle[h + k // 2] for k in range(r))
 
 
 def all_square_roots(p: Permutation, cap: int | None = None) -> list[Permutation]:

@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from rp2cover import realize
 from rp2cover.cli import main
 
 
@@ -196,6 +197,46 @@ def test_verify_bad_json_is_parse_error(tmp_path):
     code, _, err = run("verify", "d=4; [3,1],[2,2]", "--witness", str(path))
     assert code == 2
     assert "error:" in err
+
+
+_GOOD_WITNESS = {
+    "degree": 4,
+    "gammas": ["(1 2)(3 4)", "(2 3)(4 1)"],
+    "alpha": "(1 2 3 4)",
+}
+
+
+@pytest.mark.parametrize(
+    "rec",
+    [
+        {"degree": 4},
+        {**_GOOD_WITNESS, "gammas": 5},
+        [_GOOD_WITNESS],
+        {**_GOOD_WITNESS, "alpha": 7},
+        {"witness": _GOOD_WITNESS, "certificate": [0, 1]},
+        {**_GOOD_WITNESS, "row_map": 5},
+    ],
+    ids=["no-gammas", "int-gammas", "list", "int-alpha", "list-certificate", "int-row-map"],
+)
+def test_verify_malformed_witness_is_parse_error(tmp_path, rec):
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(rec), encoding="utf-8")
+    code, out, err = run("verify", "d=4; [2,2],[2,2]", "--witness", str(path))
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_realize_engine_failure_exits_5(monkeypatch):
+    def stall(*args, **kwargs):
+        raise realize._FoldStall("forced stall")
+
+    monkeypatch.setattr(realize, "_fold_chain", stall)
+    code, out, err = run("realize", "d=6; [3,2,1],[2,2,2]")
+    assert code == 5
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_verify_missing_file_is_parse_error(tmp_path):

@@ -6,11 +6,14 @@ import random
 
 import pytest
 
+from rp2cover import oracle
+from rp2cover import realize as realize_module
 from rp2cover.branch import BranchData, Partition
 from rp2cover.perm import Permutation, from_cycles, parse_permutation
 from rp2cover.realize import (
     Case,
     Certificate,
+    Classification,
     EngineDefect,
     HurwitzWitness,
     NotRealizableError,
@@ -388,11 +391,46 @@ def test_realize_all_twos_rows(text):
         assert g.cycle_type() == row.parts
 
 
-@pytest.mark.parametrize("text", ["d=3; [3],[3]", "d=5; [5],[3,1,1]"])
-def test_realize_small_odd_degree(text):
-    res = realize_indecomposable(data_of(text))
-    assert res.engine in ("random_tuple", "exhaustive_scan")
+# every admissible datum of degree 3 or 5 is indecomposably realizable
+ODD_TEXTS = [data.to_text() for data in admissible_data([3, 5], 4)]
+
+
+@pytest.mark.parametrize("text", ODD_TEXTS)
+def test_realize_small_odd_degree(text, monkeypatch):
+    data = data_of(text)
+    scans = []
+    scan = oracle.iter_relation_pairs
+
+    def counted(*args, **kwargs):
+        scans.append(args)
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "iter_relation_pairs", counted)
+    res = realize_indecomposable(data, seed=11)
+    assert len(scans) == 1
+    monkeypatch.undo()
+    assert res.engine == "exhaustive_scan"
     assert res.certificate.all_ok
+    # the classifying scan's witness, whatever the seed
+    assert res.witness == oracle.find_primitive_witness(data)
+
+
+def test_classification_witness_is_not_part_of_the_verdict():
+    data = data_of("d=5; [5],[3,1,1]")
+    cls = classify(data)
+    assert cls.witness == oracle.find_primitive_witness(data)
+    assert cls == Classification(Verdict.INDECOMPOSABLE_REALIZABLE)
+    assert "witness" not in cls.to_dict()
+    assert classify(data_of("d=6; [3,2,1],[2,2,2]")).witness is None
+
+
+def test_fold_stall_is_an_engine_defect(monkeypatch):
+    def stall(*args, **kwargs):
+        raise realize_module._FoldStall("forced stall")
+
+    monkeypatch.setattr(realize_module, "_fold_chain", stall)
+    with pytest.raises(EngineDefect, match="forced stall"):
+        realize_indecomposable(data_of("d=6; [3,2,1],[2,2,2]"))
 
 
 def test_realize_is_deterministic_per_seed():
