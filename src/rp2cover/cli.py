@@ -169,13 +169,17 @@ def cmd_realize(args, out, err) -> int:
                 file=err,
             )
             return FORBIDDEN
-        result = realize_decomposable_search(data, seed=args.seed)
+        result = realize_decomposable_search(
+            data, seed=args.seed, classification=cls
+        )
         if result is None:
             print("error: no decomposable witness found", file=err)
             return ENGINE_FAILURE
     else:
         try:
-            result = realize_indecomposable(data, seed=args.seed)
+            result = realize_indecomposable(
+                data, seed=args.seed, classification=cls
+            )
         except EngineDefect as e:
             print(f"error: {e}", file=err)
             return ENGINE_FAILURE

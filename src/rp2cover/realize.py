@@ -207,7 +207,10 @@ class Certificate:
     `row_permutation_applied` maps witness position i to the index of the
     branch-data row whose cycle type gamma_i must carry.  `witness_block`
     is a non-trivial block of the monodromy group when one exists (the
-    concrete obstruction to primitivity), otherwise None.
+    concrete obstruction to primitivity), otherwise None.  `primitive_by`
+    says how primitivity was decided: "two_transitive" when the product of
+    the gammas certified it, "block_scan" when the block scan ran, and None
+    when the group is intransitive (then `primitive` is False unchecked).
     """
 
     relation_ok: bool
@@ -218,6 +221,7 @@ class Certificate:
     euler_char: int
     row_permutation_applied: tuple[int, ...]
     witness_block: tuple[int, ...] | None = None
+    primitive_by: str | None = None
 
     @property
     def all_ok(self) -> bool:
@@ -236,6 +240,7 @@ class Certificate:
             "transitive": self.transitive,
             "nonorientable": self.nonorientable,
             "primitive": self.primitive,
+            "primitive_by": self.primitive_by,
             "euler_char": self.euler_char,
             "row_permutation_applied": list(self.row_permutation_applied),
             "witness_block": list(self.witness_block)
@@ -284,12 +289,19 @@ def verify_witness(
     labels = kernels.component_labels(gamma_imgs, d)
     transitive, orientable = kernels.alpha_extension(labels, alpha_imgs, d)
 
+    # A transitive group holding a (d-1)-cycle that fixes a point is
+    # 2-transitive, hence primitive; the product is such an element for
+    # every witness the even-degree engines build.  Anything else gets the
+    # block scan.
     block = None
     primitive = False
+    primitive_by = None
     if transitive:
-        G = witness.group()
-        block = imprimitivity_block(G)
-        primitive = block is None
+        if prod.cycle_type() == (d - 1, 1):
+            primitive, primitive_by = True, "two_transitive"
+        else:
+            block = imprimitivity_block(witness.group())
+            primitive, primitive_by = block is None, "block_scan"
 
     euler = d - sum(g.defect() for g in witness.gammas)
     return Certificate(
@@ -301,6 +313,7 @@ def verify_witness(
         euler_char=euler,
         row_permutation_applied=tuple(row_map),
         witness_block=tuple(block) if block is not None else None,
+        primitive_by=primitive_by,
     )
 
 
@@ -383,7 +396,11 @@ class PairGoal:
 
 
 class _Journal:
-    """Undo log shared by all incremental state in a pair search."""
+    """Undo log shared by all incremental state in a pair search.
+
+    Counters are kept free of zero entries, so their size is the number of
+    distinct values they hold.
+    """
 
     __slots__ = ("ops",)
 
@@ -399,7 +416,7 @@ class _Journal:
 
     def bump(self, ctr: Counter, key: int, delta: int) -> None:
         self.ops.append(("C", ctr, key, delta))
-        ctr[key] += delta
+        _add_count(ctr, key, delta)
 
     def rewind(self, mark: int, search: "_PairSearch") -> None:
         while len(self.ops) > mark:
@@ -408,13 +425,23 @@ class _Journal:
             if kind == "L":
                 op[1][op[2]] = op[3]
             elif kind == "C":
-                op[1][op[2]] -= op[3]
+                _add_count(op[1], op[2], -op[3])
+            elif kind == "F":
+                search._relink_free(op[1])
             elif kind == "N":
                 op[1].count += 1
             elif kind == "U":
                 search._uf_unlink(op[1])
             elif kind == "S":
                 setattr(search, op[1][0], op[1][1])
+
+
+def _add_count(ctr: Counter, key: int, delta: int) -> None:
+    n = ctr[key] + delta
+    if n:
+        ctr[key] = n
+    else:
+        del ctr[key]
 
 
 class _Chains:
@@ -440,6 +467,10 @@ class _Chains:
     def closing_length(self, u: int, v: int) -> int | None:
         """Length of the cycle the edge u -> v would close, if any."""
         return self.len_of[v] if self.head_of[u] == v else None
+
+    def joined_length(self, u: int, v: int) -> int:
+        """Length of the chain the edge u -> v would form, if it closes none."""
+        return self.len_of[self.head_of[u]] + self.len_of[v]
 
     def add(self, u: int, v: int, j: _Journal) -> None:
         hu = self.head_of[u]
@@ -478,6 +509,11 @@ class _PairSearch:
     - the orbits of <gamma_a, gamma_b> (tracked by union-find over the
       cycles of gamma_a) must be able to reach exactly the target count
       with the edges that remain.
+
+    All of this state, and the list of free targets of gamma_b, is updated
+    edge by edge and undone through one journal, so a node costs time in
+    the number of distinct chain and cycle lengths rather than in d, unless
+    the packing check has to fall back to the placement search `_fits`.
     """
 
     def __init__(
@@ -522,6 +558,8 @@ class _PairSearch:
             self.pi_target_cycles = d - goal.product_defect
         self.closed_pi = 0
         self.unset = d
+        self.free_next = list(range(1, d + 2))
+        self.free_prev = [0] + list(range(d + 1))
         self.journal = _Journal()
 
     # --- union-find over gamma_a cycles, with explicit unlink for undo
@@ -553,42 +591,48 @@ class _PairSearch:
             self.rank[rx] -= 1
         self.comps += 1
 
+    # --- free targets of gamma_b: the points v with gamma_b^-1(v) unset,
+    # linked in increasing order so that undo relinks them in place
+
+    def _unlink_free(self, v: int) -> None:
+        nx, pv = self.free_next, self.free_prev
+        nx[pv[v]] = nx[v]
+        pv[nx[v]] = pv[v]
+        self.journal.ops.append(("F", v))
+
+    def _relink_free(self, v: int) -> None:
+        self.free_next[self.free_prev[v]] = v
+        self.free_prev[self.free_next[v]] = v
+
     # --- feasibility
 
-    def _packs(self, chains: _Chains, rem: Counter) -> bool:
-        items = sorted(
-            (n for n, c in chains.lengths.items() if n > 1 for _ in range(c)),
-            reverse=True,
-        )
-        if not items:
+    @staticmethod
+    def _packs(chains: _Chains, rem: Counter) -> bool:
+        """Whether the open chains longer than 1 fit into the cycle lengths
+        still available, several chains to a cycle.
+
+        Exact; the shapes every fold produces are settled from the two
+        multisets directly, and only mixed lengths in several usable cycles
+        fall through to `_fits`.
+        """
+        if chains.count == chains.lengths[1]:
             return True
-        caps = sorted((n for n, c in rem.items() if c > 0 for _ in range(c)))
-        if not caps or items[0] > caps[-1]:
+        items = {n: c for n, c in chains.lengths.items() if n > 1}
+        small = min(items)
+        bins = [(cap, c) for cap, c in rem.items() if cap >= small]
+        if not bins or max(items) > max(bins)[0]:
             return False
-        dead: set[tuple] = set()
-
-        def place(i: int, free: tuple[int, ...]) -> bool:
-            if i == len(items):
-                return True
-            key = (i, free)
-            if key in dead:
-                return False
-            need = items[i]
-            tried = set()
-            for k in range(len(free) - 1, -1, -1):
-                cap = free[k]
-                if cap < need:
-                    break
-                if cap in tried:
-                    continue
-                tried.add(cap)
-                rest = free[:k] + ((cap - need,) if cap > need else ()) + free[k + 1 :]
-                if place(i + 1, tuple(sorted(rest))):
-                    return True
-            dead.add(key)
+        if len(items) == 1:
+            return sum(c * (cap // small) for cap, c in bins) >= items[small]
+        total = sum(n * c for n, c in items.items())
+        if total > sum(cap * c for cap, c in bins):
             return False
-
-        return place(0, tuple(caps))
+        if len(bins) == 1 and bins[0][1] == 1:
+            return True
+        return _fits(
+            sorted((n for n, c in items.items() for _ in range(c)), reverse=True),
+            tuple(sorted(cap for cap, c in bins for _ in range(c))),
+        )
 
     def _feasible(self) -> bool:
         remaining_edges = self.unset
@@ -610,10 +654,14 @@ class _PairSearch:
     def _apply(self, u: int, v: int) -> bool:
         j = self.journal
         mark = j.mark()
+        # a joined chain longer than every cycle still available fails the
+        # packing check below, so it is rejected before any state changes
         lb = self.b.closing_length(u, v)
         if lb is not None:
             if self.rem_b[lb] <= 0:
                 return False
+        elif self.b.joined_length(u, v) > max(self.rem_b, default=0):
+            return False
         pu = self.ainv[u]
         if self.pi.nxt[pu]:
             raise AssertionError("pi edge already present")
@@ -624,8 +672,12 @@ class _PairSearch:
                     return False
             elif self.closed_pi + 1 > self.pi_target_cycles:
                 return False
+        elif self.rem_pi is not None:
+            if self.pi.joined_length(pu, v) > max(self.rem_pi, default=0):
+                return False
 
         self.b.add(u, v, j)
+        self._unlink_free(v)
         if lb is not None:
             j.bump(self.rem_b, lb, -1)
         self.pi.add(pu, v, j)
@@ -654,41 +706,99 @@ class _PairSearch:
         gb = Permutation(tuple(self.b.nxt[1 : self.d + 1]))
         return self.gamma_a, gb
 
-    def _dfs(self) -> bool | None:
-        if self.unset == 0:
-            return self._check_complete()
-        nxt = self.b.nxt
-        u = 1
-        while nxt[u]:
-            u += 1
-        prv = self.b.prv
-        cands = [v for v in range(1, self.d + 1) if not prv[v]]
-        if self.rng is not None:
-            self.rng.shuffle(cands)
-        for v in cands:
+    def _dfs(self) -> bool:
+        """Depth-first over gamma_b(u) for u = 1, 2, ..., d in turn.
+
+        Level u tries the free targets v in increasing order (shuffled
+        once per level when randomized), counting each try as a node.  The
+        stack holds one frame per level, so u is its length; a frame is
+        [candidates or None, position, journal mark of the edge tried].
+        """
+        d = self.d
+        stack: list[list] = []
+        entered = True
+        while True:
+            if entered:
+                if self.unset == 0:
+                    if self._check_complete():
+                        return True
+                    self._undo(stack[-1][2])
+                elif self.rng is None:
+                    stack.append([None, 0, 0])
+                else:
+                    cands = [v for v in range(1, d + 1) if not self.b.prv[v]]
+                    self.rng.shuffle(cands)
+                    stack.append([cands, 0, 0])
+            top = stack[-1]
+            cands, pos = top[0], top[1]
+            if cands is None:
+                v = self.free_next[pos]
+                top[1] = v
+            elif pos < len(cands):
+                v = cands[pos]
+                top[1] = pos + 1
+            else:
+                v = d + 1
+            if v > d:
+                stack.pop()
+                if not stack:
+                    return False
+                self._undo(stack[-1][2])
+                entered = False
+                continue
             self.nodes += 1
             if self.nodes > self.node_budget:
                 raise SearchExhausted(
                     f"node budget {self.node_budget} exhausted", complete=False
                 )
-            mark = self.journal.mark()
-            if self._apply(u, v):
-                got = self._dfs()
-                if got:
-                    return got
-                self._undo(mark)
-        return None
+            top[2] = self.journal.mark()
+            entered = self._apply(len(stack), v)
 
     def _check_complete(self) -> bool:
-        if self.comps != self.goal.orbit_count:
+        if self.comps != self.goal.orbit_count or self.rem_b:
             return False
-        if any(c > 0 for c in self.rem_b.values()):
-            return False
-        if self.rem_pi is not None and any(c > 0 for c in self.rem_pi.values()):
-            return False
-        if self.rem_pi is None and self.closed_pi != self.pi_target_cycles:
-            return False
-        return True
+        if self.rem_pi is not None:
+            return not self.rem_pi
+        return self.closed_pi == self.pi_target_cycles
+
+
+def _fits(items: list[int], caps: tuple[int, ...]) -> bool:
+    """Exact bin packing: can `items` (non-increasing) go into bins of the
+    sizes `caps` (non-decreasing)?
+
+    Places the items in order, trying each distinct bin size from the
+    largest down, with failed (item, free sizes) states remembered.  Runs on
+    an explicit stack of child generators.
+    """
+    dead: set[tuple] = set()
+
+    def children(i: int, free: tuple[int, ...]):
+        need = items[i]
+        tried = set()
+        for k in range(len(free) - 1, -1, -1):
+            cap = free[k]
+            if cap < need:
+                break
+            if cap in tried:
+                continue
+            tried.add(cap)
+            rest = free[:k] + ((cap - need,) if cap > need else ()) + free[k + 1 :]
+            yield tuple(sorted(rest))
+
+    stack = [((0, caps), children(0, caps))]
+    while stack:
+        key, kids = stack[-1]
+        i = key[0] + 1
+        for free in kids:
+            if i == len(items):
+                return True
+            if (i, free) not in dead:
+                stack.append(((i, free), children(i, free)))
+                break
+        else:
+            dead.add(key)
+            stack.pop()
+    return False
 
 
 _DEFAULT_NODE_BUDGET = 300_000
@@ -1061,19 +1171,22 @@ def realize_indecomposable(
     seed: int = 0,
     *,
     node_budget: int = _DEFAULT_NODE_BUDGET,
+    classification: Classification | None = None,
 ) -> RealizationResult:
     """Construct a verified witness with primitive monodromy.
 
     One engine per degree regime: `degree_two`; `all_twos_chain` when every
     row is all twos; `fold_chain` for the other even degrees; and for odd
     degrees `exhaustive_scan`, which takes the first primitive witness of
-    the scan `classify` already ran (so it ignores the seed).
+    the scan `classify` already ran (so it ignores the seed).  A caller
+    that has classified the data already passes the result as
+    `classification`, so odd data is not scanned twice.
 
     Raises NotRealizableError when `classify` rules the data out, and
     EngineDefect if the engine fails for data classified realizable
     (which would be a bug, not a property of the data).
     """
-    cls = classify(data)
+    cls = classification if classification is not None else classify(data)
     if cls.verdict is not Verdict.INDECOMPOSABLE_REALIZABLE:
         raise NotRealizableError(
             f"branch data is {cls.verdict.value}; no indecomposable witness exists"
@@ -1117,15 +1230,19 @@ def realize_indecomposable(
 
 
 def realize_decomposable_search(
-    data: BranchData, seed: int = 0
+    data: BranchData,
+    seed: int = 0,
+    *,
+    classification: Classification | None = None,
 ) -> RealizationResult | None:
     """Find a witness with imprimitive monodromy, or None if even that fails.
 
     Only-decomposable branch data is still realizable, just never by an
     indecomposable covering; the certificate of the returned witness has
-    primitive=False and records a block.
+    primitive=False and records a block.  `classification` is as for
+    `realize_indecomposable`.
     """
-    cls = classify(data)
+    cls = classification if classification is not None else classify(data)
     if cls.verdict is Verdict.NOT_ADMISSIBLE:
         return None
     d = data.degree

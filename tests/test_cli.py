@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from rp2cover import realize
+from rp2cover import oracle, realize
 from rp2cover.cli import main
 
 
@@ -114,6 +114,23 @@ def test_realize_json_witness_verifies():
     assert rec["certificate"]["all_ok"] is True
     assert rec["certificate"]["euler_char"] == 0
     assert len(rec["witness"]["gammas"]) == 2
+
+
+def test_realize_scans_odd_data_once(monkeypatch):
+    scans = []
+    scan = oracle.iter_relation_pairs
+
+    def counted(*args, **kwargs):
+        scans.append(args)
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "iter_relation_pairs", counted)
+    code, out, _ = run("realize", "d=5; [5],[3,1,1]", "--format", "json")
+    assert code == 0
+    assert len(scans) == 1
+    rec = json.loads(out)
+    assert rec["engine"] == "exhaustive_scan"
+    assert rec["certificate"]["primitive_by"] in ("two_transitive", "block_scan")
 
 
 def test_realize_seed_is_reproducible():

@@ -2,14 +2,20 @@
 
 from __future__ import annotations
 
+import io
 import random
+from collections import Counter
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rp2cover import oracle
+from rp2cover import cli, oracle
 from rp2cover import realize as realize_module
 from rp2cover.branch import BranchData, Partition
-from rp2cover.perm import Permutation, from_cycles, parse_permutation
+from rp2cover.groups import imprimitivity_block
+from rp2cover.perm import Permutation, canonical_of_type, from_cycles, parse_permutation
 from rp2cover.realize import (
     Case,
     Certificate,
@@ -30,6 +36,7 @@ from rp2cover.realize import (
 )
 
 from helpers import admissible_data, data_of
+from test_acceptance import _mixed_instance
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +215,128 @@ def test_assemble_pair_budget_cut_is_flagged_incomplete():
     assert not info.value.complete
 
 
+def _packs_reference(lengths: Counter, rem: Counter) -> bool:
+    """The pair search's packing check as first written: expand both
+    multisets and search every placement."""
+    items = sorted(
+        (n for n, c in lengths.items() if n > 1 for _ in range(c)),
+        reverse=True,
+    )
+    if not items:
+        return True
+    caps = sorted((n for n, c in rem.items() if c > 0 for _ in range(c)))
+    if not caps or items[0] > caps[-1]:
+        return False
+    dead: set[tuple] = set()
+
+    def place(i: int, free: tuple[int, ...]) -> bool:
+        if i == len(items):
+            return True
+        key = (i, free)
+        if key in dead:
+            return False
+        need = items[i]
+        tried = set()
+        for k in range(len(free) - 1, -1, -1):
+            cap = free[k]
+            if cap < need:
+                break
+            if cap in tried:
+                continue
+            tried.add(cap)
+            rest = free[:k] + ((cap - need,) if cap > need else ()) + free[k + 1 :]
+            if place(i + 1, tuple(sorted(rest))):
+                return True
+        dead.add(key)
+        return False
+
+    return place(0, tuple(caps))
+
+
+def _multiset(max_value, max_count):
+    return st.dictionaries(
+        st.integers(1, max_value), st.integers(0, max_count), max_size=5
+    ).map(lambda m: +Counter(m))
+
+
+@settings(max_examples=600, deadline=None)
+@given(_multiset(9, 4), _multiset(16, 3))
+def test_packing_check_matches_full_placement_search(lengths, rem):
+    chains = SimpleNamespace(lengths=lengths, count=sum(lengths.values()))
+    got = realize_module._PairSearch._packs(chains, rem)
+    assert got == _packs_reference(lengths, rem)
+
+
+@pytest.mark.parametrize(
+    "lengths, rem, want",
+    [
+        # one long cycle plus fixed points: everything goes into the cycle
+        ({5: 1, 3: 2, 1: 4}, {12: 1, 1: 4}, True),
+        ({5: 1, 3: 2, 1: 4}, {10: 1, 1: 6}, False),
+        # uniform chains into uniform cycles
+        ({2: 5}, {4: 2, 2: 1}, True),
+        ({3: 4}, {5: 3}, False),
+        # mixed lengths, several cycles: the placement search decides
+        ({4: 1, 3: 2}, {5: 2}, False),
+        ({4: 1, 3: 1, 2: 1}, {5: 1, 4: 1}, True),
+    ],
+)
+def test_packing_check_examples(lengths, rem, want):
+    lengths, rem = Counter(lengths), Counter(rem)
+    chains = SimpleNamespace(lengths=lengths, count=sum(lengths.values()))
+    assert realize_module._PairSearch._packs(chains, rem) is want
+    assert _packs_reference(lengths, rem) is want
+
+
+# Node counts and gamma_b recorded from the recursive search that rebuilt
+# its candidate list and packing lists at every node; the search must
+# visit candidates in the same order.
+PAIR_SEARCH_RECORDS = [
+    ((5, 4, 2, 1), (3, 3, 2, 2, 1, 1), dict(product_type=(11, 1)), None, 24,
+     "(3 4)(5 6)(7 8 10)(9 11 12)"),
+    ((5, 4, 2, 1), (3, 3, 2, 2, 1, 1), dict(product_type=(11, 1)), 3, 40,
+     "(1 2 4)(3 12)(5 6 11)(7 8)"),
+    ((8, 8), (2,) * 8, dict(product_type=(15, 1)), None, 63,
+     "(1 2)(3 5)(4 6)(7 9)(8 11)(10 12)(13 15)(14 16)"),
+    ((8, 8), (2,) * 8, dict(product_type=(15, 1)), 5, 64,
+     "(1 3)(2 6)(4 16)(5 11)(7 12)(8 10)(9 13)(14 15)"),
+    ((6, 3, 1), (4, 4, 2), dict(product_defect=6), None, 50,
+     "(1 2)(3 4 5 7)(6 9 10 8)"),
+    ((6, 3, 1), (4, 4, 2), dict(orbit_count=2, product_defect=4), 7, 7048,
+     "(1 4 3 6)(2 5)(7 10 9 8)"),
+    ((4, 3, 3, 2), (5, 4, 2, 1), dict(product_type=(9, 1, 1, 1)), None, 20,
+     "(2 3)(4 5 6 7 8)(9 11 12 10)"),
+    ((2, 2), (2, 2), dict(product_type=(4,)), None, 14, None),
+    ((6, 6), (3, 3, 2, 2, 2), dict(orbit_count=3, product_defect=6), None, 12, None),
+]
+
+
+@pytest.mark.parametrize("ta, tb, goal, seed, nodes, gamma_b", PAIR_SEARCH_RECORDS)
+def test_pair_search_visit_order_is_unchanged(ta, tb, goal, seed, nodes, gamma_b):
+    goal = PairGoal(**{"orbit_count": 1, **goal})
+    rng = random.Random(seed) if seed is not None else None
+    search = realize_module._PairSearch(
+        canonical_of_type(sum(ta), ta), tb, goal, rng, 300_000
+    )
+    found = search.run()
+    assert search.nodes == nodes
+    assert (str(found[1]) if found else None) == gamma_b
+
+
+def test_pair_search_budget_is_counted_in_nodes():
+    search = realize_module._PairSearch(
+        canonical_of_type(22, (7, 5, 3, 3, 2, 1, 1)),
+        (6, 6, 4, 3, 2, 1),
+        PairGoal(orbit_count=1, product_type=(21, 1)),
+        None,
+        1000,
+    )
+    with pytest.raises(SearchExhausted) as info:
+        search.run()
+    assert not info.value.complete
+    assert search.nodes == 1001
+
+
 def test_pair_goal_validation():
     with pytest.raises(ValueError):
         PairGoal(orbit_count=1)
@@ -241,6 +370,7 @@ def test_verify_worked_example():
     assert cert.nonorientable
     assert not cert.primitive
     assert cert.witness_block == (1, 3)
+    assert cert.primitive_by == "block_scan"
     assert cert.euler_char == 0
     assert not cert.all_ok
 
@@ -340,6 +470,44 @@ def test_certificate_dict_shape():
     assert rec["all_ok"] is False
     assert rec["euler_char"] == 0
     assert rec["witness_block"] == [1, 3]
+    assert rec["primitive_by"] == "block_scan"
+
+
+def test_intransitive_witness_with_long_cycle_product_is_not_primitive():
+    # gamma * ... = (1 2 3), of type [d-1, 1], but the point 4 is fixed by
+    # every generator, so there is no transitivity to certify
+    three = parse_permutation("(1 2 3)", 4)
+    w = HurwitzWitness(degree=4, gammas=(three,), alpha=three)
+    cert = verify_witness(data_of("d=4; [3,1]"), w)
+    assert cert.relation_ok
+    assert not cert.transitive
+    assert not cert.primitive
+    assert cert.primitive_by is None
+    assert cert.witness_block is None
+    assert cert.to_dict()["primitive_by"] is None
+
+
+def _engine_witnesses():
+    rng = random.Random(64)
+    for d in (4, 6, 8, 12, 16, 24, 32, 48, 64):
+        for s in (2, 3, 4):
+            data = _mixed_instance(d, s, rng)
+            yield pytest.param(data, d + s, id=f"mixed-d{d}-r{s}")
+    for d in (6, 8, 10, 12, 16, 22, 32, 40, 64):
+        for s in (3, 4, 5):
+            data = BranchData(d, (Partition((2,) * (d // 2)),) * s)
+            if classify(data).verdict is Verdict.INDECOMPOSABLE_REALIZABLE:
+                yield pytest.param(data, d * s, id=f"twos-d{d}-r{s}")
+
+
+@pytest.mark.parametrize("data, seed", list(_engine_witnesses()))
+def test_two_transitivity_certificate_agrees_with_block_scan(data, seed):
+    res = realize_indecomposable(data, seed=seed)
+    assert res.engine in ("fold_chain", "all_twos_chain")
+    cert = res.certificate
+    assert cert.primitive_by == "two_transitive"
+    assert cert.primitive
+    assert imprimitivity_block(res.witness.group()) is None
 
 
 # ---------------------------------------------------------------------------
@@ -431,6 +599,16 @@ def test_fold_stall_is_an_engine_defect(monkeypatch):
     monkeypatch.setattr(realize_module, "_fold_chain", stall)
     with pytest.raises(EngineDefect, match="forced stall"):
         realize_indecomposable(data_of("d=6; [3,2,1],[2,2,2]"))
+
+
+def test_realize_degree_1024_without_recursion_error():
+    data = _mixed_instance(1024, 3, random.Random(1024))
+    res = realize_indecomposable(data, seed=1)
+    assert res.certificate.all_ok
+    assert res.certificate.primitive_by == "two_transitive"
+    out, err = io.StringIO(), io.StringIO()
+    code = cli.main(["realize", data.to_text(), "--seed", "1"], out=out, err=err)
+    assert code == 0
 
 
 def test_realize_is_deterministic_per_seed():
