@@ -186,30 +186,33 @@ def orientation_consistent(alpha, gammas, d):
 def minimal_block(gens, d, x, y):
     """Minimal block containing x and y for a transitive group (sorted tuple).
 
-    Partition refinement: identify x with y, then close the partition under
-    the generators.  Merges always keep the smaller representative.
+    Partition refinement: identify x with y, then, for every merge of two
+    classes, identify the images of their representatives under each
+    generator.  Merges always keep the smaller representative.
+
+    The closed partition is a block system, whose classes all have one
+    size dividing d.  So once any class holds more than d/2 points the
+    answer is all of 1..d, and the refinement stops there.
     """
     parent = list(range(d + 1))
-
-    def union(a, b):
-        ra = _uf_find(parent, a)
-        rb = _uf_find(parent, b)
-        if ra == rb:
-            return None
-        if rb < ra:
-            ra, rb = rb, ra
-        parent[rb] = ra
-        return ra, rb
-
-    queue = []
-    first = union(x, y)
-    if first is not None:
-        queue.append(first)
-    while queue:
-        a, b = queue.pop()
+    size = [1] * (d + 1)
+    half = d // 2
+    pairs = [(x, y)]
+    while pairs:
+        a, b = pairs.pop()
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a == b:
+            continue
+        if b < a:
+            a, b = b, a
+        parent[b] = a
+        size[a] += size[b]
+        if size[a] > half:
+            return tuple(range(1, d + 1))
         for g in gens:
-            merged = union(g[a - 1], g[b - 1])
-            if merged is not None:
-                queue.append(merged)
+            pairs.append((g[a - 1], g[b - 1]))
     rx = _uf_find(parent, x)
     return tuple(z for z in range(1, d + 1) if _uf_find(parent, z) == rx)

@@ -116,10 +116,6 @@ class Admissibility(NamedTuple):
     reason: str
 
 
-def total_defect(data: BranchData) -> int:
-    return data.total_defect()
-
-
 def is_admissible(data: BranchData) -> Admissibility:
     """Check d - 1 <= nu and nu even; the reason states which side failed.
 

@@ -7,7 +7,8 @@ the bounded exhaustive scans, and `batch` to classify many data at once.
 
 Exit codes are a stable contract: 0 success or affirmative, 1 negative
 verdict (inadmissible data, failed verification), 2 parse error, 3
-undecided, 4 the requested construction is ruled out, 5 engine failure,
+undecided, 4 the requested construction is ruled out, 5 engine failure
+(any other error of the engine or the program, reported in one line),
 6 search bounds exceeded.
 """
 
@@ -15,7 +16,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+import traceback
 
 from . import __version__, kernels
 from .branch import (
@@ -34,9 +37,9 @@ from .oracle import (
     tuple_survey,
 )
 from .realize import (
-    EngineDefect,
     HurwitzWitness,
     NotRealizableError,
+    RealizationError,
     Verdict,
     classify,
     realize_decomposable_search,
@@ -176,13 +179,7 @@ def cmd_realize(args, out, err) -> int:
             print("error: no decomposable witness found", file=err)
             return ENGINE_FAILURE
     else:
-        try:
-            result = realize_indecomposable(
-                data, seed=args.seed, classification=cls
-            )
-        except EngineDefect as e:
-            print(f"error: {e}", file=err)
-            return ENGINE_FAILURE
+        result = realize_indecomposable(data, seed=args.seed, classification=cls)
     payload.update(result.to_dict())
     _emit(payload, args.format, out)
     return OK
@@ -385,6 +382,19 @@ def main(argv=None, out=None, err=None) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=err)
         return PARSE_ERROR
+    except RealizationError as e:
+        print(f"error: {e}", file=err)
+        return ENGINE_FAILURE
+    except Exception as e:
+        # A defect, not a fact about the input: report it in one line, with
+        # the place it was raised, instead of a traceback.
+        where = traceback.extract_tb(e.__traceback__)[-1]
+        print(
+            f"error: internal failure: {type(e).__name__}: {e} "
+            f"({os.path.basename(where.filename)}:{where.lineno})",
+            file=err,
+        )
+        return ENGINE_FAILURE
 
 
 if __name__ == "__main__":

@@ -24,7 +24,8 @@ from typing import Iterator
 
 from . import kernels
 from .branch import BranchData, is_admissible
-from .groups import (
+# is_primitive is not called here; it stays importable from this module
+from .groups import (  # noqa: F401
     NotABlockError,
     block_system_from,
     group_of,
@@ -196,17 +197,51 @@ def exists_realization(
     return False
 
 
+class _Primitivity:
+    """Is the transitive group <alpha, gammas> of a relation pair primitive?
+
+    Decides by the cheapest rule that applies.  A prime degree admits no
+    block size but 1 and d.  A product of type [d-1, 1] makes a transitive
+    group 2-transitive, hence primitive (Dixon & Mortimer, *Permutation
+    Groups*, ch. 1); the left-to-right product is one element of the
+    group, so its type is computed once per gammas tuple, which every
+    square root of that product shares.  Any other group gets the block
+    scan over seed pairs (1, y).  One instance serves one scan of degree d.
+    """
+
+    def __init__(self, d: int):
+        self.d = d
+        self.prime = d > 1 and all(d % p for p in range(2, math.isqrt(d) + 1))
+        self._gammas: tuple[tuple[int, ...], ...] | None = None
+        self._two_transitive = False
+
+    def __call__(self, gammas: tuple[tuple[int, ...], ...], alpha: tuple[int, ...]) -> bool:
+        if self.prime:
+            return True
+        d = self.d
+        if gammas != self._gammas:
+            self._gammas = gammas
+            prod = kernels.product_of(gammas, d)
+            self._two_transitive = kernels.cycle_lengths(prod) == (d - 1, 1)
+        if self._two_transitive:
+            return True
+        gens = (alpha, *gammas)
+        return all(
+            len(kernels.minimal_block(gens, d, 1, y)) == d for y in range(2, d + 1)
+        )
+
+
 def _first_witness(
     data: BranchData, bounds: SearchBounds | None, primitive: bool
 ) -> HurwitzWitness | None:
     """First connected nonorientable witness of the scan whose group is
     primitive, or imprimitive, as asked."""
+    is_primitive_pair = _Primitivity(data.degree)
     for gammas, alpha, transitive, orientable in iter_relation_pairs(data, bounds):
         if not transitive or orientable:
             continue
-        w = _witness_of(data.degree, gammas, alpha)
-        if is_primitive(w.group()) == primitive:
-            return w
+        if is_primitive_pair(gammas, alpha) == primitive:
+            return _witness_of(data.degree, gammas, alpha)
     return None
 
 
@@ -271,6 +306,7 @@ def tuple_survey(
     """
     total = intrans = orient = imprim = prim = 0
     sample = None
+    is_primitive_pair = _Primitivity(data.degree)
     for gammas, alpha, transitive, orientable in iter_relation_pairs(
         data, bounds, first_row_reduced=first_row_reduced
     ):
@@ -281,15 +317,12 @@ def tuple_survey(
         if orientable:
             orient += 1
             continue
-        w = _witness_of(data.degree, gammas, alpha)
-        if is_primitive(w.group()):
+        if sample is None:
+            sample = _witness_of(data.degree, gammas, alpha)
+        if is_primitive_pair(gammas, alpha):
             prim += 1
-            if sample is None:
-                sample = w
         else:
             imprim += 1
-            if sample is None:
-                sample = w
     return TupleSurvey(
         degree=data.degree,
         rows=tuple(r.parts for r in data.rows),

@@ -72,6 +72,12 @@ class Permutation:
         return self.images[x - 1]
 
     def __mul__(self, other: Permutation) -> Permutation:
+        """Apply self first, then other.
+
+        >>> r = Permutation.from_cycles(3, [(1, 2, 3)])
+        >>> str(r * r)
+        '(1 3 2)'
+        """
         if self.degree != other.degree:
             raise ValueError(
                 f"degree mismatch: {self.degree} != {other.degree}"
@@ -111,44 +117,6 @@ class Permutation:
 
     def __repr__(self) -> str:
         return f"Permutation({self.images!r})"
-
-
-def compose(p: Permutation, q: Permutation) -> Permutation:
-    """Apply p first, then q.
-
-    >>> str(compose(Permutation.from_cycles(3, [(1, 2, 3)]),
-    ...             Permutation.from_cycles(3, [(1, 2, 3)])))
-    '(1 3 2)'
-    """
-    return p * q
-
-
-def identity(d: int) -> Permutation:
-    return Permutation.identity(d)
-
-
-def inverse(p: Permutation) -> Permutation:
-    return p.inverse()
-
-
-def conjugate(p: Permutation, lam: Permutation) -> Permutation:
-    return p.conjugate(lam)
-
-
-def cycle_decomposition(p: Permutation) -> tuple[tuple[int, ...], ...]:
-    return p.cycles()
-
-
-def cycle_type(p: Permutation) -> tuple[int, ...]:
-    return p.cycle_type()
-
-
-def defect(p: Permutation) -> int:
-    return p.defect()
-
-
-def from_cycles(d: int, cycles: Iterable[Sequence[int]]) -> Permutation:
-    return Permutation.from_cycles(d, cycles)
 
 
 def canonical_of_type(d: int, parts: Sequence[int]) -> Permutation:

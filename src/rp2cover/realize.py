@@ -35,7 +35,8 @@ from . import kernels
 from .branch import BranchData, is_admissible
 from .groups import conjugator, group_of, imprimitivity_block
 from .perm import Permutation, canonical_of_type, format_cycles, parse_permutation
-from .squares import all_square_roots, is_square
+# all_square_roots is not called here; it stays importable from this module
+from .squares import all_square_roots, is_square, iter_square_roots  # noqa: F401
 
 
 class RealizationError(Exception):
@@ -1045,15 +1046,16 @@ def _alpha_for_product(
 ) -> Permutation | None:
     """Pick alpha with alpha^-2 = prod making the witness work, if possible.
 
-    The principal square root usually suffices; if the resulting extension
-    is orientable or intransitive the other roots of prod are tried.
+    The first square root usually suffices; if the resulting extension is
+    orientable or intransitive the later roots of prod are drawn one at a
+    time, so an identity product does not enumerate every involution.
     """
     d = prod.degree
     if not is_square(prod):
         return None
     gimgs = [g.images for g in gammas]
     labels = kernels.component_labels(gimgs, d)
-    for root in all_square_roots(prod):
+    for root in iter_square_roots(prod):
         alpha = root.inverse()
         transitive, orientable = kernels.alpha_extension(labels, alpha.images, d)
         if transitive and not orientable:

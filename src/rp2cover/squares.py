@@ -10,7 +10,7 @@ odd-length ones may) yields every square root exactly once.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import kernels
 from .perm import Permutation
@@ -96,62 +96,76 @@ def sqrt(p: Permutation) -> Permutation | None:
     return Permutation.from_cycles(p.degree, root_cycles)
 
 
-def all_square_roots(p: Permutation, cap: int | None = None) -> list[Permutation]:
-    """Every permutation whose square is p, in a deterministic order.
+def iter_square_roots(p: Permutation) -> Iterator[Permutation]:
+    """Every permutation whose square is p, lazily, in a deterministic order.
 
-    Enumerates pairings per cycle length (even lengths must pair fully,
-    odd lengths pair optionally) and, for each pair, every interleaving
-    offset.  Raises RootCapExceeded when more than cap roots exist.
+    Cycle lengths are taken in ascending order, the first varying slowest.
+    Within one length the first unplaced cycle either takes its own root
+    (odd lengths only) or pairs with a later cycle of that length, at each
+    interleaving offset in turn.  The search keeps its own stack, so the
+    number of cycles does not meet the recursion limit, and a caller that
+    stops early pays only for the roots it drew.
 
-    >>> from .perm import identity
-    >>> len(all_square_roots(identity(3)))
-    4
+    >>> [str(r) for r in iter_square_roots(Permutation.from_cycles(4, [(1, 2), (3, 4)]))]
+    ['(1 3 2 4)', '(1 4 2 3)']
     """
     if not is_square(p):
-        return []
+        return
     by_len: dict[int, list[tuple[int, ...]]] = {}
     for c in p.cycles():
         by_len.setdefault(len(c), []).append(c)
-
     lengths = sorted(by_len)
-    roots: list[Permutation] = []
     chosen: list[tuple[int, ...]] = []
+    # frame: [length index, indices of the cycles of that length still to
+    # place, next option to try, len(chosen) when the frame was entered]
+    stack: list[list] = []
 
-    def emit():
-        if cap is not None and len(roots) >= cap:
-            raise RootCapExceeded(f"more than {cap} square roots")
-        roots.append(Permutation.from_cycles(p.degree, list(chosen)))
+    def enter(li: int, remaining: tuple[int, ...]) -> bool:
+        """Push the next choice point; False when every cycle is placed."""
+        while not remaining:
+            li += 1
+            if li == len(lengths):
+                return False
+            remaining = tuple(range(len(by_len[lengths[li]])))
+        stack.append([li, remaining, 0, len(chosen)])
+        return True
 
-    def per_length(li: int):
-        if li == len(lengths):
-            emit()
-            return
+    enter(0, tuple(range(len(by_len[lengths[0]]))))
+    while stack:
+        frame = stack[-1]
+        li, remaining, option, base = frame
+        del chosen[base:]
         n = lengths[li]
         group = by_len[n]
-        allow_single = n % 2 == 1
+        single = n % 2
+        first, rest = remaining[0], remaining[1:]
+        if option == single + len(rest) * n:
+            stack.pop()
+            continue
+        frame[2] = option + 1
+        if option < single:
+            if n > 1:
+                chosen.append(_root_cycle_odd(group[first]))
+            tail = rest
+        else:
+            j, offset = divmod(option - single, n)
+            chosen.append(_interleave(group[first], group[rest[j]], offset))
+            tail = rest[:j] + rest[j + 1 :]
+        if not enter(li, tail):
+            yield Permutation.from_cycles(p.degree, list(chosen))
 
-        def assemble(remaining: tuple[int, ...]):
-            if not remaining:
-                per_length(li + 1)
-                return
-            first = remaining[0]
-            rest = remaining[1:]
-            if allow_single:
-                c = group[first]
-                if n > 1:
-                    chosen.append(_root_cycle_odd(c))
-                    assemble(rest)
-                    chosen.pop()
-                else:
-                    assemble(rest)
-            for j, other in enumerate(rest):
-                tail = rest[:j] + rest[j + 1 :]
-                for offset in range(n):
-                    chosen.append(_interleave(group[first], group[other], offset))
-                    assemble(tail)
-                    chosen.pop()
 
-        assemble(tuple(range(len(group))))
+def all_square_roots(p: Permutation, cap: int | None = None) -> list[Permutation]:
+    """Every permutation whose square is p, in the order of `iter_square_roots`.
 
-    per_length(0)
+    Raises RootCapExceeded when more than cap roots exist.
+
+    >>> len(all_square_roots(Permutation.identity(3)))
+    4
+    """
+    roots: list[Permutation] = []
+    for root in iter_square_roots(p):
+        if cap is not None and len(roots) >= cap:
+            raise RootCapExceeded(f"more than {cap} square roots")
+        roots.append(root)
     return roots

@@ -13,7 +13,6 @@ from rp2cover.branch import (
     nu_partition,
     parse_branch_data,
     preimage_count_check,
-    total_defect,
 )
 
 from helpers import admissible_data
@@ -121,7 +120,7 @@ def test_admissibility_table(text, ok, fragment):
 def test_euler_characteristic(text, chi):
     data = parse_branch_data(text)
     assert euler_char_covering(data) == chi
-    assert chi == data.degree - total_defect(data)
+    assert chi == data.degree - data.total_defect()
 
 
 def test_euler_characteristic_requires_admissibility():

@@ -256,6 +256,28 @@ def test_realize_engine_failure_exits_5(monkeypatch):
     assert err.startswith("error: ")
 
 
+def test_realize_search_exhausted_exits_5(monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise realize.SearchExhausted("forced budget", complete=False)
+
+    monkeypatch.setattr(realize, "_realize_all_twos", exhausted)
+    code, out, err = run("realize", "d=8; [2,2,2,2],[2,2,2,2],[2,2,2,2]")
+    assert (code, out, err) == (5, "", "error: forced budget\n")
+
+
+def test_realize_unexpected_exception_exits_5_without_traceback(monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("forced defect")
+
+    monkeypatch.setattr(realize, "_fold_chain", broken)
+    code, out, err = run("realize", "d=6; [3,2,1],[2,2,2]")
+    assert code == 5
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: internal failure: RuntimeError: forced defect (")
+    assert "Traceback" not in err
+
+
 def test_verify_missing_file_is_parse_error(tmp_path):
     code, _, err = run(
         "verify", "d=4; [3,1],[2,2]", "--witness", str(tmp_path / "absent.json")

@@ -5,7 +5,11 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rp2cover import _kernels_py
+from rp2cover._kernels_py import _uf_find
 from rp2cover.groups import (
     GeneratedGroup,
     GroupTooLargeError,
@@ -22,7 +26,7 @@ from rp2cover.groups import (
     pair_conjugator,
     stabilizer_is_maximal,
 )
-from rp2cover.perm import Permutation, from_cycles, parse_permutation
+from rp2cover.perm import Permutation, parse_permutation
 from rp2cover.realize import canonical_involution_pair
 
 from helpers import (
@@ -34,16 +38,16 @@ from helpers import (
 
 
 def test_orbits_and_transitivity():
-    G = group_of(from_cycles(5, [(1, 2)]), from_cycles(5, [(3, 4, 5)]))
+    G = group_of(Permutation.from_cycles(5, [(1, 2)]), Permutation.from_cycles(5, [(3, 4, 5)]))
     assert orbits(G) == ((1, 2), (3, 4, 5))
     assert not is_transitive(G)
-    H = group_of(from_cycles(5, [(1, 2, 3, 4, 5)]))
+    H = group_of(Permutation.from_cycles(5, [(1, 2, 3, 4, 5)]))
     assert orbits(H) == ((1, 2, 3, 4, 5),)
     assert is_transitive(H)
 
 
 def test_minimal_block_in_a_cyclic_group():
-    C = group_of(from_cycles(4, [(1, 2, 3, 4)]))
+    C = group_of(Permutation.from_cycles(4, [(1, 2, 3, 4)]))
     assert minimal_block_containing(C, (1, 3)) == (1, 3)
     assert minimal_block_containing(C, (1, 2)) == (1, 2, 3, 4)
     assert imprimitivity_block(C) == (1, 3)
@@ -63,14 +67,16 @@ def test_blocks_of_the_canonical_involution_pair():
 
 
 def test_block_system_rejects_non_blocks():
-    C = group_of(from_cycles(4, [(1, 2, 3, 4)]))
+    C = group_of(Permutation.from_cycles(4, [(1, 2, 3, 4)]))
     with pytest.raises(NotABlockError):
         block_system_from(C, (1, 2))
     assert block_system_from(C, (1, 3)) == ((1, 3), (2, 4))
 
 
 def test_transitive_group_with_long_cycle_is_primitive():
-    G = group_of(from_cycles(6, [(1, 2, 3, 4, 5)]), from_cycles(6, [(5, 6)]))
+    G = group_of(
+        Permutation.from_cycles(6, [(1, 2, 3, 4, 5)]), Permutation.from_cycles(6, [(5, 6)])
+    )
     assert is_transitive(G)
     assert is_primitive(G)
     assert imprimitivity_block(G) is None
@@ -78,7 +84,7 @@ def test_transitive_group_with_long_cycle_is_primitive():
 
 
 def test_elements_small_groups():
-    S3 = group_of(from_cycles(3, [(1, 2)]), from_cycles(3, [(1, 2, 3)]))
+    S3 = group_of(Permutation.from_cycles(3, [(1, 2)]), Permutation.from_cycles(3, [(1, 2, 3)]))
     els = elements(S3)
     assert len(els) == 6
     assert els == sorted(els, key=lambda p: p.images)
@@ -87,7 +93,9 @@ def test_elements_small_groups():
 
 
 def test_elements_cap():
-    S6 = group_of(from_cycles(6, [(1, 2)]), from_cycles(6, [(1, 2, 3, 4, 5, 6)]))
+    S6 = group_of(
+        Permutation.from_cycles(6, [(1, 2)]), Permutation.from_cycles(6, [(1, 2, 3, 4, 5, 6)])
+    )
     with pytest.raises(GroupTooLargeError):
         elements(S6, cap=100)
 
@@ -109,15 +117,87 @@ def test_minimal_block_matches_subset_scan():
             assert got == brute_minimal_block(full, d, 1, y)
 
 
+def _old_minimal_block(gens, d, x, y):
+    """`_kernels_py.minimal_block` before it stopped at a class of more than
+    d/2 points, kept verbatim as the reference."""
+    parent = list(range(d + 1))
+
+    def union(a, b):
+        ra = _uf_find(parent, a)
+        rb = _uf_find(parent, b)
+        if ra == rb:
+            return None
+        if rb < ra:
+            ra, rb = rb, ra
+        parent[rb] = ra
+        return ra, rb
+
+    queue = []
+    first = union(x, y)
+    if first is not None:
+        queue.append(first)
+    while queue:
+        a, b = queue.pop()
+        for g in gens:
+            merged = union(g[a - 1], g[b - 1])
+            if merged is not None:
+                queue.append(merged)
+    rx = _uf_find(parent, x)
+    return tuple(z for z in range(1, d + 1) if _uf_find(parent, z) == rx)
+
+
+@st.composite
+def _transitive_generators(draw):
+    """1-3 generators of a transitive group of degree 2..12.
+
+    Half of the draws preserve the system of consecutive blocks of a
+    random size dividing d (then relabelled), so that proper blocks, and
+    the classes of at most d/2 points they need, are common.
+    """
+    d = draw(st.integers(2, 12))
+    k = draw(st.integers(1, 3))
+    size = draw(st.sampled_from([b for b in range(1, d + 1) if d % b == 0]))
+    m = d // size
+    gens = []
+    for _ in range(k):
+        if draw(st.booleans()):
+            blocks = draw(st.permutations(range(m)))
+            inner = [draw(st.permutations(range(size))) for _ in range(m)]
+            gens.append(
+                tuple(blocks[i] * size + inner[i][j] + 1 for i in range(m) for j in range(size))
+            )
+        else:
+            gens.append(tuple(draw(st.permutations(range(1, d + 1)))))
+    relabel = draw(st.permutations(range(1, d + 1)))
+    gens = [tuple(relabel[g[relabel.index(x)] - 1] for x in range(1, d + 1)) for g in gens]
+    if not _kernels_py.is_transitive(gens, d):
+        # a d-cycle through the relabelled points joins every orbit
+        gens.append(tuple(relabel[(relabel.index(x) + 1) % d] for x in range(1, d + 1)))
+    return d, gens
+
+
+@settings(max_examples=400, deadline=None)
+@given(_transitive_generators(), st.data())
+def test_minimal_block_matches_the_unstopped_refinement(case, data):
+    d, gens = case
+    assert _kernels_py.is_transitive(gens, d)
+    x = data.draw(st.integers(1, d))
+    for y in range(1, d + 1):
+        if y != x:
+            assert _kernels_py.minimal_block(gens, d, x, y) == _old_minimal_block(gens, d, x, y)
+
+
 def test_primitivity_agrees_with_stabilizer_maximality():
     cases = [
         group_of(*canonical_involution_pair(4)),
         group_of(*canonical_involution_pair(6)),
-        group_of(from_cycles(4, [(1, 2, 3, 4)])),
-        group_of(from_cycles(5, [(1, 2, 3, 4, 5)])),
-        group_of(from_cycles(6, [(1, 2, 3, 4, 5, 6)])),
-        group_of(from_cycles(4, [(1, 2, 3, 4)]), from_cycles(4, [(1, 2)])),
-        group_of(from_cycles(6, [(1, 2, 3, 4, 5)]), from_cycles(6, [(5, 6)])),
+        group_of(Permutation.from_cycles(4, [(1, 2, 3, 4)])),
+        group_of(Permutation.from_cycles(5, [(1, 2, 3, 4, 5)])),
+        group_of(Permutation.from_cycles(6, [(1, 2, 3, 4, 5, 6)])),
+        group_of(Permutation.from_cycles(4, [(1, 2, 3, 4)]), Permutation.from_cycles(4, [(1, 2)])),
+        group_of(
+            Permutation.from_cycles(6, [(1, 2, 3, 4, 5)]), Permutation.from_cycles(6, [(5, 6)])
+        ),
         group_of(
             parse_permutation("(1 2 3 4)", 4), parse_permutation("(1 2)(3 4)", 4)
         ),
@@ -129,7 +209,7 @@ def test_primitivity_agrees_with_stabilizer_maximality():
 
 
 def test_stabilizer_maximality_requires_transitivity():
-    G = group_of(from_cycles(4, [(1, 2)]))
+    G = group_of(Permutation.from_cycles(4, [(1, 2)]))
     with pytest.raises(ValueError):
         stabilizer_is_maximal(G, 1)
     with pytest.raises(ValueError):
@@ -143,7 +223,7 @@ def test_group_validation():
         GeneratedGroup(3, ())
     with pytest.raises(ValueError):
         GeneratedGroup(3, (Permutation((1, 2, 3, 4)),))
-    C = group_of(from_cycles(4, [(1, 2, 3, 4)]))
+    C = group_of(Permutation.from_cycles(4, [(1, 2, 3, 4)]))
     with pytest.raises(ValueError):
         minimal_block_containing(C, (1, 1))
     with pytest.raises(ValueError):
@@ -162,7 +242,8 @@ def test_conjugator_on_matching_types():
 
 
 def test_conjugator_none_on_type_mismatch():
-    assert conjugator(from_cycles(4, [(1, 2)]), from_cycles(4, [(1, 2, 3)])) is None
+    p, q = Permutation.from_cycles(4, [(1, 2)]), Permutation.from_cycles(4, [(1, 2, 3)])
+    assert conjugator(p, q) is None
 
 
 def test_pair_conjugator_round_trip():
@@ -179,5 +260,5 @@ def test_pair_conjugator_round_trip():
 
 def test_pair_conjugator_none_when_impossible():
     canon = canonical_involution_pair(4)
-    other = (from_cycles(4, [(1, 2)]), from_cycles(4, [(3, 4)]))
+    other = (Permutation.from_cycles(4, [(1, 2)]), Permutation.from_cycles(4, [(3, 4)]))
     assert pair_conjugator(other, canon) is None

@@ -6,7 +6,9 @@ from collections import Counter
 
 import pytest
 
+from rp2cover import kernels, oracle
 from rp2cover.branch import is_admissible
+from rp2cover.groups import is_primitive
 from rp2cover.oracle import (
     BoundsExceededError,
     SearchBounds,
@@ -19,10 +21,11 @@ from rp2cover.oracle import (
     find_imprimitive_witness,
     find_primitive_witness,
     involution_pair_survey,
+    iter_relation_pairs,
     tuple_survey,
 )
 from rp2cover.perm import Permutation
-from rp2cover.realize import Verdict, classify, verify_witness
+from rp2cover.realize import Verdict, canonical_involution_pair, classify, verify_witness
 
 from helpers import admissible_data, all_images, data_of, partitions_of
 
@@ -155,6 +158,91 @@ def test_primitive_existence_examples():
     assert exists_primitive_realization(data_of("d=6; [3,2,1],[2,2,2]"))
     assert not exists_primitive_realization(data_of("d=6; [2,2,2],[2,2,2]"))
     assert not exists_primitive_realization(data_of("d=4; [2,2]"))
+
+
+# ---------------------------------------------------------------------------
+# primitivity decision
+
+
+# (data, first row reduced, bounds): the tuple scans of the oracle-scan
+# benchmark, and one d=8 scan with many imprimitive groups
+DECISION_SCANS = [
+    ("d=5; [3,2],[2,2,1],[2,1,1,1]", True, None),
+    ("d=5; [5],[5]", False, None),
+    ("d=5; [4,1],[3,2],[2,2,1]", True, None),
+    ("d=6; [3,3],[2,2,1,1],[2,2,1,1]", True, None),
+    ("d=6; [4,1,1],[3,3],[2,2,2]", True, None),
+    ("d=6; [6],[6]", True, None),
+    ("d=6; [3,2,1],[3,2,1]", True, None),
+    ("d=8; [4,4],[4,4]", True, SearchBounds(max_degree=8)),
+]
+
+
+def test_primitivity_decision_matches_the_group():
+    """The oracle's decision equals `is_primitive` on every connected
+    nonorientable pair, and the scans reach each of its routes."""
+    routes = Counter()
+    for text, reduced, bounds in DECISION_SCANS:
+        data = data_of(text)
+        d = data.degree
+        decide = oracle._Primitivity(d)
+        for gammas, alpha, transitive, orientable in iter_relation_pairs(
+            data, bounds, first_row_reduced=reduced
+        ):
+            if not transitive or orientable:
+                continue
+            w = oracle._witness_of(d, gammas, alpha)
+            want = is_primitive(w.group())
+            assert decide(gammas, alpha) == want, (text, w.to_dict())
+            if d == 5:
+                routes["prime"] += 1
+            elif kernels.cycle_lengths(kernels.product_of(gammas, d)) == (d - 1, 1):
+                routes["two_transitive"] += 1
+            else:
+                routes[f"block_scan:{want}"] += 1
+    assert set(routes) == {"prime", "two_transitive", "block_scan:True", "block_scan:False"}
+
+
+def test_primitivity_decision_follows_each_gammas_tuple():
+    long_cycle = (Permutation.from_cycles(6, [(1, 2, 3, 4, 5)]).images,)
+    joined = Permutation.from_cycles(6, [(5, 6)]).images
+    pair = tuple(g.images for g in canonical_involution_pair(6))
+    still = Permutation.identity(6).images
+    decide = oracle._Primitivity(6)
+    assert decide(long_cycle, joined) and not decide(pair, still)
+    decide = oracle._Primitivity(6)
+    assert not decide(pair, still) and decide(long_cycle, joined)
+
+
+def _count_block_calls(monkeypatch):
+    calls = Counter()
+    block = kernels.minimal_block
+
+    def counted(*args):
+        calls["minimal_block"] += 1
+        return block(*args)
+
+    monkeypatch.setattr(kernels, "minimal_block", counted)
+    return calls
+
+
+def test_prime_degree_scan_runs_no_block_scan(monkeypatch):
+    calls = _count_block_calls(monkeypatch)
+    s = tuple_survey(data_of("d=5; [3,2],[2,2,1],[2,1,1,1]"))
+    assert s.transitive_primitive > 0
+    assert calls["minimal_block"] == 0
+    assert classify_by_search(data_of("d=5; [5],[5]")).witness is not None
+    assert calls["minimal_block"] == 0
+
+
+def test_product_certificate_skips_the_block_scan(monkeypatch):
+    # every connected nonorientable pair of this datum multiplies to a
+    # 5-cycle with one fixed point
+    calls = _count_block_calls(monkeypatch)
+    s = tuple_survey(data_of("d=6; [3,3],[3,1,1,1]"))
+    assert s.transitive_primitive == 18
+    assert s.transitive_imprimitive == 0
+    assert calls["minimal_block"] == 0
 
 
 # ---------------------------------------------------------------------------

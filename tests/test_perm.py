@@ -6,25 +6,14 @@ import random
 
 import pytest
 
-from rp2cover.perm import (
-    Permutation,
-    canonical_of_type,
-    compose,
-    cycle_decomposition,
-    cycle_type,
-    defect,
-    format_cycles,
-    from_cycles,
-    identity,
-    parse_permutation,
-)
+from rp2cover.perm import Permutation, canonical_of_type, format_cycles, parse_permutation
 
 from helpers import all_perms, partitions_of, random_perm
 
 
 def test_composition_is_left_to_right():
-    p = from_cycles(4, [(1, 2), (3, 4)])
-    q = from_cycles(4, [(2, 3), (4, 1)])
+    p = Permutation.from_cycles(4, [(1, 2), (3, 4)])
+    q = Permutation.from_cycles(4, [(2, 3), (4, 1)])
     assert str(p * q) == "(1 3)(2 4)"
     # x^(pq) = (x^p)^q pointwise
     rng = random.Random(1)
@@ -35,16 +24,15 @@ def test_composition_is_left_to_right():
 
 
 def test_squaring_a_three_cycle():
-    r = from_cycles(3, [(1, 2, 3)])
+    r = Permutation.from_cycles(3, [(1, 2, 3)])
     assert str(r * r) == "(1 3 2)"
-    assert compose(r, r) == r * r
 
 
 def test_identity_behaviour():
-    e = identity(4)
+    e = Permutation.identity(4)
     assert e.is_identity()
     assert str(e) == "()"
-    p = from_cycles(4, [(1, 3, 2)])
+    p = Permutation.from_cycles(4, [(1, 3, 2)])
     assert p * e == p
     assert e * p == p
     assert p * p.inverse() == e
@@ -60,8 +48,8 @@ def test_inverse_by_table():
 
 
 def test_conjugation_relabels_cycles():
-    p = from_cycles(3, [(1, 2)])
-    lam = from_cycles(3, [(1, 3)])
+    p = Permutation.from_cycles(3, [(1, 2)])
+    lam = Permutation.from_cycles(3, [(1, 3)])
     assert str(p.conjugate(lam)) == "(2 3)"
     # lam * p * lam^-1 spelled out
     assert p.conjugate(lam) == lam * p * lam.inverse()
@@ -77,7 +65,7 @@ def test_conjugation_preserves_type_and_products():
 
 def test_cycle_round_trips():
     for p in all_perms(4):
-        assert Permutation.from_cycles(4, cycle_decomposition(p)) == p
+        assert Permutation.from_cycles(4, p.cycles()) == p
         assert parse_permutation(format_cycles(p), 4) == p
     rng = random.Random(4)
     for _ in range(40):
@@ -88,15 +76,15 @@ def test_cycle_round_trips():
 
 def test_cycle_type_is_sorted_partition():
     for p in all_perms(4):
-        t = cycle_type(p)
+        t = p.cycle_type()
         assert sum(t) == 4
         assert list(t) == sorted(t, reverse=True)
 
 
 def test_defect_counts_cycles():
-    assert defect(from_cycles(4, [(1, 2, 3)])) == 2
-    assert defect(identity(5)) == 0
-    assert defect(from_cycles(6, [(1, 2), (3, 4, 5, 6)])) == 4
+    assert Permutation.from_cycles(4, [(1, 2, 3)]).defect() == 2
+    assert Permutation.identity(5).defect() == 0
+    assert Permutation.from_cycles(6, [(1, 2), (3, 4, 5, 6)]).defect() == 4
 
 
 def test_defect_parity_is_a_homomorphism():
@@ -125,7 +113,7 @@ def test_canonical_of_type_covers_all_types():
 
 
 def test_apply_and_degree():
-    p = from_cycles(5, [(2, 4)])
+    p = Permutation.from_cycles(5, [(2, 4)])
     assert p.degree == 5
     assert p.apply(2) == 4
     assert p.apply(1) == 1
@@ -149,16 +137,16 @@ def test_from_cycles_rejects_bad_cycles():
 
 def test_degree_mismatch_is_an_error():
     with pytest.raises(ValueError):
-        identity(3) * identity(4)
+        Permutation.identity(3) * Permutation.identity(4)
     with pytest.raises(ValueError):
-        identity(3).conjugate(identity(4))
+        Permutation.identity(3).conjugate(Permutation.identity(4))
 
 
 def test_parse_permutation_forms():
     assert parse_permutation("(1 2)(3 4)", 5).images == (2, 1, 4, 3, 5)
     assert parse_permutation("(1,2)(3,4)", 4) == parse_permutation("(1 2)(3 4)", 4)
-    assert parse_permutation("()", 3) == identity(3)
-    assert parse_permutation("  (2 3) ", 3) == from_cycles(3, [(2, 3)])
+    assert parse_permutation("()", 3) == Permutation.identity(3)
+    assert parse_permutation("  (2 3) ", 3) == Permutation.from_cycles(3, [(2, 3)])
     for bad in ["(1 2", "1 2)", "(x)", "()()", "(1 2)(2 3)"]:
         with pytest.raises(ValueError):
             parse_permutation(bad, 4)

@@ -15,7 +15,7 @@ from rp2cover import cli, oracle
 from rp2cover import realize as realize_module
 from rp2cover.branch import BranchData, Partition
 from rp2cover.groups import imprimitivity_block
-from rp2cover.perm import Permutation, canonical_of_type, from_cycles, parse_permutation
+from rp2cover.perm import Permutation, canonical_of_type, parse_permutation
 from rp2cover.realize import (
     Case,
     Certificate,
@@ -708,3 +708,26 @@ def test_decomposable_search_declines_degree_two():
 
 def test_decomposable_search_declines_inadmissible():
     assert realize_decomposable_search(data_of("d=4; [2,2]")) is None
+
+
+def test_decomposable_search_draws_few_roots_of_an_identity_product(monkeypatch):
+    # 20 all-twos rows of degree 20: the alternating tuple multiplies to
+    # the identity, which has about 2.4e10 square roots
+    data = data_of("d=20; " + ",".join(["[" + ",".join(["2"] * 10) + "]"] * 20))
+    drawn = Counter()
+    roots = realize_module.iter_square_roots
+
+    def counted(p):
+        for r in roots(p):
+            drawn[p.images] += 1
+            yield r
+
+    monkeypatch.setattr(realize_module, "iter_square_roots", counted)
+    res = realize_decomposable_search(data)
+    assert res is not None
+    assert res.engine == "decomposable_search"
+    cert = res.certificate
+    assert cert.relation_ok and cert.row_types_ok
+    assert cert.transitive and cert.nonorientable and not cert.primitive
+    assert tuple(range(1, 21)) in drawn
+    assert sum(drawn.values()) <= 10

@@ -4,14 +4,18 @@ from __future__ import annotations
 
 import random
 from collections import defaultdict
+from itertools import islice
 
 import pytest
 
-from rp2cover.perm import Permutation, canonical_of_type, from_cycles, identity
+from rp2cover.perm import Permutation, canonical_of_type
 from rp2cover.squares import (
     RootCapExceeded,
+    _interleave,
+    _root_cycle_odd,
     all_square_roots,
     is_square,
+    iter_square_roots,
     sqrt,
     sqrt_odd_cycle,
 )
@@ -36,11 +40,11 @@ def test_is_square_matches_brute_force(d):
 
 
 def test_is_square_examples():
-    assert is_square(from_cycles(4, [(1, 2), (3, 4)]))
-    assert not is_square(from_cycles(4, [(1, 2)]))
-    assert is_square(identity(6))
-    assert is_square(from_cycles(5, [(1, 2, 3, 4, 5)]))
-    assert not is_square(from_cycles(6, [(1, 2, 3, 4, 5, 6)]))
+    assert is_square(Permutation.from_cycles(4, [(1, 2), (3, 4)]))
+    assert not is_square(Permutation.from_cycles(4, [(1, 2)]))
+    assert is_square(Permutation.identity(6))
+    assert is_square(Permutation.from_cycles(5, [(1, 2, 3, 4, 5)]))
+    assert not is_square(Permutation.from_cycles(6, [(1, 2, 3, 4, 5, 6)]))
 
 
 @pytest.mark.parametrize("r", list(range(1, 100, 2)))
@@ -54,7 +58,7 @@ def test_sqrt_odd_cycle_squares_back(r):
 
 def test_sqrt_odd_cycle_on_scattered_points():
     root = sqrt_odd_cycle((2, 5, 9), 9)
-    target = from_cycles(9, [(2, 5, 9)])
+    target = Permutation.from_cycles(9, [(2, 5, 9)])
     assert root * root == target
 
 
@@ -100,16 +104,16 @@ def test_all_square_roots_matches_brute_force(d):
 
 
 def test_all_square_roots_examples():
-    assert len(all_square_roots(identity(3))) == 4
-    roots = all_square_roots(from_cycles(3, [(1, 2, 3)]))
+    assert len(all_square_roots(Permutation.identity(3))) == 4
+    roots = all_square_roots(Permutation.from_cycles(3, [(1, 2, 3)]))
     assert [str(r) for r in roots] == ["(1 3 2)"]
-    assert all_square_roots(from_cycles(4, [(1, 2)])) == []
-    double = from_cycles(4, [(1, 2), (3, 4)])
-    assert from_cycles(4, [(1, 3, 2, 4)]) in all_square_roots(double)
+    assert all_square_roots(Permutation.from_cycles(4, [(1, 2)])) == []
+    double = Permutation.from_cycles(4, [(1, 2), (3, 4)])
+    assert Permutation.from_cycles(4, [(1, 3, 2, 4)]) in all_square_roots(double)
 
 
 def test_all_square_roots_is_deterministic():
-    p = from_cycles(6, [(1, 2), (3, 4), (5, 6)])
+    p = Permutation.from_cycles(6, [(1, 2), (3, 4), (5, 6)])
     first = [r.images for r in all_square_roots(p)]
     second = [r.images for r in all_square_roots(p)]
     assert first == second
@@ -117,12 +121,101 @@ def test_all_square_roots_is_deterministic():
 
 def test_root_cap():
     with pytest.raises(RootCapExceeded):
-        all_square_roots(identity(8), cap=10)
+        all_square_roots(Permutation.identity(8), cap=10)
     # generous cap leaves the result unchanged
-    assert all_square_roots(identity(4), cap=10**6) == all_square_roots(identity(4))
+    e = Permutation.identity(4)
+    assert all_square_roots(e, cap=10**6) == all_square_roots(e)
 
 
 def test_roots_of_identity_are_involutions_and_odd_regulars():
     # beta^2 = id forces cycles of length 1 or 2
-    for r in all_square_roots(identity(5)):
+    for r in all_square_roots(Permutation.identity(5)):
         assert set(r.cycle_type()) <= {1, 2}
+
+
+def _old_all_square_roots(p, cap=None):
+    """`all_square_roots` as it was before `iter_square_roots`, kept verbatim
+    (but for its docstring) as the reference for the order of the roots."""
+    if not is_square(p):
+        return []
+    by_len: dict[int, list[tuple[int, ...]]] = {}
+    for c in p.cycles():
+        by_len.setdefault(len(c), []).append(c)
+
+    lengths = sorted(by_len)
+    roots: list[Permutation] = []
+    chosen: list[tuple[int, ...]] = []
+
+    def emit():
+        if cap is not None and len(roots) >= cap:
+            raise RootCapExceeded(f"more than {cap} square roots")
+        roots.append(Permutation.from_cycles(p.degree, list(chosen)))
+
+    def per_length(li: int):
+        if li == len(lengths):
+            emit()
+            return
+        n = lengths[li]
+        group = by_len[n]
+        allow_single = n % 2 == 1
+
+        def assemble(remaining: tuple[int, ...]):
+            if not remaining:
+                per_length(li + 1)
+                return
+            first = remaining[0]
+            rest = remaining[1:]
+            if allow_single:
+                c = group[first]
+                if n > 1:
+                    chosen.append(_root_cycle_odd(c))
+                    assemble(rest)
+                    chosen.pop()
+                else:
+                    assemble(rest)
+            for j, other in enumerate(rest):
+                tail = rest[:j] + rest[j + 1 :]
+                for offset in range(n):
+                    chosen.append(_interleave(group[first], group[other], offset))
+                    assemble(tail)
+                    chosen.pop()
+
+        assemble(tuple(range(len(group))))
+
+    per_length(0)
+    return roots
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 7, 8, 9])
+def test_root_order_is_unchanged(d):
+    rng = random.Random(40 + d)
+    for parts in partitions_of(d):
+        p = canonical_of_type(d, parts)
+        lam = random_perm(d, rng)
+        for q in (p, p.conjugate(lam)):
+            want = _old_all_square_roots(q)
+            assert list(iter_square_roots(q)) == want, parts
+            assert all_square_roots(q) == want
+
+
+def test_root_cap_counts_like_the_old_enumeration():
+    p = Permutation.identity(6)  # 76 involutions
+    assert all_square_roots(p, cap=76) == _old_all_square_roots(p, cap=76)
+    for cap in (0, 1, 75):
+        with pytest.raises(RootCapExceeded):
+            all_square_roots(p, cap=cap)
+        with pytest.raises(RootCapExceeded):
+            _old_all_square_roots(p, cap=cap)
+
+
+def test_iter_square_roots_is_lazy_and_not_recursive():
+    # 3000 cycles of one length: far past the recursion limit for a
+    # search that recurses once per cycle, and about 10^4000 roots
+    d = 6000
+    p = Permutation.from_cycles(d, [(x, x + 1) for x in range(1, d, 2)])
+    first = list(islice(iter_square_roots(p), 3))
+    assert len(first) == 3
+    assert len(set(first)) == 3
+    for r in first:
+        assert r * r == p
+    assert next(iter_square_roots(Permutation.identity(d))).is_identity()
