@@ -1,36 +1,207 @@
-"""Kernel backend selection.
+"""Permutation kernels.
 
-Imports the compiled kernels when available, otherwise the pure-Python
-twin.  Set RP2COVER_PURE=1 in the environment to force the Python backend
-(useful for benchmarking and debugging).
+All functions operate on raw image tuples: a permutation of degree d is a
+tuple of length d whose entry at index i is the image of point i+1, with
+points numbered 1..d.  Composition is left-to-right: x^(pq) = (x^p)^q.
 """
 
 from __future__ import annotations
 
-import os
+BACKEND = "python"
 
-if os.environ.get("RP2COVER_PURE"):
-    from . import _kernels_py as _impl
-else:
-    try:
-        from . import _kernels_c as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _kernels_py as _impl
 
-BACKEND = _impl.BACKEND
+def identity(d):
+    return tuple(range(1, d + 1))
 
-identity = _impl.identity
-compose = _impl.compose
-inverse = _impl.inverse
-conjugate = _impl.conjugate
-product_of = _impl.product_of
-cycles_of = _impl.cycles_of
-cycle_lengths = _impl.cycle_lengths
-is_square_type = _impl.is_square_type
-component_labels = _impl.component_labels
-orbit_count = _impl.orbit_count
-is_transitive = _impl.is_transitive
-orbits = _impl.orbits
-alpha_extension = _impl.alpha_extension
-orientation_consistent = _impl.orientation_consistent
-minimal_block = _impl.minimal_block
+
+def compose(p, q):
+    """Apply p first, then q."""
+    return tuple(q[v - 1] for v in p)
+
+
+def inverse(p):
+    inv = [0] * len(p)
+    for i, v in enumerate(p):
+        inv[v - 1] = i + 1
+    return tuple(inv)
+
+
+def conjugate(p, lam):
+    """lam * p * lam^-1 under left-to-right composition.
+
+    Relabels the cycles of p: the cycle (a b ...) becomes
+    (a^(lam^-1) b^(lam^-1) ...).
+    """
+    d = len(p)
+    res = [0] * d
+    inv = inverse(lam)
+    for x in range(d):
+        res[x] = inv[p[lam[x] - 1] - 1]
+    return tuple(res)
+
+
+def product_of(perms, d):
+    """Left-to-right product of a sequence of image tuples."""
+    cur = list(range(1, d + 1))
+    for p in perms:
+        cur = [p[v - 1] for v in cur]
+    return tuple(cur)
+
+
+def cycles_of(p):
+    """Disjoint cycles, each starting at its minimal point, ordered by that point.
+
+    Fixed points are included as 1-cycles.
+    """
+    d = len(p)
+    seen = [False] * (d + 1)
+    out = []
+    for s in range(1, d + 1):
+        if seen[s]:
+            continue
+        cyc = [s]
+        seen[s] = True
+        x = p[s - 1]
+        while x != s:
+            cyc.append(x)
+            seen[x] = True
+            x = p[x - 1]
+        out.append(tuple(cyc))
+    return tuple(out)
+
+
+def cycle_lengths(p):
+    """Cycle lengths in non-increasing order, 1-cycles included."""
+    return tuple(sorted((len(c) for c in cycles_of(p)), reverse=True))
+
+
+def is_square_type(p):
+    """True iff p has an even number of cycles of every even length."""
+    counts = {}
+    for c in cycles_of(p):
+        n = len(c)
+        if n % 2 == 0:
+            counts[n] = counts.get(n, 0) + 1
+    return all(v % 2 == 0 for v in counts.values())
+
+
+def _uf_find(parent, x):
+    root = x
+    while parent[root] != root:
+        root = parent[root]
+    while parent[x] != root:
+        parent[x], x = root, parent[x]
+    return root
+
+
+def component_labels(gens, d):
+    """Orbit labels for the group generated by gens.
+
+    Returns a tuple of length d where entry i is the minimal point of the
+    orbit containing point i+1.
+    """
+    parent = list(range(d + 1))
+    for g in gens:
+        for x in range(1, d + 1):
+            rx = _uf_find(parent, x)
+            ry = _uf_find(parent, g[x - 1])
+            if rx != ry:
+                if rx < ry:
+                    parent[ry] = rx
+                else:
+                    parent[rx] = ry
+    return tuple(_uf_find(parent, x) for x in range(1, d + 1))
+
+
+def orbit_count(gens, d):
+    labels = component_labels(gens, d)
+    return len(set(labels))
+
+
+def is_transitive(gens, d):
+    return orbit_count(gens, d) == 1
+
+
+def orbits(gens, d):
+    labels = component_labels(gens, d)
+    buckets = {}
+    for x in range(1, d + 1):
+        buckets.setdefault(labels[x - 1], []).append(x)
+    return tuple(tuple(buckets[k]) for k in sorted(buckets))
+
+
+def alpha_extension(labels, alpha, d):
+    """Connectivity and orientation data for adding alpha on top of a group.
+
+    labels are component_labels of the plain generators; alpha contributes
+    edges x -> x^alpha carrying an orientation flip.  Returns a pair
+    (transitive, orientable): transitive is True when the combined group acts
+    with a single orbit, orientable is True when sheet orientations can be
+    chosen consistently (flip across alpha edges, no flip inside components).
+    """
+    index = {}
+    for lb in labels:
+        if lb not in index:
+            index[lb] = len(index)
+    n = len(index)
+    parent = list(range(n))
+    par = [0] * n  # parity of node relative to its parent
+
+    def find(x):
+        p = 0
+        while parent[x] != x:
+            p ^= par[x]
+            x = parent[x]
+        return x, p
+
+    consistent = True
+    comps = n
+    for x in range(1, d + 1):
+        a = index[labels[x - 1]]
+        b = index[labels[alpha[x - 1] - 1]]
+        ra, pa = find(a)
+        rb, pb = find(b)
+        if ra == rb:
+            if pa == pb:
+                consistent = False
+        else:
+            # o(b) = o(a) + 1  =>  parity(rb->ra) = pa ^ pb ^ 1
+            parent[rb] = ra
+            par[rb] = pa ^ pb ^ 1
+            comps -= 1
+    return comps == 1, consistent
+
+
+def minimal_block(gens, d, x, y):
+    """Minimal block containing x and y for a transitive group (sorted tuple).
+
+    Partition refinement: identify x with y, then, for every merge of two
+    classes, identify the images of their representatives under each
+    generator.  Merges always keep the smaller representative.
+
+    The closed partition is a block system, whose classes all have one
+    size dividing d.  So once any class holds more than d/2 points the
+    answer is all of 1..d, and the refinement stops there.
+    """
+    parent = list(range(d + 1))
+    size = [1] * (d + 1)
+    half = d // 2
+    pairs = [(x, y)]
+    while pairs:
+        a, b = pairs.pop()
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a == b:
+            continue
+        if b < a:
+            a, b = b, a
+        parent[b] = a
+        size[a] += size[b]
+        if size[a] > half:
+            return tuple(range(1, d + 1))
+        for g in gens:
+            pairs.append((g[a - 1], g[b - 1]))
+    rx = _uf_find(parent, x)
+    return tuple(z for z in range(1, d + 1) if _uf_find(parent, z) == rx)

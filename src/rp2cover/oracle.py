@@ -233,34 +233,37 @@ class _Primitivity:
 
 def _first_witness(
     data: BranchData, bounds: SearchBounds | None, primitive: bool
-) -> HurwitzWitness | None:
+) -> tuple[HurwitzWitness | None, bool]:
     """First connected nonorientable witness of the scan whose group is
-    primitive, or imprimitive, as asked."""
+    primitive, or imprimitive, as asked, and whether the scan met any
+    connected nonorientable pair at all."""
     is_primitive_pair = _Primitivity(data.degree)
+    connected = False
     for gammas, alpha, transitive, orientable in iter_relation_pairs(data, bounds):
         if not transitive or orientable:
             continue
+        connected = True
         if is_primitive_pair(gammas, alpha) == primitive:
-            return _witness_of(data.degree, gammas, alpha)
-    return None
+            return _witness_of(data.degree, gammas, alpha), True
+    return None, connected
 
 
 def exists_primitive_realization(
     data: BranchData, bounds: SearchBounds | None = None
 ) -> bool:
-    return _first_witness(data, bounds, primitive=True) is not None
+    return find_primitive_witness(data, bounds) is not None
 
 
 def find_primitive_witness(
     data: BranchData, bounds: SearchBounds | None = None
 ) -> HurwitzWitness | None:
-    return _first_witness(data, bounds, primitive=True)
+    return _first_witness(data, bounds, primitive=True)[0]
 
 
 def find_imprimitive_witness(
     data: BranchData, bounds: SearchBounds | None = None
 ) -> HurwitzWitness | None:
-    return _first_witness(data, bounds, primitive=False)
+    return _first_witness(data, bounds, primitive=False)[0]
 
 
 @dataclass(frozen=True)
@@ -348,10 +351,10 @@ def classify_by_search(
     """
     if not is_admissible(data).ok:
         return Classification(Verdict.NOT_ADMISSIBLE)
-    witness = find_primitive_witness(data, bounds)
+    witness, connected = _first_witness(data, bounds, primitive=True)
     if witness is not None:
         return Classification(Verdict.INDECOMPOSABLE_REALIZABLE, witness=witness)
-    if exists_realization(data, bounds):
+    if connected:
         return Classification(Verdict.ONLY_DECOMPOSABLE)
     raise RuntimeError(
         f"admissible data {data.to_text()} has no witness at all within "

@@ -8,8 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rp2cover import _kernels_py
-from rp2cover._kernels_py import _uf_find
+from rp2cover import kernels
 from rp2cover.groups import (
     GeneratedGroup,
     GroupTooLargeError,
@@ -26,6 +25,7 @@ from rp2cover.groups import (
     pair_conjugator,
     stabilizer_is_maximal,
 )
+from rp2cover.kernels import _uf_find
 from rp2cover.perm import Permutation, parse_permutation
 from rp2cover.realize import canonical_involution_pair
 
@@ -118,7 +118,7 @@ def test_minimal_block_matches_subset_scan():
 
 
 def _old_minimal_block(gens, d, x, y):
-    """`_kernels_py.minimal_block` before it stopped at a class of more than
+    """`kernels.minimal_block` before it stopped at a class of more than
     d/2 points, kept verbatim as the reference."""
     parent = list(range(d + 1))
 
@@ -170,7 +170,7 @@ def _transitive_generators(draw):
             gens.append(tuple(draw(st.permutations(range(1, d + 1)))))
     relabel = draw(st.permutations(range(1, d + 1)))
     gens = [tuple(relabel[g[relabel.index(x)] - 1] for x in range(1, d + 1)) for g in gens]
-    if not _kernels_py.is_transitive(gens, d):
+    if not kernels.is_transitive(gens, d):
         # a d-cycle through the relabelled points joins every orbit
         gens.append(tuple(relabel[(relabel.index(x) + 1) % d] for x in range(1, d + 1)))
     return d, gens
@@ -180,11 +180,11 @@ def _transitive_generators(draw):
 @given(_transitive_generators(), st.data())
 def test_minimal_block_matches_the_unstopped_refinement(case, data):
     d, gens = case
-    assert _kernels_py.is_transitive(gens, d)
+    assert kernels.is_transitive(gens, d)
     x = data.draw(st.integers(1, d))
     for y in range(1, d + 1):
         if y != x:
-            assert _kernels_py.minimal_block(gens, d, x, y) == _old_minimal_block(gens, d, x, y)
+            assert kernels.minimal_block(gens, d, x, y) == _old_minimal_block(gens, d, x, y)
 
 
 def test_primitivity_agrees_with_stabilizer_maximality():

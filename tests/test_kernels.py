@@ -1,113 +1,16 @@
-"""Backend agreement: the compiled kernels must match the pure-Python ones."""
+"""Permutation kernels checked against direct enumeration and small cases."""
 
 from __future__ import annotations
 
-import os
 import random
-import subprocess
-import sys
 
-import pytest
-
-from rp2cover import _kernels_py as py
 from rp2cover import kernels
 
-c = pytest.importorskip("rp2cover._kernels_c")
-
-from helpers import all_images, brute_orbits  # noqa: E402
+from helpers import all_images, brute_orbits
 
 
 def random_images(d, rng):
     return tuple(rng.sample(range(1, d + 1), d))
-
-
-@pytest.mark.skipif(
-    bool(os.environ.get("RP2COVER_PURE")), reason="pure backend forced via env"
-)
-def test_backend_is_compiled_by_default():
-    assert c.BACKEND == "c"
-    assert py.BACKEND == "python"
-    assert kernels.BACKEND == "c"
-
-
-def test_pure_env_forces_python_backend():
-    env = dict(os.environ, RP2COVER_PURE="1")
-    out = subprocess.run(
-        [sys.executable, "-c", "from rp2cover import kernels; print(kernels.BACKEND)"],
-        capture_output=True,
-        text=True,
-        env=env,
-        check=True,
-    )
-    assert out.stdout.strip() == "python"
-
-
-@pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 13])
-def test_unary_ops_agree(d):
-    rng = random.Random(100 + d)
-    assert c.identity(d) == py.identity(d)
-    for _ in range(40):
-        p = random_images(d, rng)
-        assert c.inverse(p) == py.inverse(p)
-        assert c.cycles_of(p) == py.cycles_of(p)
-        assert c.cycle_lengths(p) == py.cycle_lengths(p)
-        assert c.is_square_type(p) == py.is_square_type(p)
-
-
-@pytest.mark.parametrize("d", [1, 2, 4, 7, 11])
-def test_binary_ops_agree(d):
-    rng = random.Random(200 + d)
-    for _ in range(40):
-        p = random_images(d, rng)
-        q = random_images(d, rng)
-        assert c.compose(p, q) == py.compose(p, q)
-        assert c.conjugate(p, q) == py.conjugate(p, q)
-
-
-@pytest.mark.parametrize("d", [2, 5, 9])
-def test_product_of_agrees(d):
-    rng = random.Random(300 + d)
-    for n in range(0, 6):
-        perms = [random_images(d, rng) for _ in range(n)]
-        assert c.product_of(perms, d) == py.product_of(perms, d)
-
-
-@pytest.mark.parametrize("d", [2, 4, 6, 10])
-def test_orbit_ops_agree(d):
-    rng = random.Random(400 + d)
-    for n in (1, 2, 3):
-        for _ in range(25):
-            gens = [random_images(d, rng) for _ in range(n)]
-            assert c.component_labels(gens, d) == py.component_labels(gens, d)
-            assert c.orbit_count(gens, d) == py.orbit_count(gens, d)
-            assert c.is_transitive(gens, d) == py.is_transitive(gens, d)
-            assert c.orbits(gens, d) == py.orbits(gens, d)
-
-
-@pytest.mark.parametrize("d", [2, 4, 6, 9])
-def test_alpha_extension_agrees(d):
-    rng = random.Random(500 + d)
-    for _ in range(60):
-        gens = [random_images(d, rng) for _ in range(rng.randint(1, 3))]
-        alpha = random_images(d, rng)
-        labels = py.component_labels(gens, d)
-        assert c.alpha_extension(labels, alpha, d) == py.alpha_extension(
-            labels, alpha, d
-        )
-        assert c.orientation_consistent(alpha, gens, d) == py.orientation_consistent(
-            alpha, gens, d
-        )
-
-
-@pytest.mark.parametrize("d", [3, 4, 6, 8])
-def test_minimal_block_agrees(d):
-    rng = random.Random(600 + d)
-    for _ in range(30):
-        gens = [random_images(d, rng) for _ in range(2)]
-        if not py.is_transitive(gens, d):
-            continue
-        for y in range(2, d + 1):
-            assert c.minimal_block(gens, d, 1, y) == py.minimal_block(gens, d, 1, y)
 
 
 def test_orbits_match_reachability_reference():

@@ -109,6 +109,21 @@ def test_search_classification_tags_are_empty():
     assert got.case is None and got.reason is None
 
 
+@pytest.mark.parametrize("text", ["d=4; [2,2],[2,2]", "d=6; [2,2,2],[2,2,2]"])
+def test_only_decomposable_search_scans_once(text, monkeypatch):
+    scans = []
+    scan = oracle.iter_relation_pairs
+
+    def counted(*args, **kwargs):
+        scans.append(args)
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "iter_relation_pairs", counted)
+    got = classify_by_search(data_of(text))
+    assert got.verdict is Verdict.ONLY_DECOMPOSABLE
+    assert len(scans) == 1
+
+
 # ---------------------------------------------------------------------------
 # tuple survey
 
