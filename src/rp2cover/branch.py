@@ -184,7 +184,7 @@ def parse_branch_data(text: str) -> BranchData:
         nonlocal pos
         skip_ws()
         start = pos
-        while pos < n and s[pos].isdigit():
+        while pos < n and s[pos].isdecimal():
             pos += 1
         if pos == start:
             raise ParseError("expected an integer", start)

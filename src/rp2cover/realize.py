@@ -29,6 +29,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from typing import Iterator, Sequence
 
 from . import kernels
@@ -710,12 +711,16 @@ class _PairSearch:
     def _dfs(self) -> bool:
         """Depth-first over gamma_b(u) for u = 1, 2, ..., d in turn.
 
-        Level u tries the free targets v in increasing order (shuffled
-        once per level when randomized), counting each try as a node.  The
-        stack holds one frame per level, so u is its length; a frame is
-        [candidates or None, position, journal mark of the edge tried].
+        Level u tries the free targets v in increasing order (all of them,
+        shuffled once per level, when randomized), counting each try as a
+        node.  When the chain ending at u is too long to join a chain of 2
+        points, `_short_targets` gives the few targets the chain-length
+        check in `_apply` can pass; otherwise the level walks the free
+        list.  The stack holds one frame per level, so u is its length; a
+        frame is [candidate iterator or None, last target walked, journal
+        mark of the edge tried].
         """
-        d = self.d
+        d, b = self.d, self.b
         stack: list[list] = []
         entered = True
         while True:
@@ -725,21 +730,23 @@ class _PairSearch:
                         return True
                     self._undo(stack[-1][2])
                 elif self.rng is None:
-                    stack.append([None, 0, 0])
+                    u = len(stack) + 1
+                    head = b.head_of[u]
+                    room = max(self.rem_b, default=0) - b.len_of[head]
+                    if room >= 2:
+                        stack.append([None, 0, 0])
+                    else:
+                        stack.append([self._short_targets(u, head, room), 0, 0])
                 else:
-                    cands = [v for v in range(1, d + 1) if not self.b.prv[v]]
+                    cands = [v for v in range(1, d + 1) if not b.prv[v]]
                     self.rng.shuffle(cands)
-                    stack.append([cands, 0, 0])
+                    stack.append([iter(cands), 0, 0])
             top = stack[-1]
-            cands, pos = top[0], top[1]
-            if cands is None:
-                v = self.free_next[pos]
+            if top[0] is None:
+                v = self.free_next[top[1]]
                 top[1] = v
-            elif pos < len(cands):
-                v = cands[pos]
-                top[1] = pos + 1
             else:
-                v = d + 1
+                v = next(top[0], d + 1)
             if v > d:
                 stack.pop()
                 if not stack:
@@ -754,6 +761,33 @@ class _PairSearch:
                 )
             top[2] = self.journal.mark()
             entered = self._apply(len(stack), v)
+
+    def _short_targets(self, u: int, head: int, room: int) -> Iterator[int]:
+        """The free targets at level u, in increasing order, that can pass
+        the chain-length check of `_apply` when the chain ending at u, from
+        `head`, has room for fewer than 2 more points.
+
+        Every free target below u heads an open chain of at least 2 points
+        and every free target from u on is a singleton.  So only `head`,
+        which closes the chain, and with room for one point the free
+        targets from u on are left.  When u is no longer a free target, the
+        first one after it is found by following the links that u, and
+        each point reached from it that is not free either, kept when it
+        was unlinked: undo relinks in reverse order, so none of the points
+        those links pass over has been freed since.  Each target is read
+        only after the edge to the one before it is undone, so the list is
+        back in the state of this level.
+        """
+        yield head
+        if room < 1:
+            return
+        d, prv, nxt = self.d, self.b.prv, self.free_next
+        v = nxt[u]
+        while v <= d and prv[v]:
+            v = nxt[v]
+        while v <= d:
+            yield v
+            v = nxt[v]
 
     def _check_complete(self) -> bool:
         if self.comps != self.goal.orbit_count or self.rem_b:
@@ -1098,7 +1132,33 @@ def _accept(
         and cert.primitive == primitive
     ):
         return None
+    witness = _with_shared_points(witness)
     return RealizationResult(witness, cert, engine, trace or [], seed)
+
+
+@lru_cache(maxsize=8)
+def _points(d: int) -> tuple[int, ...]:
+    """0..d, one int object each, shared by the witnesses of degree d."""
+    return tuple(range(d + 1))
+
+
+def _with_shared_points(w: HurwitzWitness) -> HurwitzWitness:
+    """The same witness with every image drawn from one int object per
+    point of its degree.
+
+    Ints above 256 are separate objects wherever they are computed, so
+    every image tuple the engines build holds its own copies, which would
+    be most of the size of a result a caller keeps.  A permutation the
+    witness repeats stays one object.
+    """
+    take = _points(w.degree).__getitem__
+    shared: dict[int, Permutation] = {}
+    for p in (*w.gammas, w.alpha):
+        if id(p) not in shared:
+            shared[id(p)] = Permutation(tuple(map(take, p.images)))
+    return HurwitzWitness(
+        w.degree, tuple(shared[id(g)] for g in w.gammas), shared[id(w.alpha)]
+    )
 
 
 def _realize_all_twos(

@@ -43,6 +43,9 @@ def test_parse_is_whitespace_tolerant_and_sorts_parts():
         ("d=3; [1,1,1]", 5),
         ("d=4; [4] x", 9),
         ("d=4; [2,2],[3,1", 15),
+        # digits that int() does not read are not part of an integer
+        ("d=²; [2]", 2),
+        ("d=4; [2,²]", 8),
     ],
 )
 def test_parse_error_positions(text, position):

@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import rp2cover
 from rp2cover import oracle, realize
 from rp2cover.cli import main
 
@@ -395,6 +399,17 @@ def test_batch_reports_line_errors(tmp_path):
     assert "error" in lines[1]
 
 
+def test_batch_reports_unreadable_digits_and_goes_on(tmp_path):
+    path = tmp_path / "batch.txt"
+    path.write_text("d=4; [2,2],[2,2]\nd=²; [2]\nd=6; [3,2,1],[2,2,2]\n", encoding="utf-8")
+    code, out, _ = run("batch", str(path), "--format", "json")
+    assert code == 2
+    recs = [json.loads(ln) for ln in out.strip().splitlines()]
+    assert [("error" in r) for r in recs] == [False, True, False]
+    assert recs[1]["error"] == "expected an integer (at position 2)"
+    assert recs[2]["classification"]["verdict"] == "indecomposable_realizable"
+
+
 def test_batch_missing_file(tmp_path):
     code, _, err = run("batch", str(tmp_path / "absent.txt"))
     assert code == 2
@@ -419,6 +434,20 @@ def test_version_mentions_backend(capsys):
     text = capsys.readouterr().out
     assert "rp2cover" in text
     assert "kernel backend:" in text
+
+
+def test_module_runs_as_a_program():
+    src = os.path.dirname(os.path.dirname(rp2cover.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "rp2cover", "--version"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("rp2cover ")
 
 
 def test_human_format_is_default_and_readable():

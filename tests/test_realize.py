@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import json
 import random
 from collections import Counter
 from types import SimpleNamespace
@@ -288,25 +289,27 @@ def test_packing_check_examples(lengths, rem, want):
     assert _packs_reference(lengths, rem) is want
 
 
-# Node counts and gamma_b recorded from the recursive search that rebuilt
-# its candidate list and packing lists at every node; the search must
-# visit candidates in the same order.
+# gamma_b and the seeded node counts recorded from the recursive search
+# that rebuilt its candidate list and packing lists at every node; the
+# search must visit candidates in the same order.  Unseeded node counts
+# are those of the search that skips targets whose joined chain is too
+# long (`_FullScanSearch` below tries them too).
 PAIR_SEARCH_RECORDS = [
-    ((5, 4, 2, 1), (3, 3, 2, 2, 1, 1), dict(product_type=(11, 1)), None, 24,
+    ((5, 4, 2, 1), (3, 3, 2, 2, 1, 1), dict(product_type=(11, 1)), None, 21,
      "(3 4)(5 6)(7 8 10)(9 11 12)"),
     ((5, 4, 2, 1), (3, 3, 2, 2, 1, 1), dict(product_type=(11, 1)), 3, 40,
      "(1 2 4)(3 12)(5 6 11)(7 8)"),
-    ((8, 8), (2,) * 8, dict(product_type=(15, 1)), None, 63,
+    ((8, 8), (2,) * 8, dict(product_type=(15, 1)), None, 32,
      "(1 2)(3 5)(4 6)(7 9)(8 11)(10 12)(13 15)(14 16)"),
     ((8, 8), (2,) * 8, dict(product_type=(15, 1)), 5, 64,
      "(1 3)(2 6)(4 16)(5 11)(7 12)(8 10)(9 13)(14 15)"),
-    ((6, 3, 1), (4, 4, 2), dict(product_defect=6), None, 50,
+    ((6, 3, 1), (4, 4, 2), dict(product_defect=6), None, 43,
      "(1 2)(3 4 5 7)(6 9 10 8)"),
     ((6, 3, 1), (4, 4, 2), dict(orbit_count=2, product_defect=4), 7, 7048,
      "(1 4 3 6)(2 5)(7 10 9 8)"),
     ((4, 3, 3, 2), (5, 4, 2, 1), dict(product_type=(9, 1, 1, 1)), None, 20,
      "(2 3)(4 5 6 7 8)(9 11 12 10)"),
-    ((2, 2), (2, 2), dict(product_type=(4,)), None, 14, None),
+    ((2, 2), (2, 2), dict(product_type=(4,)), None, 10, None),
     ((6, 6), (3, 3, 2, 2, 2), dict(orbit_count=3, product_defect=6), None, 12, None),
 ]
 
@@ -335,6 +338,110 @@ def test_pair_search_budget_is_counted_in_nodes():
         search.run()
     assert not info.value.complete
     assert search.nodes == 1001
+
+
+class _FullScanSearch(realize_module._PairSearch):
+    """The pair search with its depth-first loop as it was before the
+    search skipped targets: every free target is tried at every level."""
+
+    def _dfs(self) -> bool:
+        d = self.d
+        stack: list[list] = []
+        entered = True
+        while True:
+            if entered:
+                if self.unset == 0:
+                    if self._check_complete():
+                        return True
+                    self._undo(stack[-1][2])
+                elif self.rng is None:
+                    stack.append([None, 0, 0])
+                else:
+                    cands = [v for v in range(1, d + 1) if not self.b.prv[v]]
+                    self.rng.shuffle(cands)
+                    stack.append([cands, 0, 0])
+            top = stack[-1]
+            cands, pos = top[0], top[1]
+            if cands is None:
+                v = self.free_next[pos]
+                top[1] = v
+            elif pos < len(cands):
+                v = cands[pos]
+                top[1] = pos + 1
+            else:
+                v = d + 1
+            if v > d:
+                stack.pop()
+                if not stack:
+                    return False
+                self._undo(stack[-1][2])
+                entered = False
+                continue
+            self.nodes += 1
+            if self.nodes > self.node_budget:
+                raise SearchExhausted(
+                    f"node budget {self.node_budget} exhausted", complete=False
+                )
+            top[2] = self.journal.mark()
+            entered = self._apply(len(stack), v)
+
+
+@st.composite
+def _partitions(draw, d):
+    parts, left = [], d
+    while left:
+        parts.append(draw(st.integers(1, left)))
+        left -= parts[-1]
+    return tuple(sorted(parts, reverse=True))
+
+
+@st.composite
+def _pair_search_cases(draw):
+    d = draw(st.integers(2, 8))
+    ta, tb = draw(_partitions(d)), draw(_partitions(d))
+    if draw(st.booleans()):
+        # the orbits and product of some pair of these types: a goal that
+        # can be met
+        lam = Permutation(tuple(draw(st.permutations(range(1, d + 1)))))
+        ga = canonical_of_type(d, ta)
+        gb = canonical_of_type(d, tb).conjugate(lam)
+        orbits = realize_module.kernels.orbit_count([ga.images, gb.images], d)
+        prod = ga * gb
+        if draw(st.booleans()):
+            goal = PairGoal(orbit_count=orbits, product_type=prod.cycle_type())
+        else:
+            goal = PairGoal(orbit_count=orbits, product_defect=prod.defect())
+    else:
+        orbits = draw(st.integers(1, 3))
+        if draw(st.booleans()):
+            goal = PairGoal(orbit_count=orbits, product_type=draw(_partitions(d)))
+        else:
+            goal = PairGoal(orbit_count=orbits, product_defect=draw(st.integers(0, d - 1)))
+    seed = draw(st.none() | st.integers(0, 99))
+    return ta, tb, goal, seed
+
+
+@settings(max_examples=500, deadline=None)
+@given(_pair_search_cases())
+def test_target_skip_keeps_the_full_scan_answer(case):
+    ta, tb, goal, seed = case
+
+    def search(cls):
+        rng = random.Random(seed) if seed is not None else None
+        return cls(canonical_of_type(sum(ta), ta), tb, goal, rng, 100_000)
+
+    old = search(_FullScanSearch)
+    try:
+        old_found = old.run()
+    except SearchExhausted:
+        return
+    new = search(realize_module._PairSearch)
+    new_found = new.run()
+    assert (new_found and new_found[1]) == (old_found and old_found[1])
+    if seed is None:
+        assert new.nodes <= old.nodes
+    else:
+        assert new.nodes == old.nodes
 
 
 def test_pair_goal_validation():
@@ -609,6 +716,32 @@ def test_realize_degree_1024_without_recursion_error():
     out, err = io.StringIO(), io.StringIO()
     code = cli.main(["realize", data.to_text(), "--seed", "1"], out=out, err=err)
     assert code == 0
+
+
+@pytest.mark.parametrize("d", [2048, 4096])
+def test_realize_large_all_twos_rows_within_node_budget(d):
+    # the full scan tried about d*d/8 targets per fold and ran out of its
+    # 300k node budget from d=2048 on
+    row = "[" + ",".join(["2"] * (d // 2)) + "]"
+    data = data_of(f"d={d}; " + ",".join([row] * 3))
+    res = realize_indecomposable(data)
+    assert res.engine == "all_twos_chain"
+    assert res.certificate.all_ok
+    out, err = io.StringIO(), io.StringIO()
+    code = cli.main(["realize", data.to_text(), "--format", "json"], out=out, err=err)
+    assert code == 0, err.getvalue()
+    rec = json.loads(out.getvalue())
+    assert rec["engine"] == "all_twos_chain"
+    assert rec["certificate"]["all_ok"]
+
+
+def test_returned_witness_holds_one_object_per_point():
+    # results are often kept; ints above 256 would otherwise be copied into
+    # every image tuple
+    res = realize_indecomposable(_mixed_instance(512, 3, random.Random(512)), seed=2)
+    w = res.witness
+    images = [x for p in (*w.gammas, w.alpha) for x in p.images]
+    assert len({id(x) for x in images}) == w.degree
 
 
 def test_realize_is_deterministic_per_seed():
