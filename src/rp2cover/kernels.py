@@ -98,19 +98,25 @@ def component_labels(gens, d):
     """Orbit labels for the group generated by gens.
 
     Returns a tuple of length d where entry i is the minimal point of the
-    orbit containing point i+1.
+    orbit containing point i+1.  The union-find always hangs the larger
+    root under the smaller and halves paths as it walks them, so every
+    parent is at most its child; one pass in increasing order then points
+    every node at its root.
     """
     parent = list(range(d + 1))
     for g in gens:
-        for x in range(1, d + 1):
-            rx = _uf_find(parent, x)
-            ry = _uf_find(parent, g[x - 1])
-            if rx != ry:
-                if rx < ry:
-                    parent[ry] = rx
-                else:
-                    parent[rx] = ry
-    return tuple(_uf_find(parent, x) for x in range(1, d + 1))
+        for x, y in enumerate(g, 1):
+            while parent[x] != x:
+                parent[x] = x = parent[parent[x]]
+            while parent[y] != y:
+                parent[y] = y = parent[parent[y]]
+            if x < y:
+                parent[y] = x
+            elif y < x:
+                parent[x] = y
+    for x in range(1, d + 1):
+        parent[x] = parent[parent[x]]
+    return tuple(parent[1:])
 
 
 def orbit_count(gens, d):

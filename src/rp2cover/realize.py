@@ -398,10 +398,16 @@ class PairGoal:
 
 
 class _Journal:
-    """Undo log shared by all incremental state in a pair search.
+    """Undo stack of a pair search: one record (u, v, pu, union) per edge
+    gamma_b(u) = v still in place, oldest first.
 
-    Counters are kept free of zero entries, so their size is the number of
-    distinct values they hold.
+    pu is gamma_a^-1(u), the tail of the pi edge pu -> v the same choice
+    made, and union is the union-find payload of `_PairSearch._union` (or
+    None when the edge joined no two orbits).  Nothing else is logged:
+    edges are undone in reverse order, so each one finds the chains,
+    Counters and free list exactly as it left them and inverts its own
+    changes from that state (`_Chains.remove`), as a dancing-links removal
+    is undone from the removed element's own links.
     """
 
     __slots__ = ("ops",)
@@ -412,33 +418,10 @@ class _Journal:
     def mark(self) -> int:
         return len(self.ops)
 
-    def set_item(self, lst: list, i: int, value) -> None:
-        self.ops.append(("L", lst, i, lst[i]))
-        lst[i] = value
-
-    def bump(self, ctr: Counter, key: int, delta: int) -> None:
-        self.ops.append(("C", ctr, key, delta))
-        _add_count(ctr, key, delta)
-
-    def rewind(self, mark: int, search: "_PairSearch") -> None:
-        while len(self.ops) > mark:
-            op = self.ops.pop()
-            kind = op[0]
-            if kind == "L":
-                op[1][op[2]] = op[3]
-            elif kind == "C":
-                _add_count(op[1], op[2], -op[3])
-            elif kind == "F":
-                search._relink_free(op[1])
-            elif kind == "N":
-                op[1].count += 1
-            elif kind == "U":
-                search._uf_unlink(op[1])
-            elif kind == "S":
-                setattr(search, op[1][0], op[1][1])
-
 
 def _add_count(ctr: Counter, key: int, delta: int) -> None:
+    """Add delta to ctr[key].  The Counters of a pair search hold no zero
+    entries, so their size is the number of distinct values they hold."""
     n = ctr[key] + delta
     if n:
         ctr[key] = n
@@ -452,7 +435,9 @@ class _Chains:
     Points start as singleton chains.  Adding the edge u -> v either
     concatenates the chain ending at u with the chain starting at v, or, if
     they are the same chain, closes it into a cycle.  `lengths` is the
-    multiset of open chain lengths and `count` their number.
+    multiset of open chain lengths and `count` their number.  `head_of` is
+    kept for chain tails and `tail_of` and `len_of` for chain heads; the
+    entries of inner points are stale.
     """
 
     __slots__ = ("nxt", "prv", "head_of", "tail_of", "len_of", "lengths", "count")
@@ -474,23 +459,48 @@ class _Chains:
         """Length of the chain the edge u -> v would form, if it closes none."""
         return self.len_of[self.head_of[u]] + self.len_of[v]
 
-    def add(self, u: int, v: int, j: _Journal) -> None:
+    def add(self, u: int, v: int) -> None:
+        """Add the edge u -> v from the tail u to the head v."""
         hu = self.head_of[u]
-        j.set_item(self.nxt, u, v)
-        j.set_item(self.prv, v, u)
+        self.nxt[u] = v
+        self.prv[v] = u
         if hu == v:
-            j.bump(self.lengths, self.len_of[v], -1)
+            _add_count(self.lengths, self.len_of[v], -1)
         else:
             tv = self.tail_of[v]
             la, lb = self.len_of[hu], self.len_of[v]
-            j.bump(self.lengths, la, -1)
-            j.bump(self.lengths, lb, -1)
-            j.bump(self.lengths, la + lb, 1)
-            j.set_item(self.len_of, hu, la + lb)
-            j.set_item(self.tail_of, hu, tv)
-            j.set_item(self.head_of, tv, hu)
+            _add_count(self.lengths, la, -1)
+            _add_count(self.lengths, lb, -1)
+            _add_count(self.lengths, la + lb, 1)
+            self.len_of[hu] = la + lb
+            self.tail_of[hu] = tv
+            self.head_of[tv] = hu
         self.count -= 1
-        j.ops.append(("N", self))
+
+    def remove(self, u: int, v: int) -> None:
+        """Undo `add(u, v)`, the last edge added that is still in place.
+
+        `add` wrote no entry of u or v other than their links, so
+        head_of[u] is still the head hu of u's old chain, and the edge
+        closed a cycle iff hu == v.  Otherwise len_of[v] is still the
+        length of v's old chain and tail_of[v] its tail.
+        """
+        hu = self.head_of[u]
+        self.nxt[u] = 0
+        self.prv[v] = 0
+        if hu == v:
+            _add_count(self.lengths, self.len_of[v], 1)
+        else:
+            tv = self.tail_of[v]
+            lb = self.len_of[v]
+            la = self.len_of[hu] - lb
+            _add_count(self.lengths, la + lb, -1)
+            _add_count(self.lengths, lb, 1)
+            _add_count(self.lengths, la, 1)
+            self.len_of[hu] = la
+            self.tail_of[hu] = u
+            self.head_of[tv] = v
+        self.count += 1
 
 
 class _PairSearch:
@@ -513,9 +523,11 @@ class _PairSearch:
       with the edges that remain.
 
     All of this state, and the list of free targets of gamma_b, is updated
-    edge by edge and undone through one journal, so a node costs time in
-    the number of distinct chain and cycle lengths rather than in d, unless
-    the packing check has to fall back to the placement search `_fits`.
+    edge by edge.  Each edge pushes one record on the journal and is undone
+    from that record and the state it left (`_remove`), so a node costs
+    time in the number of distinct chain and cycle lengths rather than in
+    d, unless the packing check has to fall back to the placement search
+    `_fits`.
     """
 
     def __init__(
@@ -572,10 +584,12 @@ class _PairSearch:
             x = p[x]
         return x
 
-    def _union(self, x: int, y: int) -> bool:
+    def _union(self, x: int, y: int) -> tuple[int, int, bool] | None:
+        """Join the classes of x and y; the payload `_uf_unlink` undoes it
+        with, or None when they were one class already."""
         rx, ry = self._find(x), self._find(y)
         if rx == ry:
-            return False
+            return None
         if self.rank[rx] < self.rank[ry]:
             rx, ry = ry, rx
         grew = self.rank[rx] == self.rank[ry]
@@ -583,10 +597,9 @@ class _PairSearch:
         if grew:
             self.rank[rx] += 1
         self.comps -= 1
-        self.journal.ops.append(("U", (ry, rx, grew)))
-        return True
+        return ry, rx, grew
 
-    def _uf_unlink(self, payload) -> None:
+    def _uf_unlink(self, payload: tuple[int, int, bool]) -> None:
         ry, rx, grew = payload
         self.parent[ry] = ry
         if grew:
@@ -600,11 +613,6 @@ class _PairSearch:
         nx, pv = self.free_next, self.free_prev
         nx[pv[v]] = nx[v]
         pv[nx[v]] = pv[v]
-        self.journal.ops.append(("F", v))
-
-    def _relink_free(self, v: int) -> None:
-        self.free_next[self.free_prev[v]] = v
-        self.free_prev[self.free_next[v]] = v
 
     # --- feasibility
 
@@ -654,20 +662,21 @@ class _PairSearch:
     # --- one edge
 
     def _apply(self, u: int, v: int) -> bool:
-        j = self.journal
-        mark = j.mark()
+        """Try the edge gamma_b(u) = v; keep it and push its record if the
+        state stays feasible, otherwise leave the state as it was."""
+        b, pi = self.b, self.pi
         # a joined chain longer than every cycle still available fails the
         # packing check below, so it is rejected before any state changes
-        lb = self.b.closing_length(u, v)
+        lb = b.closing_length(u, v)
         if lb is not None:
             if self.rem_b[lb] <= 0:
                 return False
-        elif self.b.joined_length(u, v) > max(self.rem_b, default=0):
+        elif b.joined_length(u, v) > max(self.rem_b, default=0):
             return False
         pu = self.ainv[u]
-        if self.pi.nxt[pu]:
+        if pi.nxt[pu]:
             raise AssertionError("pi edge already present")
-        lp = self.pi.closing_length(pu, v)
+        lp = pi.closing_length(pu, v)
         if lp is not None:
             if self.rem_pi is not None:
                 if self.rem_pi[lp] <= 0:
@@ -675,30 +684,53 @@ class _PairSearch:
             elif self.closed_pi + 1 > self.pi_target_cycles:
                 return False
         elif self.rem_pi is not None:
-            if self.pi.joined_length(pu, v) > max(self.rem_pi, default=0):
+            if pi.joined_length(pu, v) > max(self.rem_pi, default=0):
                 return False
 
-        self.b.add(u, v, j)
+        b.add(u, v)
         self._unlink_free(v)
         if lb is not None:
-            j.bump(self.rem_b, lb, -1)
-        self.pi.add(pu, v, j)
+            _add_count(self.rem_b, lb, -1)
+        pi.add(pu, v)
         if lp is not None:
             if self.rem_pi is not None:
-                j.bump(self.rem_pi, lp, -1)
+                _add_count(self.rem_pi, lp, -1)
             self.closed_pi += 1
-            j.ops.append(("S", ("closed_pi", self.closed_pi - 1)))
-        self._union(self.cyc_id[u], self.cyc_id[v])
+        union = self._union(self.cyc_id[u], self.cyc_id[v])
         self.unset -= 1
         if self._feasible():
+            self.journal.ops.append((u, v, pu, union))
             return True
-        self.unset += 1
-        self.journal.rewind(mark, self)
+        self._remove(u, v, pu, union)
         return False
 
-    def _undo(self, mark: int) -> None:
+    def _remove(
+        self, u: int, v: int, pu: int, union: tuple[int, int, bool] | None
+    ) -> None:
+        """Undo the edge gamma_b(u) = v, the last one still in place."""
         self.unset += 1
-        self.journal.rewind(mark, self)
+        if union is not None:
+            self._uf_unlink(union)
+        pi = self.pi
+        if pi.head_of[pu] == v:
+            if self.rem_pi is not None:
+                _add_count(self.rem_pi, pi.len_of[v], 1)
+            self.closed_pi -= 1
+        pi.remove(pu, v)
+        b = self.b
+        if b.head_of[u] == v:
+            _add_count(self.rem_b, b.len_of[v], 1)
+        # v's links were kept while it was unlinked, and every point
+        # unlinked after it has been relinked already
+        self.free_next[self.free_prev[v]] = v
+        self.free_prev[self.free_next[v]] = v
+        b.remove(u, v)
+
+    def _undo(self, mark: int) -> None:
+        """Undo every edge whose record sits at or above `mark`."""
+        ops = self.journal.ops
+        while len(ops) > mark:
+            self._remove(*ops.pop())
 
     # --- search
 
@@ -871,8 +903,11 @@ def assemble_pair(
     if goal.product_type is not None and sum(goal.product_type) != d:
         raise ValueError("product_type must partition the degree")
 
-    search = _PairSearch(gamma_a, tb, goal, rng, node_budget)
-    found = search.run()
+    found = None
+    if max(ta) > 2 or max(tb) > 2 or _involution_pair_can_meet(
+        goal, d, ta.count(1), tb.count(1)
+    ):
+        found = _PairSearch(gamma_a, tb, goal, rng, node_budget).run()
     if found is None:
         raise SearchExhausted(
             f"no pair of types {list(ta)}, {list(tb)} with {goal.describe()}",
@@ -881,6 +916,51 @@ def assemble_pair(
     ga, gb = found
     _check_pair(ga, gb, ta, tb, goal)
     return ga, gb
+
+
+def _involution_pair_can_meet(
+    goal: PairGoal, d: int, fixed_a: int, fixed_b: int
+) -> bool:
+    """Whether two involutions of 1..d, with fixed_a and fixed_b fixed
+    points, can meet `goal`.
+
+    They generate a dihedral group.  Each orbit is either an alternating
+    cycle of 2m points, on which the product has two m-cycles, or a path,
+    on which the product is one cycle through all its points.  The ends of
+    the paths are the fixed points: a path with an odd number of points
+    ends in one fixed point of each involution (a point fixed by both is a
+    path of one point), any other path in two fixed points of the same
+    one.  So there are (fixed_a + fixed_b) / 2 paths, and the number of odd
+    ones is at most min(fixed_a, fixed_b) and has the parity of fixed_a.
+    Every shape within these rules occurs.  The pair search cannot see
+    them and would spend its whole node budget on a goal they rule out.
+    """
+    paths = (fixed_a + fixed_b) // 2
+    cycles = goal.orbit_count - paths
+    odd_cap = min(fixed_a, fixed_b)
+    if cycles < 0:
+        return False
+    if goal.product_type is None:
+        # the product's cycles then have at least 2 * orbit_count - odd_cap
+        # points in all, and any larger total of the same parity is a shape
+        return (
+            d - goal.product_defect == 2 * cycles + paths
+            and 2 * goal.orbit_count - odd_cap <= d
+        )
+    if len(goal.product_type) != 2 * cycles + paths:
+        return False
+    # a length with multiplicity c gives c mod 2 path cycles, plus any even
+    # number up to c; the others pair up into the alternating cycles.  The
+    # odd path cycles then have the parity of d, so of fixed_a.
+    counts = Counter(goal.product_type)
+    odd = [c for n, c in counts.items() if n % 2]
+    even = [c for n, c in counts.items() if n % 2 == 0]
+    even_lo, even_hi = sum(c % 2 for c in even), sum(even)
+    for o in range(sum(c % 2 for c in odd), min(sum(odd), odd_cap) + 1, 2):
+        e = paths - o
+        if even_lo <= e <= even_hi and (e - even_lo) % 2 == 0:
+            return True
+    return False
 
 
 def _check_pair(ga, gb, ta, tb, goal) -> None:
@@ -937,6 +1017,7 @@ class RealizationResult:
         }
 
 
+# goal attempts a fold chain may spend beyond one per fold
 _FOLD_ATTEMPT_CAP = 300
 
 
@@ -968,7 +1049,7 @@ def _one_cycle_type(d: int, length: int) -> tuple[int, ...]:
     return (length,) + (1,) * (d - length)
 
 
-def _goal_ladder(nu_prod: int, nu_row: int, d: int, rem_after: int) -> list[PairGoal]:
+def _goal_ladder(nu_prod: int, nu_row: int, d: int, rem_after: int) -> Iterator[PairGoal]:
     """Candidate goals for a non-final fold, best first.
 
     When the combined defect is below d the product cannot be transitive,
@@ -979,30 +1060,27 @@ def _goal_ladder(nu_prod: int, nu_row: int, d: int, rem_after: int) -> list[Pair
     cycles to the big one, so later folds never get cornered.  Plain
     defect goals follow as backup, stepping down in twos because the
     product defect parity is forced.
+
+    The goals are made as they are asked for: a fold usually takes the
+    first, and each product type costs O(d log d) to build.
     """
     total = nu_prod + nu_row
-    goals: list[PairGoal] = []
     if total < d:
         t = d - total
-        goals.append(PairGoal(orbit_count=t, product_type=_one_cycle_type(d, total + 1)))
-        goals.append(PairGoal(orbit_count=t, product_defect=total))
+        yield PairGoal(orbit_count=t, product_type=_one_cycle_type(d, total + 1))
+        yield PairGoal(orbit_count=t, product_defect=total)
         if total >= 2:
-            goals.append(PairGoal(orbit_count=t, product_defect=total - 2))
-            goals.append(PairGoal(orbit_count=t + 1, product_defect=total - 2))
-        return goals
+            yield PairGoal(orbit_count=t, product_defect=total - 2)
+            yield PairGoal(orbit_count=t + 1, product_defect=total - 2)
+        return
     cap = d - 1 if (total - (d - 1)) % 2 == 0 else d - 2
     # the product defect can still move by at most nu(row) per remaining
     # fold, and the chain must end at defect d - 2
     lo = max(abs(nu_prod - nu_row), (d - 2) - rem_after, 0)
-    v = cap
-    while v >= lo:
-        goals.append(PairGoal(orbit_count=1, product_type=_one_cycle_type(d, v + 1)))
-        v -= 2
-    v = cap
-    while v >= lo:
-        goals.append(PairGoal(orbit_count=1, product_defect=v))
-        v -= 2
-    return goals
+    for v in range(cap, lo - 1, -2):
+        yield PairGoal(orbit_count=1, product_type=_one_cycle_type(d, v + 1))
+    for v in range(cap, lo - 1, -2):
+        yield PairGoal(orbit_count=1, product_defect=v)
 
 
 def _fold_chain(
@@ -1012,8 +1090,14 @@ def _fold_chain(
 
     Each fold walks its goal ladder; when a later fold finds no workable
     goal the chain backtracks and takes the next option at an earlier
-    fold.  Goals whose search ran out of nodes get a couple of randomized
-    retries before being abandoned.
+    fold.  A goal whose deterministic search ran out of nodes gets two
+    randomized retries before the next goal is tried: the search builds
+    gamma_b point by point, and some row pairs defeat that order on every
+    goal of the ladder while a shuffled order succeeds within a few
+    thousand nodes.  The whole chain may spend one goal attempt per fold
+    plus `_FOLD_ATTEMPT_CAP` more.  The chain runs on an explicit stack
+    with one fold generator per row absorbed, so its depth is not bounded
+    by the recursion limit.
 
     Returns the gammas in processing order, whose product has type
     [d-1, 1], and the trace.  Raises _FoldStall if no goal sequence works.
@@ -1022,57 +1106,60 @@ def _fold_chain(
     rows = [data.rows[j] for j in order]
     nus = [r.nu for r in rows]
     first = canonical_of_type(d, rows[0].parts)
+    cap = len(rows) - 1 + _FOLD_ATTEMPT_CAP
     attempts = 0
 
-    def extend(gammas, prod, j, trace):
+    def fold(gammas, prod, j, trace):
+        """The states after absorbing row j, in the order they are tried."""
         nonlocal attempts
-        if j == len(rows):
-            return gammas, trace
-        final = j == len(rows) - 1
-        rem_after = sum(nus[j + 1 :])
         ptype = prod.cycle_type()
-        if final:
+        if j == len(rows) - 1:
             goals = [PairGoal(orbit_count=1, product_type=(d - 1, 1))]
         else:
-            goals = _goal_ladder(prod.defect(), nus[j], d, rem_after)
-        retry: list[PairGoal] = []
-        for use_rng, batch in ((False, goals), (True, retry)):
-            for goal in batch:
-                for _ in range(2 if use_rng else 1):
-                    if attempts >= _FOLD_ATTEMPT_CAP:
-                        raise _FoldStall("fold goal attempt budget spent")
-                    attempts += 1
-                    try:
-                        ga, gb = assemble_pair(
-                            ptype,
-                            rows[j].parts,
-                            goal,
-                            rng=rng if use_rng else None,
-                            node_budget=budget,
-                        )
-                    except SearchExhausted as e:
-                        if not use_rng and not e.complete:
-                            retry.append(goal)
-                        continue
-                    mu = conjugator(prod, ga)
-                    nxt = [g.conjugate(mu) for g in gammas]
-                    nxt.append(gb)
-                    nprod = ga * gb
-                    step = FoldStep(
-                        row=order[j],
-                        goal=goal,
-                        product_type=nprod.cycle_type(),
-                        orbits=kernels.orbit_count([g.images for g in nxt], d),
+            goals = _goal_ladder(prod.defect(), nus[j], d, sum(nus[j + 1 :]))
+        for goal in goals:
+            cut = False
+            for use_rng in (False, True, True):
+                if use_rng and not cut:
+                    break
+                if attempts >= cap:
+                    raise _FoldStall("fold goal attempt budget spent")
+                attempts += 1
+                try:
+                    ga, gb = assemble_pair(
+                        ptype,
+                        rows[j].parts,
+                        goal,
+                        rng=rng if use_rng else None,
+                        node_budget=budget,
                     )
-                    got = extend(nxt, nprod, j + 1, trace + [step])
-                    if got is not None:
-                        return got
-        return None
+                except SearchExhausted as e:
+                    cut = cut or not e.complete
+                    continue
+                mu = conjugator(prod, ga)
+                nxt = [g.conjugate(mu) for g in gammas]
+                nxt.append(gb)
+                nprod = ga * gb
+                step = FoldStep(
+                    row=order[j],
+                    goal=goal,
+                    product_type=nprod.cycle_type(),
+                    orbits=kernels.orbit_count([g.images for g in nxt], d),
+                )
+                yield nxt, nprod, trace + [step]
 
-    got = extend([first], first, 1, [])
-    if got is None:
-        raise _FoldStall("no feasible goal sequence")
-    return got
+    # stack[j - 1] is the generator of fold j
+    stack = [fold([first], first, 1, [])]
+    while stack:
+        got = next(stack[-1], None)
+        if got is None:
+            stack.pop()
+            continue
+        gammas, prod, trace = got
+        if len(stack) == len(rows) - 1:
+            return gammas, trace
+        stack.append(fold(gammas, prod, len(stack) + 1, trace))
+    raise _FoldStall("no feasible goal sequence")
 
 
 def _alpha_for_product(

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from rp2cover import kernels
 
 from helpers import all_images, brute_orbits
@@ -39,3 +42,66 @@ def test_alpha_extension_small_facts():
     # identity alpha on one orbit: a flip inside a component
     labels = kernels.component_labels([(2, 1)], 2)
     assert kernels.alpha_extension(labels, (1, 2), 2) == (True, False)
+
+
+# The orbit labelling as it was when it called a full-compression find
+# twice per point and generator.
+def _uf_find(parent, x):
+    root = x
+    while parent[root] != root:
+        root = parent[root]
+    while parent[x] != root:
+        parent[x], x = root, parent[x]
+    return root
+
+
+def _component_labels_two_finds(gens, d):
+    """Orbit labels for the group generated by gens.
+
+    Returns a tuple of length d where entry i is the minimal point of the
+    orbit containing point i+1.
+    """
+    parent = list(range(d + 1))
+    for g in gens:
+        for x in range(1, d + 1):
+            rx = _uf_find(parent, x)
+            ry = _uf_find(parent, g[x - 1])
+            if rx != ry:
+                if rx < ry:
+                    parent[ry] = rx
+                else:
+                    parent[rx] = ry
+    return tuple(_uf_find(parent, x) for x in range(1, d + 1))
+
+
+@st.composite
+def _generator_lists(draw):
+    """Up to 4 generators of degree at most 40.  Each one either is any
+    permutation or maps every block of a drawn set partition onto itself,
+    so the group ranges from transitive to one with many orbits."""
+    d = draw(st.integers(1, 40))
+    points = draw(st.permutations(range(1, d + 1)))
+    cuts = sorted(draw(st.sets(st.integers(1, d - 1)))) if d > 1 else []
+    blocks = [points[i:j] for i, j in zip([0, *cuts], [*cuts, d])]
+    gens = []
+    for _ in range(draw(st.integers(0, 4))):
+        if draw(st.booleans()):
+            gens.append(tuple(draw(st.permutations(range(1, d + 1)))))
+            continue
+        images = [0] * d
+        for blk in blocks:
+            for x, y in zip(blk, draw(st.permutations(blk))):
+                images[x - 1] = y
+        gens.append(tuple(images))
+    return gens, d
+
+
+@settings(max_examples=300, deadline=None)
+@given(_generator_lists())
+def test_component_labels_match_the_two_find_version(case):
+    gens, d = case
+    assert kernels.component_labels(gens, d) == _component_labels_two_finds(gens, d)
+
+
+def test_component_labels_of_no_generators_are_the_points():
+    assert kernels.component_labels([], 5) == (1, 2, 3, 4, 5)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import json
 import random
+import sys
 from collections import Counter
 from types import SimpleNamespace
 
@@ -203,6 +204,58 @@ def test_assemble_pair_exhausts_parity_impossible_goal():
     with pytest.raises(SearchExhausted) as info:
         assemble_pair((2, 2), (2, 2), PairGoal(orbit_count=1, product_type=(4,)))
     assert info.value.complete
+
+
+def _involution_type_pairs():
+    for d in range(1, 8):
+        types = [(2,) * k + (1,) * (d - 2 * k) for k in range(d // 2 + 1)]
+        for ta in types:
+            for tb in types:
+                yield d, ta, tb
+
+
+@pytest.mark.parametrize("d, ta, tb", list(_involution_type_pairs()))
+def test_involution_pair_goals_match_every_pair(d, ta, tb):
+    import rp2cover.kernels as kernels
+    from helpers import all_images, partitions_of
+
+    ga = canonical_of_type(d, ta)
+    met = set()
+    for images in all_images(d):
+        gb = Permutation(images)
+        if gb.cycle_type() != tb:
+            continue
+        orbits = kernels.orbit_count([ga.images, gb.images], d)
+        prod = ga * gb
+        met.add((orbits, "type", prod.cycle_type()))
+        met.add((orbits, "defect", prod.defect()))
+    fa, fb = ta.count(1), tb.count(1)
+    for t in range(1, d + 1):
+        for ptype in partitions_of(d):
+            goal = PairGoal(orbit_count=t, product_type=ptype)
+            want = (t, "type", ptype) in met
+            assert realize_module._involution_pair_can_meet(goal, d, fa, fb) == want
+        for defect in range(d):
+            goal = PairGoal(orbit_count=t, product_defect=defect)
+            want = (t, "defect", defect) in met
+            assert realize_module._involution_pair_can_meet(goal, d, fa, fb) == want
+
+
+def test_involution_pair_goal_it_cannot_meet_is_refused_without_search():
+    # the pair search cannot see that such a goal is out of reach and
+    # would spend its whole node budget on it; two all-twos rows folded
+    # first meet about d/2 such goals on their ladder
+    with pytest.raises(SearchExhausted) as info:
+        assemble_pair(
+            (2,) * 16, (2,) * 16, PairGoal(orbit_count=1, product_type=(31, 1)),
+            node_budget=10,
+        )
+    assert info.value.complete
+    twos = "[" + ",".join(["2"] * 16) + "]"
+    data = data_of(f"d=32; {twos},[13,11,5,3],{twos}")
+    res = realize_indecomposable(data, seed=136)
+    assert res.certificate.all_ok
+    assert res.trace[0].goal == PairGoal(orbit_count=1, product_defect=30)
 
 
 def test_assemble_pair_budget_cut_is_flagged_incomplete():
@@ -442,6 +495,142 @@ def test_target_skip_keeps_the_full_scan_answer(case):
         assert new.nodes <= old.nodes
     else:
         assert new.nodes == old.nodes
+
+
+def _search_state(search) -> dict:
+    """Every piece of a pair search's state, copied; the Counters as
+    dicts, so that a zero entry would make two states differ."""
+    state = {
+        name: (
+            list(c.nxt), list(c.prv), list(c.head_of), list(c.tail_of),
+            list(c.len_of), dict(c.lengths), c.count,
+        )
+        for name, c in (("b", search.b), ("pi", search.pi))
+    }
+    state.update(
+        rem_b=dict(search.rem_b),
+        rem_pi=None if search.rem_pi is None else dict(search.rem_pi),
+        free=(list(search.free_next), list(search.free_prev)),
+        union_find=(list(search.parent), list(search.rank), search.comps),
+        unset=search.unset,
+        closed_pi=search.closed_pi,
+    )
+    return state
+
+
+def _no_zero_counts(search) -> bool:
+    ctrs = [search.b.lengths, search.pi.lengths, search.rem_b]
+    if search.rem_pi is not None:
+        ctrs.append(search.rem_pi)
+    return all(0 not in c.values() for c in ctrs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pair_search_cases(), st.data())
+def test_edge_records_undo_every_change(case, data):
+    # walk one path of the search: at each level try every free target,
+    # undoing each edge that was kept, then keep one of them and go deeper
+    ta, tb, goal, _ = case
+    search = realize_module._PairSearch(canonical_of_type(sum(ta), ta), tb, goal, None, 0)
+    d = search.d
+    path = []  # (journal mark, state) before each edge kept on the path
+    for u in range(1, d + 1):
+        kept = []
+        v = search.free_next[0]
+        while v <= d:
+            before = _search_state(search)
+            mark = search.journal.mark()
+            if search._apply(u, v):
+                assert _no_zero_counts(search)
+                assert search.journal.mark() == mark + 1
+                kept.append(v)
+                search._undo(mark)
+            assert _search_state(search) == before
+            assert _no_zero_counts(search)
+            v = search.free_next[v]
+        if not kept:
+            break
+        path.append((search.journal.mark(), _search_state(search)))
+        assert search._apply(u, data.draw(st.sampled_from(kept)))
+    # undo several edges at once, back to an earlier mark
+    while path:
+        i = data.draw(st.integers(0, len(path) - 1))
+        mark, state = path[i]
+        search._undo(mark)
+        assert _search_state(search) == state
+        assert _no_zero_counts(search)
+        del path[i:]
+
+
+# The goal ladder as it was when it built every goal up front.
+_one_cycle_type = realize_module._one_cycle_type
+
+
+def _goal_ladder_list(nu_prod: int, nu_row: int, d: int, rem_after: int) -> list[PairGoal]:
+    """Candidate goals for a non-final fold, best first.
+
+    When the combined defect is below d the product cannot be transitive,
+    so the orbits are made as coarse as possible (one cycle of the product
+    per orbit).  Otherwise the fold targets transitivity.  Either way the
+    preferred product shape is a single cycle plus fixed points, as long as
+    parity allows: that shape always absorbs the next row by attaching its
+    cycles to the big one, so later folds never get cornered.  Plain
+    defect goals follow as backup, stepping down in twos because the
+    product defect parity is forced.
+    """
+    total = nu_prod + nu_row
+    goals: list[PairGoal] = []
+    if total < d:
+        t = d - total
+        goals.append(PairGoal(orbit_count=t, product_type=_one_cycle_type(d, total + 1)))
+        goals.append(PairGoal(orbit_count=t, product_defect=total))
+        if total >= 2:
+            goals.append(PairGoal(orbit_count=t, product_defect=total - 2))
+            goals.append(PairGoal(orbit_count=t + 1, product_defect=total - 2))
+        return goals
+    cap = d - 1 if (total - (d - 1)) % 2 == 0 else d - 2
+    # the product defect can still move by at most nu(row) per remaining
+    # fold, and the chain must end at defect d - 2
+    lo = max(abs(nu_prod - nu_row), (d - 2) - rem_after, 0)
+    v = cap
+    while v >= lo:
+        goals.append(PairGoal(orbit_count=1, product_type=_one_cycle_type(d, v + 1)))
+        v -= 2
+    v = cap
+    while v >= lo:
+        goals.append(PairGoal(orbit_count=1, product_defect=v))
+        v -= 2
+    return goals
+
+
+def _ladder_grid():
+    for d in (2, 3, 4, 5, 6, 7, 8, 11, 16, 33, 64):
+        nus = sorted(set(range(0, d, max(1, d // 8))) | {d - 2, d - 1} - {-1})
+        for nu_prod in nus:
+            for nu_row in nus:
+                for rem_after in sorted({0, 1, 2, d // 2, d - 2, d, 2 * d} - {-1}):
+                    yield nu_prod, nu_row, d, rem_after
+
+
+def test_lazy_goal_ladder_yields_the_old_list():
+    for args in _ladder_grid():
+        assert list(realize_module._goal_ladder(*args)) == _goal_ladder_list(*args)
+
+
+def test_fold_chain_builds_a_handful_of_goals(monkeypatch):
+    # the list-building ladder made about d goals per non-final fold, each
+    # with a d-length product type
+    built = Counter()
+    post_init = PairGoal.__post_init__
+
+    def counted(self):
+        built["goals"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(PairGoal, "__post_init__", counted)
+    res = realize_indecomposable(_mixed_instance(512, 3, random.Random(512)), seed=2)
+    assert res.engine == "fold_chain"
+    assert built["goals"] <= 6
 
 
 def test_pair_goal_validation():
@@ -706,6 +895,38 @@ def test_fold_stall_is_an_engine_defect(monkeypatch):
     monkeypatch.setattr(realize_module, "_fold_chain", stall)
     with pytest.raises(EngineDefect, match="forced stall"):
         realize_indecomposable(data_of("d=6; [3,2,1],[2,2,2]"))
+
+
+def test_realize_more_rows_than_the_fold_retry_allowance():
+    # s rows take s - 1 folds, so an attempt budget fixed for the whole
+    # chain would run out on long data
+    data = data_of("d=4; " + ",".join(["[3,1]"] * 302))
+    res = realize_indecomposable(data)
+    assert res.engine == "fold_chain"
+    assert res.certificate.all_ok
+    out, err = io.StringIO(), io.StringIO()
+    code = cli.main(["realize", data.to_text(), "--format", "json"], out=out, err=err)
+    assert code == 0, err.getvalue()
+    assert json.loads(out.getvalue())["certificate"]["all_ok"]
+
+
+def _stack_depth() -> int:
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_fold_chain_does_not_recurse_per_row():
+    data = data_of("d=4; " + ",".join(["[3,1]"] * 302))
+    limit = sys.getrecursionlimit()
+    # room for the engine's own calls, but far less than one frame per row
+    sys.setrecursionlimit(_stack_depth() + 100)
+    try:
+        res = realize_indecomposable(data)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert res.certificate.all_ok
 
 
 def test_realize_degree_1024_without_recursion_error():
