@@ -111,22 +111,14 @@ def _data_payload(data: BranchData) -> dict:
 
 
 def _bounds_from(args) -> SearchBounds:
-    base = SearchBounds()
-    return SearchBounds(
-        max_degree=args.max_degree if args.max_degree is not None else base.max_degree,
-        max_rows=args.max_rows if args.max_rows is not None else base.max_rows,
-        element_cap=args.element_cap
-        if args.element_cap is not None
-        else base.element_cap,
-        root_cap=args.root_cap if args.root_cap is not None else base.root_cap,
-    )
+    return SearchBounds(args.max_degree, args.max_rows, args.root_cap)
 
 
 def _add_bounds_args(sub) -> None:
-    sub.add_argument("--max-degree", type=int, default=None)
-    sub.add_argument("--max-rows", type=int, default=None)
-    sub.add_argument("--element-cap", type=int, default=None)
-    sub.add_argument("--root-cap", type=int, default=None)
+    base = SearchBounds()
+    sub.add_argument("--max-degree", type=int, default=base.max_degree)
+    sub.add_argument("--max-rows", type=int, default=base.max_rows)
+    sub.add_argument("--root-cap", type=int, default=base.root_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +199,11 @@ def cmd_verify(args, out, err) -> int:
         isinstance(row_map, list) and all(type(i) is int for i in row_map)
     ):
         raise ValueError("row map must be a list of row indices")
+    # a witness of another degree than the data's is refused before any
+    # permutation of the degree it claims is built
+    if isinstance(rec, dict) and type(rec.get("degree")) is int:
+        if rec["degree"] != data.degree:
+            raise ValueError("witness shape does not match branch data")
     witness = HurwitzWitness.from_dict(rec)
     cert = verify_witness(data, witness, row_map=row_map)
     payload = {

@@ -25,6 +25,7 @@ from typing import Iterator
 from . import kernels
 from .branch import BranchData, is_admissible
 # is_primitive is not called here; it stays importable from this module
+# because perfbench/spans.py looks it up here (WRAP_POINTS)
 from .groups import (  # noqa: F401
     NotABlockError,
     block_system_from,
@@ -46,13 +47,13 @@ from .squares import RootCapExceeded, all_square_roots
 class SearchBounds:
     """Hard limits that keep exhaustive enumeration tractable.
 
-    `element_cap` bounds group closures built along the way, `root_cap`
-    bounds square-root enumeration for a single product.
+    `max_degree` and `max_rows` bound the branch data a scan accepts (the
+    involution-pair survey allows `max_degree` + 2), and `root_cap` bounds
+    the square roots enumerated for a single product.
     """
 
     max_degree: int = 6
     max_rows: int = 4
-    element_cap: int = 20_000
     root_cap: int = 200_000
 
 

@@ -37,6 +37,7 @@ from .branch import BranchData, is_admissible
 from .groups import conjugator, group_of, imprimitivity_block
 from .perm import Permutation, canonical_of_type, format_cycles, parse_permutation
 # all_square_roots is not called here; it stays importable from this module
+# because perfbench/spans.py looks it up here (WRAP_POINTS)
 from .squares import all_square_roots, is_square, iter_square_roots  # noqa: F401
 
 
@@ -117,7 +118,7 @@ class Classification:
         }
 
 
-def classify(data: BranchData, *, search_bounds=None) -> Classification:
+def classify(data: BranchData) -> Classification:
     """Decide realizability by an indecomposable covering.
 
     Even degrees are settled in closed form.  Odd degrees fall outside the
@@ -131,7 +132,7 @@ def classify(data: BranchData, *, search_bounds=None) -> Classification:
     if d % 2 == 1:
         from .oracle import SearchBounds, classify_by_search
 
-        bounds = search_bounds or SearchBounds()
+        bounds = SearchBounds()
         if d <= bounds.max_degree and data.rows_count <= bounds.max_rows:
             return classify_by_search(data, bounds)
         return Classification(Verdict.UNKNOWN)
@@ -397,28 +398,6 @@ class PairGoal:
         return f"orbits={self.orbit_count}, product {shape}"
 
 
-class _Journal:
-    """Undo stack of a pair search: one record (u, v, pu, union) per edge
-    gamma_b(u) = v still in place, oldest first.
-
-    pu is gamma_a^-1(u), the tail of the pi edge pu -> v the same choice
-    made, and union is the union-find payload of `_PairSearch._union` (or
-    None when the edge joined no two orbits).  Nothing else is logged:
-    edges are undone in reverse order, so each one finds the chains,
-    Counters and free list exactly as it left them and inverts its own
-    changes from that state (`_Chains.remove`), as a dancing-links removal
-    is undone from the removed element's own links.
-    """
-
-    __slots__ = ("ops",)
-
-    def __init__(self):
-        self.ops: list[tuple] = []
-
-    def mark(self) -> int:
-        return len(self.ops)
-
-
 def _add_count(ctr: Counter, key: int, delta: int) -> None:
     """Add delta to ctr[key].  The Counters of a pair search hold no zero
     entries, so their size is the number of distinct values they hold."""
@@ -574,7 +553,15 @@ class _PairSearch:
         self.unset = d
         self.free_next = list(range(1, d + 2))
         self.free_prev = [0] + list(range(d + 1))
-        self.journal = _Journal()
+        # undo stack: one record (u, v, pu, union) per edge gamma_b(u) = v
+        # still in place, oldest first.  pu = gamma_a^-1(u) is the tail of
+        # the pi edge the same choice made, and union the payload of
+        # `_union` (None when the edge joined no two orbits).  Nothing else
+        # is logged: edges are undone in reverse order, so each one finds
+        # the chains, Counters and free list exactly as it left them and
+        # inverts its own changes from that state (`_Chains.remove`), as a
+        # dancing-links removal is undone from the removed element's links.
+        self.journal: list[tuple] = []
 
     # --- union-find over gamma_a cycles, with explicit unlink for undo
 
@@ -699,7 +686,7 @@ class _PairSearch:
         union = self._union(self.cyc_id[u], self.cyc_id[v])
         self.unset -= 1
         if self._feasible():
-            self.journal.ops.append((u, v, pu, union))
+            self.journal.append((u, v, pu, union))
             return True
         self._remove(u, v, pu, union)
         return False
@@ -728,9 +715,9 @@ class _PairSearch:
 
     def _undo(self, mark: int) -> None:
         """Undo every edge whose record sits at or above `mark`."""
-        ops = self.journal.ops
-        while len(ops) > mark:
-            self._remove(*ops.pop())
+        journal = self.journal
+        while len(journal) > mark:
+            self._remove(*journal.pop())
 
     # --- search
 
@@ -750,7 +737,7 @@ class _PairSearch:
         check in `_apply` can pass; otherwise the level walks the free
         list.  The stack holds one frame per level, so u is its length; a
         frame is [candidate iterator or None, last target walked, journal
-        mark of the edge tried].
+        length before the edge tried].
         """
         d, b = self.d, self.b
         stack: list[list] = []
@@ -791,7 +778,7 @@ class _PairSearch:
                 raise SearchExhausted(
                     f"node budget {self.node_budget} exhausted", complete=False
                 )
-            top[2] = self.journal.mark()
+            top[2] = len(self.journal)
             entered = self._apply(len(stack), v)
 
     def _short_targets(self, u: int, head: int, room: int) -> Iterator[int]:
@@ -1084,7 +1071,7 @@ def _goal_ladder(nu_prod: int, nu_row: int, d: int, rem_after: int) -> Iterator[
 
 
 def _fold_chain(
-    data: BranchData, order: list[int], rng: random.Random, budget: int
+    data: BranchData, order: list[int], rng: random.Random
 ) -> tuple[list[Permutation], list[FoldStep]]:
     """Absorb rows one at a time, keeping the running product canonical.
 
@@ -1127,11 +1114,7 @@ def _fold_chain(
                 attempts += 1
                 try:
                     ga, gb = assemble_pair(
-                        ptype,
-                        rows[j].parts,
-                        goal,
-                        rng=rng if use_rng else None,
-                        node_budget=budget,
+                        ptype, rows[j].parts, goal, rng=rng if use_rng else None
                     )
                 except SearchExhausted as e:
                     cut = cut or not e.complete
@@ -1248,9 +1231,7 @@ def _with_shared_points(w: HurwitzWitness) -> HurwitzWitness:
     )
 
 
-def _realize_all_twos(
-    data: BranchData, budget: int, seed: int | None
-) -> RealizationResult | None:
+def _realize_all_twos(data: BranchData, seed: int | None) -> RealizationResult | None:
     """Rows all of type [2,...,2]: start from the canonical involution pair.
 
     The pair multiplies to two d/2-cycles; one or two more rows steer the
@@ -1271,9 +1252,7 @@ def _realize_all_twos(
         nonlocal prod
         goal = PairGoal(orbit_count=1, product_type=target_type)
         try:
-            ga, gb = assemble_pair(
-                prod.cycle_type(), row.parts, goal, node_budget=budget
-            )
+            ga, gb = assemble_pair(prod.cycle_type(), row.parts, goal)
         except SearchExhausted:
             return False
         mu = conjugator(prod, ga)
@@ -1309,17 +1288,10 @@ def _realize_all_twos(
     return _accept(data, gammas, None, "all_twos_chain", seed, trace=trace)
 
 
-def _random_class_element(parts: tuple[int, ...], d: int, rng: random.Random):
-    base = canonical_of_type(d, parts)
-    lam = Permutation(tuple(rng.sample(range(1, d + 1), d)))
-    return base.conjugate(lam)
-
-
 def realize_indecomposable(
     data: BranchData,
     seed: int = 0,
     *,
-    node_budget: int = _DEFAULT_NODE_BUDGET,
     classification: Classification | None = None,
 ) -> RealizationResult:
     """Construct a verified witness with primitive monodromy.
@@ -1353,11 +1325,11 @@ def realize_indecomposable(
         if w is not None:
             result = _accept(data, w.gammas, w.alpha, "exhaustive_scan", seed)
     elif data.all_rows_all_twos():
-        result = _realize_all_twos(data, node_budget, seed)
+        result = _realize_all_twos(data, seed)
     else:
         order = _row_order(data)
         try:
-            gammas, trace = _fold_chain(data, order, random.Random(seed), node_budget)
+            gammas, trace = _fold_chain(data, order, random.Random(seed))
         except _FoldStall as e:
             raise EngineDefect(
                 f"fold chain stalled on {data.to_text()}: {e}; this contradicts "
@@ -1388,53 +1360,53 @@ def realize_decomposable_search(
 
     Only-decomposable branch data is still realizable, just never by an
     indecomposable covering; the certificate of the returned witness has
-    primitive=False and records a block.  `classification` is as for
-    `realize_indecomposable`.
+    primitive=False and records a block.  Rows all of twos at even d >= 4
+    get one fixed tuple of the canonical involution pair per parity of the
+    row count, so the witness does not depend on `seed`.  Other data within
+    the oracle's default bounds get the first imprimitive witness of its
+    exhaustive scan.  `classification` is as for `realize_indecomposable`.
     """
     cls = classification if classification is not None else classify(data)
     if cls.verdict is Verdict.NOT_ADMISSIBLE:
         return None
-    d = data.degree
-    rng = random.Random(seed)
+    d, s = data.degree, data.rows_count
 
     if d >= 4 and d % 2 == 0 and data.all_rows_all_twos():
+        # g1, g2 is the canonical pair, so every tuple holding both is
+        # transitive, and nonorientable whatever alpha is.  The alpha taken
+        # is the inverse of the first root `iter_square_roots` gives.
+        #
+        # Even s: the product (g1 g2)^(s/2) has cycles all of one length m,
+        # which ordered by least point alternate between odd and even
+        # points.  So the first root takes each cycle's own root when m is
+        # odd and otherwise joins the cycles in (odd, even) pairs; either
+        # way alpha preserves the blocks {odd points} and {even points}.
+        #
+        # Odd s, admissible only for d = 0 mod 4: the product g1 g2 g1 is a
+        # fixed-point-free involution, whose first root is
+        # (1 d-1 4 2)(3 8 6 5)(7 12 10 9)...  That root, g1 and g2 all
+        # preserve B = {x = 0, 1 mod 4} and its complement.  The tuple
+        # [g1] * s never answers: alpha^2 = g1, so <g1, alpha> = <alpha>
+        # has orbits of 4 points, intransitive for d > 4 and orientable at
+        # d = 4.
         g1, g2 = canonical_involution_pair(d)
-        for gammas in _all_twos_variants(d, data.rows_count, g1, g2, rng):
-            res = _accept(
-                data, gammas, None, "decomposable_search", seed, primitive=False
-            )
-            if res is not None:
-                return res
+        if s % 2 == 0:
+            gammas = [g1, g2] * (s // 2)
+        else:
+            gammas = [g1, g2] + [g1] * (s - 2)
+        res = _accept(
+            data, gammas, None, "decomposable_search", seed, primitive=False
+        )
+        if res is not None:
+            return res
 
     from .oracle import SearchBounds, find_imprimitive_witness
 
     bounds = SearchBounds()
-    if d <= bounds.max_degree and data.rows_count <= bounds.max_rows:
+    if d <= bounds.max_degree and s <= bounds.max_rows:
         w = find_imprimitive_witness(data, bounds)
         if w is not None:
             return _accept(
                 data, w.gammas, w.alpha, "exhaustive_scan", seed, primitive=False
             )
     return None
-
-
-def _all_twos_variants(
-    d: int, s: int, g1: Permutation, g2: Permutation, rng: random.Random
-) -> Iterator[list[Permutation]]:
-    """Candidate all-twos tuples whose product is a square, imprimitive case.
-
-    The alternating pattern g1 g2 g1 g2 ... multiplies to a power of the
-    two half-cycle product, always a square; odd row counts collapse to a
-    single involution or a conjugate of one.  A few random fixed-point-free
-    involution tuples follow as backup.
-    """
-    if s % 2 == 0:
-        yield [g1 if i % 2 == 0 else g2 for i in range(s)]
-        yield [g1, g2] + [g2, g2] * ((s - 2) // 2)
-    else:
-        yield [g1] * s
-        yield [g1, g2] + [g1] * (s - 2)
-    half = d // 2
-    parts = tuple([2] * half)
-    for _ in range(2000):
-        yield [_random_class_element(parts, d, rng) for _ in range(s)]

@@ -71,29 +71,15 @@ def _interleave(a: Sequence[int], b: Sequence[int], offset: int) -> tuple[int, .
 def sqrt(p: Permutation) -> Permutation | None:
     """A canonical square root, or None when p is not a square.
 
-    Odd cycles take their unique self-supported root; even cycles of each
-    length are paired in order of minimal element and interleaved.
+    This is the first root of `iter_square_roots`: odd cycles take their
+    unique self-supported root; even cycles of each length are paired in
+    order of minimal element and interleaved.
 
     >>> from .perm import parse_permutation
     >>> str(sqrt(parse_permutation("(1 2)(3 4)", 4)))
     '(1 3 2 4)'
     """
-    if not is_square(p):
-        return None
-    by_len: dict[int, list[tuple[int, ...]]] = {}
-    for c in p.cycles():
-        by_len.setdefault(len(c), []).append(c)
-    root_cycles = []
-    for n in sorted(by_len):
-        group = by_len[n]
-        if n % 2 == 1:
-            for c in group:
-                if n > 1:
-                    root_cycles.append(_root_cycle_odd(c))
-        else:
-            for i in range(0, len(group), 2):
-                root_cycles.append(_interleave(group[i], group[i + 1], 0))
-    return Permutation.from_cycles(p.degree, root_cycles)
+    return next(iter_square_roots(p), None)
 
 
 def iter_square_roots(p: Permutation) -> Iterator[Permutation]:

@@ -249,6 +249,24 @@ def test_verify_malformed_witness_is_parse_error(tmp_path, rec):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_verify_refuses_a_claimed_degree_before_building_it(tmp_path, monkeypatch):
+    # a record claiming degree 10^6 against d=4 data cost 0.8 s of parsing
+    # at that degree before the shape check refused it
+    degrees = []
+    parse = realize.parse_permutation
+
+    def counted(text, degree):
+        degrees.append(degree)
+        return parse(text, degree)
+
+    monkeypatch.setattr(realize, "parse_permutation", counted)
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps({**_GOOD_WITNESS, "degree": 10**6}), encoding="utf-8")
+    code, out, err = run("verify", "d=4; [2,2],[2,2]", "--witness", str(path))
+    assert (code, out, err) == (2, "", "error: witness shape does not match branch data\n")
+    assert degrees == []
+
+
 def test_realize_engine_failure_exits_5(monkeypatch):
     def stall(*args, **kwargs):
         raise realize._FoldStall("forced stall")

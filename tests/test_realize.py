@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 from rp2cover import cli, oracle
 from rp2cover import realize as realize_module
-from rp2cover.branch import BranchData, Partition
-from rp2cover.groups import imprimitivity_block
+from rp2cover.branch import BranchData, Partition, is_admissible
+from rp2cover.groups import block_system_from, imprimitivity_block
 from rp2cover.perm import Permutation, canonical_of_type, parse_permutation
 from rp2cover.realize import (
     Case,
@@ -435,7 +435,7 @@ class _FullScanSearch(realize_module._PairSearch):
                 raise SearchExhausted(
                     f"node budget {self.node_budget} exhausted", complete=False
                 )
-            top[2] = self.journal.mark()
+            top[2] = len(self.journal)
             entered = self._apply(len(stack), v)
 
 
@@ -539,10 +539,10 @@ def test_edge_records_undo_every_change(case, data):
         v = search.free_next[0]
         while v <= d:
             before = _search_state(search)
-            mark = search.journal.mark()
+            mark = len(search.journal)
             if search._apply(u, v):
                 assert _no_zero_counts(search)
-                assert search.journal.mark() == mark + 1
+                assert len(search.journal) == mark + 1
                 kept.append(v)
                 search._undo(mark)
             assert _search_state(search) == before
@@ -550,7 +550,7 @@ def test_edge_records_undo_every_change(case, data):
             v = search.free_next[v]
         if not kept:
             break
-        path.append((search.journal.mark(), _search_state(search)))
+        path.append((len(search.journal), _search_state(search)))
         assert search._apply(u, data.draw(st.sampled_from(kept)))
     # undo several edges at once, back to an earlier mark
     while path:
@@ -1085,3 +1085,90 @@ def test_decomposable_search_draws_few_roots_of_an_identity_product(monkeypatch)
     assert cert.transitive and cert.nonorientable and not cert.primitive
     assert tuple(range(1, 21)) in drawn
     assert sum(drawn.values()) <= 10
+
+
+def _all_twos_data(d, s):
+    return BranchData(d, tuple(Partition((2,) * (d // 2)) for _ in range(s)))
+
+
+def test_decomposable_search_draws_one_root(monkeypatch):
+    # three all-twos rows of degree 16: the tuple [g1] * 3, once tried
+    # first, drew all 1,680 roots of g1 before [g1, g2, g1] answered
+    drawn = []
+    roots = realize_module.iter_square_roots
+
+    def counted(p):
+        for r in roots(p):
+            drawn.append(r)
+            yield r
+
+    monkeypatch.setattr(realize_module, "iter_square_roots", counted)
+    res = realize_decomposable_search(_all_twos_data(16, 3))
+    assert res.engine == "decomposable_search"
+    assert not res.certificate.primitive
+    assert len(drawn) == 1
+
+
+def _old_random_class_element(parts: tuple[int, ...], d: int, rng: random.Random):
+    base = canonical_of_type(d, parts)
+    lam = Permutation(tuple(rng.sample(range(1, d + 1), d)))
+    return base.conjugate(lam)
+
+
+def _old_all_twos_variants(d, s, g1, g2, rng):
+    """The candidate tuples `realize_decomposable_search` tried in turn
+    before it took one tuple per row parity, kept as the reference."""
+    if s % 2 == 0:
+        yield [g1 if i % 2 == 0 else g2 for i in range(s)]
+        yield [g1, g2] + [g2, g2] * ((s - 2) // 2)
+    else:
+        yield [g1] * s
+        yield [g1, g2] + [g1] * (s - 2)
+    half = d // 2
+    parts = tuple([2] * half)
+    for _ in range(2000):
+        yield [_old_random_class_element(parts, d, rng) for _ in range(s)]
+
+
+def _parity_block(d, s):
+    """The block of the witness of s all-twos rows at degree d that the
+    proofs in `realize_decomposable_search` name: the odd points for even
+    s, the points 0 and 1 mod 4 for odd s."""
+    if s % 2 == 0:
+        return tuple(range(1, d + 1, 2))
+    return tuple(x for x in range(1, d + 1) if x % 4 in (0, 1))
+
+
+@pytest.mark.parametrize(
+    "d, s",
+    [
+        (d, s)
+        for d in range(4, 65, 2)
+        for s in range(2, 10)
+        if is_admissible(_all_twos_data(d, s)).ok
+    ],
+)
+def test_decomposable_search_takes_the_parity_tuple(d, s):
+    data = _all_twos_data(d, s)
+    res = realize_decomposable_search(data)
+    assert res.engine == "decomposable_search"
+    assert not res.certificate.primitive
+    assert res.certificate.witness_block is not None
+    blocks = block_system_from(res.witness.group(), _parity_block(d, s))
+    assert len(blocks) == 2
+    if d <= 20:
+        g1, g2 = canonical_involution_pair(d)
+        for gammas in _old_all_twos_variants(d, s, g1, g2, random.Random(0)):
+            old = realize_module._accept(
+                data, gammas, None, "decomposable_search", 0, primitive=False
+            )
+            if old is not None:
+                break
+        assert res.witness == old.witness
+
+
+def test_decomposable_search_odd_tuple_up_to_degree_256():
+    for d in range(4, 257, 4):
+        res = realize_decomposable_search(_all_twos_data(d, 3))
+        assert res.engine == "decomposable_search", d
+        assert len(block_system_from(res.witness.group(), _parity_block(d, 3))) == 2

@@ -7,6 +7,8 @@ from collections import defaultdict
 from itertools import islice
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rp2cover.perm import Permutation, canonical_of_type
 from rp2cover.squares import (
@@ -219,3 +221,32 @@ def test_iter_square_roots_is_lazy_and_not_recursive():
     for r in first:
         assert r * r == p
     assert next(iter_square_roots(Permutation.identity(d))).is_identity()
+
+
+def _old_sqrt(p: Permutation) -> Permutation | None:
+    """`sqrt` as it was before it took the first root of
+    `iter_square_roots`, kept as the reference."""
+    if not is_square(p):
+        return None
+    by_len: dict[int, list[tuple[int, ...]]] = {}
+    for c in p.cycles():
+        by_len.setdefault(len(c), []).append(c)
+    root_cycles = []
+    for n in sorted(by_len):
+        group = by_len[n]
+        if n % 2 == 1:
+            for c in group:
+                if n > 1:
+                    root_cycles.append(_root_cycle_odd(c))
+        else:
+            for i in range(0, len(group), 2):
+                root_cycles.append(_interleave(group[i], group[i + 1], 0))
+    return Permutation.from_cycles(p.degree, root_cycles)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 30).flatmap(lambda d: st.permutations(range(1, d + 1))))
+def test_sqrt_matches_the_old_builder(images):
+    p = Permutation(tuple(images))
+    for q in (p, p * p):
+        assert sqrt(q) == _old_sqrt(q)
