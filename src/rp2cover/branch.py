@@ -12,6 +12,7 @@ in which case the covering surface has Euler characteristic d - nu.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
@@ -31,12 +32,13 @@ class Partition:
     parts: tuple[int, ...]
 
     def __post_init__(self):
-        if not self.parts:
+        parts = self.parts
+        if not parts:
             raise ValueError("partition must have at least one part")
-        if any(not isinstance(p, int) or p < 1 for p in self.parts):
-            raise ValueError(f"parts must be positive integers: {self.parts!r}")
-        if any(self.parts[i] < self.parts[i + 1] for i in range(len(self.parts) - 1)):
-            raise ValueError(f"parts must be non-increasing: {self.parts!r}")
+        if not all(isinstance(p, int) for p in parts) or min(parts) < 1:
+            raise ValueError(f"parts must be positive integers: {parts!r}")
+        if sorted(parts, reverse=True) != list(parts):
+            raise ValueError(f"parts must be non-increasing: {parts!r}")
 
     @classmethod
     def of(cls, parts: Iterable[int]) -> Partition:
@@ -59,7 +61,7 @@ class Partition:
         return all(p == 2 for p in self.parts)
 
     def __str__(self) -> str:
-        return "[" + ",".join(str(p) for p in self.parts) + "]"
+        return "[" + ",".join(map(str, self.parts)) + "]"
 
 
 def nu_partition(parts: Iterable[int]) -> int:
@@ -105,7 +107,7 @@ class BranchData:
         return all(row.is_all_twos() for row in self.rows)
 
     def to_text(self) -> str:
-        return f"d={self.degree}; " + ",".join(str(r) for r in self.rows)
+        return f"d={self.degree}; " + ",".join(map(str, self.rows))
 
     def __str__(self) -> str:
         return self.to_text()
@@ -157,13 +159,55 @@ def preimage_count_check(data: BranchData) -> bool:
     return preimages == chi - data.degree * (1 - s)
 
 
+_ROW = r"\[\s*\d+(?:\s*,\s*\d+)*\s*\]"
+# The whole accepted language.  In a str pattern \d and \s are the classes
+# of str.isdecimal and str.isspace, the ones the scanner below reads.
+_LINE = re.compile(rf"\s*d\s*=\s*(\d+)\s*;\s*({_ROW}(?:\s*,\s*{_ROW})*)\s*")
+
+
 def parse_branch_data(text: str) -> BranchData:
     """Parse "d=<int>; [a,b,...],[c,...]" into branch data.
 
-    Whitespace is ignored between tokens.  Raises ParseError with a
-    character position on syntax errors, rows not summing to the degree,
-    and trivial rows.
+    Whitespace is ignored between tokens, and any Unicode decimal digits
+    are read.  Raises ParseError with a character position on syntax
+    errors, integers too long for int(), parts below 1, rows not summing
+    to the degree, and trivial rows.
+
+    Text the recognizer `_LINE` accepts is split and converted at C
+    level; only rejected text, or an integer int() refuses, goes through
+    the scanner `_scan`, which finds the position of the error.
     """
+    match = _LINE.fullmatch(text)
+    if match is None:
+        return _scan(text)
+    try:
+        degree = int(match[1])
+        rows = [
+            list(map(int, row.split(",")))
+            for row in "".join(match[2].split())[1:-1].split("],[")
+        ]
+    except ValueError:
+        return _scan(text)
+    for i, parts in enumerate(rows):
+        total = sum(parts)
+        if min(parts) < 1:
+            message = "parts must be at least 1"
+        elif total != degree:
+            message = f"row sums to {total}, expected {degree}"
+        elif max(parts) == 1:
+            message = "trivial row (all parts 1)"
+        else:
+            continue
+        # In accepted text every "[" opens a row.
+        position = -1
+        for _ in range(i + 1):
+            position = text.index("[", position + 1)
+        raise ParseError(message, position)
+    return BranchData(degree, tuple(map(Partition.of, rows)))
+
+
+def _scan(text: str) -> BranchData:
+    """Read text one character at a time; raise ParseError where it fails."""
     s = text
     n = len(s)
     pos = 0
@@ -188,7 +232,13 @@ def parse_branch_data(text: str) -> BranchData:
             pos += 1
         if pos == start:
             raise ParseError("expected an integer", start)
-        return int(s[start:pos])
+        try:
+            return int(s[start:pos])
+        except ValueError:
+            # more digits than sys.get_int_max_str_digits() allows
+            raise ParseError(
+                f"integer too long ({pos - start} digits)", start
+            ) from None
 
     expect("d")
     expect("=")

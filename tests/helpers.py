@@ -8,9 +8,18 @@ are compared against these on small degrees.
 from __future__ import annotations
 
 import itertools
+import sys
+
+import pytest
 
 from rp2cover.branch import BranchData, Partition, parse_branch_data
 from rp2cover.perm import Permutation
+
+# int() refuses strings of more decimal digits than this (0: no limit).
+INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_int_digit_limit = pytest.mark.skipif(
+    INT_DIGITS == 0, reason="this Python has no int() digit limit"
+)
 
 
 def all_images(d):

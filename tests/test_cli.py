@@ -14,6 +14,8 @@ import rp2cover
 from rp2cover import oracle, realize
 from rp2cover.cli import main
 
+from helpers import INT_DIGITS, needs_int_digit_limit
+
 
 def run(*argv):
     out, err = io.StringIO(), io.StringIO()
@@ -426,6 +428,23 @@ def test_batch_reports_unreadable_digits_and_goes_on(tmp_path):
     assert [("error" in r) for r in recs] == [False, True, False]
     assert recs[1]["error"] == "expected an integer (at position 2)"
     assert recs[2]["classification"]["verdict"] == "indecomposable_realizable"
+
+
+@needs_int_digit_limit
+def test_batch_reports_an_integer_too_long_for_int_and_goes_on(tmp_path):
+    digits = INT_DIGITS + 1
+    long_line = "d=" + "9" * digits + "; [2]"
+    want = f"integer too long ({digits} digits) (at position 2)"
+    path = tmp_path / "batch.txt"
+    path.write_text(f"d=4; [2,2],[2,2]\n{long_line}\nd=6; [3,2,1],[2,2,2]\n", encoding="utf-8")
+    code, out, _ = run("batch", str(path), "--format", "json")
+    assert code == 2
+    recs = [json.loads(ln) for ln in out.strip().splitlines()]
+    assert [("error" in r) for r in recs] == [False, True, False]
+    assert recs[1]["error"] == want
+    assert recs[2]["classification"]["verdict"] == "indecomposable_realizable"
+    code, out, err = run("check", long_line)
+    assert (code, out, err) == (2, "", f"error: {want}\n")
 
 
 def test_batch_missing_file(tmp_path):

@@ -97,7 +97,7 @@ def _row_multisets(d, max_rows):
 
 
 def test_search_classification_matches_closed_form():
-    for data in admissible_data([2, 4, 6], max_rows=3):
+    for data in admissible_data([2, 4, 6], max_rows=SearchBounds().max_rows):
         want = classify(data).verdict
         got = classify_by_search(data).verdict
         assert got == want, data.to_text()
