@@ -13,6 +13,7 @@ in which case the covering surface has Euler characteristic d - nu.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
@@ -189,14 +190,8 @@ def parse_branch_data(text: str) -> BranchData:
     except ValueError:
         return _scan(text)
     for i, parts in enumerate(rows):
-        total = sum(parts)
-        if min(parts) < 1:
-            message = "parts must be at least 1"
-        elif total != degree:
-            message = f"row sums to {total}, expected {degree}"
-        elif max(parts) == 1:
-            message = "trivial row (all parts 1)"
-        else:
+        message = _row_error(parts, degree)
+        if message is None:
             continue
         # In accepted text every "[" opens a row.
         position = -1
@@ -204,6 +199,24 @@ def parse_branch_data(text: str) -> BranchData:
             position = text.index("[", position + 1)
         raise ParseError(message, position)
     return BranchData(degree, tuple(map(Partition.of, rows)))
+
+
+def _row_error(parts: list[int], degree: int) -> str | None:
+    """Why a row of parts is not a non-trivial partition of the degree."""
+    if min(parts) < 1:
+        return "parts must be at least 1"
+    total = sum(parts)
+    if total != degree:
+        try:
+            return f"row sums to {total}, expected {degree}"
+        except ValueError:
+            # the sum has more digits than sys.get_int_max_str_digits()
+            # allows; the degree, read by int(), never does
+            limit = sys.get_int_max_str_digits()
+            return f"row sum has more than {limit} digits, expected {degree}"
+    if max(parts) == 1:
+        return "trivial row (all parts 1)"
+    return None
 
 
 def _scan(text: str) -> BranchData:
@@ -259,14 +272,9 @@ def _scan(text: str) -> BranchData:
             else:
                 break
         expect("]")
-        if any(p < 1 for p in parts):
-            raise ParseError("parts must be at least 1", row_start)
-        if sum(parts) != degree:
-            raise ParseError(
-                f"row sums to {sum(parts)}, expected {degree}", row_start
-            )
-        if all(p == 1 for p in parts):
-            raise ParseError("trivial row (all parts 1)", row_start)
+        message = _row_error(parts, degree)
+        if message is not None:
+            raise ParseError(message, row_start)
         rows.append(Partition.of(parts))
         skip_ws()
         if pos < n and s[pos] == ",":

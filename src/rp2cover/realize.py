@@ -30,7 +30,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import kernels
 from .branch import BranchData, is_admissible
@@ -855,6 +855,7 @@ def _fits(items: list[int], caps: tuple[int, ...]) -> bool:
     return False
 
 
+# nodes one pair search may visit; read at each call
 _DEFAULT_NODE_BUDGET = 300_000
 
 
@@ -863,30 +864,26 @@ def assemble_pair(
     type_b: Sequence[int],
     goal: PairGoal,
     *,
-    degree: int | None = None,
-    gamma_a: Permutation | None = None,
     rng: random.Random | None = None,
-    node_budget: int = _DEFAULT_NODE_BUDGET,
 ) -> tuple[Permutation, Permutation]:
     """Build permutations of the two given cycle types meeting a PairGoal.
 
-    gamma_a defaults to the canonical representative of `type_a` (any other
-    choice of gamma_a gives a conjugate answer, so nothing is lost).  The
-    pair returned satisfies: cycle types match, the group generated by the
-    pair has exactly goal.orbit_count orbits, and the product gamma_a *
-    gamma_b has the requested defect or cycle type.  Raises SearchExhausted
-    with complete=True when no such pair exists, complete=False when the
-    node budget ran out first.
+    gamma_a is the canonical representative of `type_a` (any other choice
+    gives a conjugate answer, so nothing is lost; the fold chain conjugates
+    what it has built onto it).  The pair returned satisfies: cycle types
+    match, the group generated by the pair has exactly goal.orbit_count
+    orbits, and the product gamma_a * gamma_b has the requested defect or
+    cycle type.  gamma_b is searched point by point in increasing order,
+    or in a shuffled order drawn from `rng` when one is given.  Raises
+    SearchExhausted with complete=True when no such pair exists,
+    complete=False when `_DEFAULT_NODE_BUDGET` nodes ran out first.
     """
     ta = tuple(sorted(type_a, reverse=True))
     tb = tuple(sorted(type_b, reverse=True))
-    d = degree or sum(ta)
-    if sum(ta) != d or sum(tb) != d:
+    d = sum(ta)
+    if sum(tb) != d:
         raise ValueError("cycle types must partition the same degree")
-    if gamma_a is None:
-        gamma_a = canonical_of_type(d, ta)
-    elif gamma_a.cycle_type() != ta:
-        raise ValueError("gamma_a does not have cycle type type_a")
+    gamma_a = canonical_of_type(d, ta)
     if goal.product_type is not None and sum(goal.product_type) != d:
         raise ValueError("product_type must partition the degree")
 
@@ -894,7 +891,7 @@ def assemble_pair(
     if max(ta) > 2 or max(tb) > 2 or _involution_pair_can_meet(
         goal, d, ta.count(1), tb.count(1)
     ):
-        found = _PairSearch(gamma_a, tb, goal, rng, node_budget).run()
+        found = _PairSearch(gamma_a, tb, goal, rng, _DEFAULT_NODE_BUDGET).run()
     if found is None:
         raise SearchExhausted(
             f"no pair of types {list(ta)}, {list(tb)} with {goal.describe()}",
@@ -1008,10 +1005,6 @@ class RealizationResult:
 _FOLD_ATTEMPT_CAP = 300
 
 
-class _FoldStall(Exception):
-    pass
-
-
 def _row_order(data: BranchData) -> list[int]:
     """Process rows so that the last one absorbed is not all twos, if possible.
 
@@ -1070,47 +1063,70 @@ def _goal_ladder(nu_prod: int, nu_row: int, d: int, rem_after: int) -> Iterator[
         yield PairGoal(orbit_count=1, product_defect=v)
 
 
+def _ladder_goals(data: BranchData, order: Sequence[int]):
+    """The goals of the fold_chain engine: fold j walks the goal ladder of
+    row order[j], and the last fold targets a product of type [d-1, 1]."""
+    d = data.degree
+    nus = [data.rows[j].nu for j in order]
+    last = len(order) - 1
+
+    def goals(j, prod):
+        if j == last:
+            return [PairGoal(orbit_count=1, product_type=(d - 1, 1))]
+        return _goal_ladder(prod.defect(), nus[j], d, sum(nus[j + 1 :]))
+
+    return goals
+
+
 def _fold_chain(
-    data: BranchData, order: list[int], rng: random.Random
+    data: BranchData,
+    order: Sequence[int],
+    rng: random.Random,
+    start: Sequence[Permutation],
+    goals: Callable[[int, Permutation], Iterable[PairGoal]],
 ) -> tuple[list[Permutation], list[FoldStep]]:
     """Absorb rows one at a time, keeping the running product canonical.
 
-    Each fold walks its goal ladder; when a later fold finds no workable
-    goal the chain backtracks and takes the next option at an earlier
-    fold.  A goal whose deterministic search ran out of nodes gets two
-    randomized retries before the next goal is tried: the search builds
-    gamma_b point by point, and some row pairs defeat that order on every
-    goal of the ladder while a shuffled order succeeds within a few
-    thousand nodes.  The whole chain may spend one goal attempt per fold
-    plus `_FOLD_ATTEMPT_CAP` more.  The chain runs on an explicit stack
-    with one fold generator per row absorbed, so its depth is not bounded
-    by the recursion limit.
+    `start` holds the gammas of rows order[:len(start)]; fold j absorbs
+    row order[j], trying in turn the goals `goals(j, prod)` gives for the
+    product prod of the gammas so far.  Each fold conjugates everything
+    built so far onto the canonical frame `assemble_pair` starts from.
+    When a later fold finds no workable goal the chain backtracks and
+    takes the next option at an earlier fold.  A goal whose deterministic
+    search ran out of nodes gets two randomized retries before the next
+    goal is tried: the search builds gamma_b point by point, and some row
+    pairs defeat that order on every goal of the ladder while a shuffled
+    order succeeds within a few thousand nodes.  The whole chain may spend
+    one goal attempt per fold plus `_FOLD_ATTEMPT_CAP` more.  The chain
+    runs on an explicit stack with one fold generator per row absorbed, so
+    its depth is not bounded by the recursion limit.
 
-    Returns the gammas in processing order, whose product has type
-    [d-1, 1], and the trace.  Raises _FoldStall if no goal sequence works.
+    Returns the gammas of the rows in `order` and the trace.  Raises
+    EngineDefect if no goal sequence works.
     """
     d = data.degree
     rows = [data.rows[j] for j in order]
-    nus = [r.nu for r in rows]
-    first = canonical_of_type(d, rows[0].parts)
-    cap = len(rows) - 1 + _FOLD_ATTEMPT_CAP
+    folds = len(rows) - len(start)
+    cap = folds + _FOLD_ATTEMPT_CAP
     attempts = 0
+
+    def stalled(why: str) -> EngineDefect:
+        return EngineDefect(
+            f"fold chain stalled on {data.to_text()}: {why}; this contradicts "
+            "its classification and indicates an engine bug or undersized budget"
+        )
 
     def fold(gammas, prod, j, trace):
         """The states after absorbing row j, in the order they are tried."""
         nonlocal attempts
         ptype = prod.cycle_type()
-        if j == len(rows) - 1:
-            goals = [PairGoal(orbit_count=1, product_type=(d - 1, 1))]
-        else:
-            goals = _goal_ladder(prod.defect(), nus[j], d, sum(nus[j + 1 :]))
-        for goal in goals:
+        for goal in goals(j, prod):
             cut = False
             for use_rng in (False, True, True):
                 if use_rng and not cut:
                     break
                 if attempts >= cap:
-                    raise _FoldStall("fold goal attempt budget spent")
+                    raise stalled("fold goal attempt budget spent")
                 attempts += 1
                 try:
                     ga, gb = assemble_pair(
@@ -1131,18 +1147,19 @@ def _fold_chain(
                 )
                 yield nxt, nprod, trace + [step]
 
-    # stack[j - 1] is the generator of fold j
-    stack = [fold([first], first, 1, [])]
+    prod = Permutation(kernels.product_of([g.images for g in start], d))
+    # stack[i] is the generator of fold len(start) + i
+    stack = [fold(list(start), prod, len(start), [])]
     while stack:
         got = next(stack[-1], None)
         if got is None:
             stack.pop()
             continue
         gammas, prod, trace = got
-        if len(stack) == len(rows) - 1:
+        if len(stack) == folds:
             return gammas, trace
-        stack.append(fold(gammas, prod, len(stack) + 1, trace))
-    raise _FoldStall("no feasible goal sequence")
+        stack.append(fold(gammas, prod, len(start) + len(stack), trace))
+    raise stalled("no feasible goal sequence")
 
 
 def _alpha_for_product(
@@ -1234,56 +1251,26 @@ def _with_shared_points(w: HurwitzWitness) -> HurwitzWitness:
 def _realize_all_twos(data: BranchData, seed: int | None) -> RealizationResult | None:
     """Rows all of type [2,...,2]: start from the canonical involution pair.
 
-    The pair multiplies to two d/2-cycles; one or two more rows steer the
+    The pair multiplies to two d/2-cycles; one or two more rows fold the
     product to type [d-1, 1], then the remaining rows are inserted as
     repeats of the second involution, which cancel in the product.
     """
     d, s = data.degree, data.rows_count
-    half = d // 2
-    row = data.rows[0]
-    g1, g2 = canonical_involution_pair(d)
-    core = [g1, g2]
-    prod = g1 * g2
-    trace: list[FoldStep] = []
-
-    def fold_onto(target_type: tuple[int, ...]) -> bool:
-        # conjugating everything built so far onto the canonical frame of
-        # the current product lets assemble_pair always start canonical
-        nonlocal prod
-        goal = PairGoal(orbit_count=1, product_type=target_type)
-        try:
-            ga, gb = assemble_pair(prod.cycle_type(), row.parts, goal)
-        except SearchExhausted:
-            return False
-        mu = conjugator(prod, ga)
-        core[:] = [g.conjugate(mu) for g in core]
-        core.append(gb)
-        prod = ga * gb
-        trace.append(
-            FoldStep(
-                row=len(core) - 1,
-                goal=goal,
-                product_type=prod.cycle_type(),
-                orbits=1,
-            )
-        )
-        return True
-
-    if half % 2 == 0:
-        if not fold_onto((d - 1, 1)):
-            return None
-        if s % 2 == 0 and not fold_onto((d - 1, 1)):
-            return None
+    if (d // 2) % 2 == 0:
+        targets = [(d - 1, 1)] * (2 - s % 2)
     else:
         # d/2 odd forces an even row count; pass through a full cycle first
-        if not fold_onto((d,)):
-            return None
-        if not fold_onto((d - 1, 1)):
-            return None
-
-    pads = s - len(core)
+        targets = [(d,), (d - 1, 1)]
+    pads = s - 2 - len(targets)
     if pads < 0 or pads % 2:
         raise EngineDefect("all-twos padding parity is off")
+    core, trace = _fold_chain(
+        data,
+        range(2 + len(targets)),
+        random.Random(seed),
+        canonical_involution_pair(d),
+        lambda j, prod: [PairGoal(orbit_count=1, product_type=targets[j - 2])],
+    )
     gammas = core[:2] + [core[1]] * pads + core[2:]
     return _accept(data, gammas, None, "all_twos_chain", seed, trace=trace)
 
@@ -1328,13 +1315,10 @@ def realize_indecomposable(
         result = _realize_all_twos(data, seed)
     else:
         order = _row_order(data)
-        try:
-            gammas, trace = _fold_chain(data, order, random.Random(seed))
-        except _FoldStall as e:
-            raise EngineDefect(
-                f"fold chain stalled on {data.to_text()}: {e}; this contradicts "
-                "its classification and indicates an engine bug or undersized budget"
-            ) from e
+        first = canonical_of_type(d, data.rows[order[0]].parts)
+        gammas, trace = _fold_chain(
+            data, order, random.Random(seed), [first], _ladder_goals(data, order)
+        )
         result = _accept(
             data, gammas, None, "fold_chain", seed, order=order, trace=trace
         )

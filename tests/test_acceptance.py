@@ -219,20 +219,26 @@ def _mixed_instance(d, s, rng):
         return data
 
 
+def criterion_05_instances():
+    """The 63 realizable instances of criterion 5, d up to 14."""
+    rng = random.Random(20260823)
+    instances = []
+    for s in (2, 4):
+        instances.append(data_of("d=2; " + ",".join(["[2]"] * s)))
+    for d, s in ((6, 4), (8, 3), (8, 4), (10, 4), (12, 3), (12, 4), (14, 4)):
+        row = "[" + ",".join(["2"] * (d // 2)) + "]"
+        instances.append(data_of(f"d={d}; " + ",".join([row] * s)))
+    for d in (4, 6, 8, 10, 12, 14):
+        for s in (2, 3, 4):
+            for _ in range(3):
+                instances.append(_mixed_instance(d, s, rng))
+    return instances
+
+
 def test_criterion_05_construction_batch_under_time_budget():
     """63 realizable instances, d up to 14: construct, verify, each < 1 s."""
     with criterion(5, "constructions verified within time budget"):
-        rng = random.Random(20260823)
-        instances = []
-        for s in (2, 4):
-            instances.append(data_of("d=2; " + ",".join(["[2]"] * s)))
-        for d, s in ((6, 4), (8, 3), (8, 4), (10, 4), (12, 3), (12, 4), (14, 4)):
-            row = "[" + ",".join(["2"] * (d // 2)) + "]"
-            instances.append(data_of(f"d={d}; " + ",".join([row] * s)))
-        for d in (4, 6, 8, 10, 12, 14):
-            for s in (2, 3, 4):
-                for _ in range(3):
-                    instances.append(_mixed_instance(d, s, rng))
+        instances = criterion_05_instances()
         assert len(instances) == 63
         engines = Counter()
         for i, data in enumerate(instances):

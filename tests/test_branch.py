@@ -62,6 +62,13 @@ def test_parse_is_whitespace_tolerant_and_sorts_parts():
             marks=needs_int_digit_limit,
             id="part-too-long-for-int",
         ),
+        # parts int() reads whose sum has too many digits to print
+        pytest.param(
+            "d=1; [" + "9" * INT_DIGITS + "," + "9" * INT_DIGITS + "]",
+            5,
+            marks=needs_int_digit_limit,
+            id="row-sum-too-long-to-print",
+        ),
     ],
 )
 def test_parse_error_positions(text, position):

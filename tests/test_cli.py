@@ -270,14 +270,17 @@ def test_verify_refuses_a_claimed_degree_before_building_it(tmp_path, monkeypatc
 
 
 def test_realize_engine_failure_exits_5(monkeypatch):
-    def stall(*args, **kwargs):
-        raise realize._FoldStall("forced stall")
+    def no_pair(*args, **kwargs):
+        raise realize.SearchExhausted("forced: no such pair", complete=True)
 
-    monkeypatch.setattr(realize, "_fold_chain", stall)
+    monkeypatch.setattr(realize, "assemble_pair", no_pair)
     code, out, err = run("realize", "d=6; [3,2,1],[2,2,2]")
     assert code == 5
     assert out == ""
-    assert err.startswith("error: ")
+    assert err.startswith(
+        "error: fold chain stalled on d=6; [3,2,1],[2,2,2]: no feasible goal sequence; "
+    )
+    assert err.count("\n") == 1
 
 
 def test_realize_search_exhausted_exits_5(monkeypatch):
@@ -435,16 +438,25 @@ def test_batch_reports_an_integer_too_long_for_int_and_goes_on(tmp_path):
     digits = INT_DIGITS + 1
     long_line = "d=" + "9" * digits + "; [2]"
     want = f"integer too long ({digits} digits) (at position 2)"
+    # each part is within the limit, their sum is not
+    long_sum = "d=1; [" + "9" * INT_DIGITS + "," + "9" * INT_DIGITS + "]"
+    want_sum = f"row sum has more than {INT_DIGITS} digits, expected 1 (at position 5)"
     path = tmp_path / "batch.txt"
-    path.write_text(f"d=4; [2,2],[2,2]\n{long_line}\nd=6; [3,2,1],[2,2,2]\n", encoding="utf-8")
+    path.write_text(
+        f"d=4; [2,2],[2,2]\n{long_line}\n{long_sum}\nd=6; [3,2,1],[2,2,2]\n",
+        encoding="utf-8",
+    )
     code, out, _ = run("batch", str(path), "--format", "json")
     assert code == 2
     recs = [json.loads(ln) for ln in out.strip().splitlines()]
-    assert [("error" in r) for r in recs] == [False, True, False]
+    assert [("error" in r) for r in recs] == [False, True, True, False]
     assert recs[1]["error"] == want
-    assert recs[2]["classification"]["verdict"] == "indecomposable_realizable"
+    assert recs[2]["error"] == want_sum
+    assert recs[3]["classification"]["verdict"] == "indecomposable_realizable"
     code, out, err = run("check", long_line)
     assert (code, out, err) == (2, "", f"error: {want}\n")
+    code, out, err = run("check", long_sum)
+    assert (code, out, err) == (2, "", f"error: {want_sum}\n")
 
 
 def test_batch_missing_file(tmp_path):

@@ -169,19 +169,6 @@ def test_assemble_pair_hits_requested_defect():
     assert prod.cycle_type() in ((5, 1), (4, 2), (3, 3))
 
 
-def test_assemble_pair_respects_fixed_first_factor():
-    ga = parse_permutation("(1 3)(2 5)", 6)
-    a, b = assemble_pair(
-        (2, 2, 1, 1),
-        (3, 2, 1),
-        PairGoal(orbit_count=1, product_defect=5),
-        gamma_a=ga,
-    )
-    assert a == ga
-    assert b.cycle_type() == (3, 2, 1)
-    assert (a * b).cycle_type() == (6,)
-
-
 def test_assemble_pair_multiple_orbits():
     a, b = assemble_pair((2, 2), (2, 2), PairGoal(orbit_count=2, product_defect=0))
     prod = a * b
@@ -241,16 +228,17 @@ def test_involution_pair_goals_match_every_pair(d, ta, tb):
             assert realize_module._involution_pair_can_meet(goal, d, fa, fb) == want
 
 
-def test_involution_pair_goal_it_cannot_meet_is_refused_without_search():
+def test_involution_pair_goal_it_cannot_meet_is_refused_without_search(monkeypatch):
     # the pair search cannot see that such a goal is out of reach and
     # would spend its whole node budget on it; two all-twos rows folded
     # first meet about d/2 such goals on their ladder
+    monkeypatch.setattr(realize_module, "_DEFAULT_NODE_BUDGET", 10)
     with pytest.raises(SearchExhausted) as info:
         assemble_pair(
-            (2,) * 16, (2,) * 16, PairGoal(orbit_count=1, product_type=(31, 1)),
-            node_budget=10,
+            (2,) * 16, (2,) * 16, PairGoal(orbit_count=1, product_type=(31, 1))
         )
     assert info.value.complete
+    monkeypatch.undo()
     twos = "[" + ",".join(["2"] * 16) + "]"
     data = data_of(f"d=32; {twos},[13,11,5,3],{twos}")
     res = realize_indecomposable(data, seed=136)
@@ -258,13 +246,11 @@ def test_involution_pair_goal_it_cannot_meet_is_refused_without_search():
     assert res.trace[0].goal == PairGoal(orbit_count=1, product_defect=30)
 
 
-def test_assemble_pair_budget_cut_is_flagged_incomplete():
+def test_assemble_pair_budget_cut_is_flagged_incomplete(monkeypatch):
+    monkeypatch.setattr(realize_module, "_DEFAULT_NODE_BUDGET", 3)
     with pytest.raises(SearchExhausted) as info:
         assemble_pair(
-            (2, 2, 2, 2, 1),
-            (3, 3, 3),
-            PairGoal(orbit_count=1, product_type=(9,)),
-            node_budget=3,
+            (2, 2, 2, 2, 1), (3, 3, 3), PairGoal(orbit_count=1, product_type=(9,))
         )
     assert not info.value.complete
 
@@ -889,12 +875,37 @@ def test_classification_witness_is_not_part_of_the_verdict():
 
 
 def test_fold_stall_is_an_engine_defect(monkeypatch):
-    def stall(*args, **kwargs):
-        raise realize_module._FoldStall("forced stall")
+    # both even-degree engines fold through one loop, which stalls when
+    # every goal of a fold is refused
+    def no_pair(*args, **kwargs):
+        raise SearchExhausted("forced: no such pair", complete=True)
 
-    monkeypatch.setattr(realize_module, "_fold_chain", stall)
-    with pytest.raises(EngineDefect, match="forced stall"):
-        realize_indecomposable(data_of("d=6; [3,2,1],[2,2,2]"))
+    monkeypatch.setattr(realize_module, "assemble_pair", no_pair)
+    for text in ("d=6; [3,2,1],[2,2,2]", "d=8; [2,2,2,2],[2,2,2,2],[2,2,2,2]"):
+        with pytest.raises(EngineDefect) as info:
+            realize_indecomposable(data_of(text))
+        assert str(info.value).startswith(
+            f"fold chain stalled on {text}: no feasible goal sequence; "
+        )
+
+
+def test_all_twos_fold_cut_by_the_node_budget_is_retried(monkeypatch):
+    # an all-twos fold whose deterministic search is cut gets the same
+    # randomized retries as a fold of the fold_chain engine
+    assemble = realize_module.assemble_pair
+    cuts = []
+
+    def first_search_cut(type_a, type_b, goal, *, rng=None):
+        if not cuts:
+            cuts.append(rng)
+            raise SearchExhausted("forced budget cut", complete=False)
+        return assemble(type_a, type_b, goal, rng=rng)
+
+    monkeypatch.setattr(realize_module, "assemble_pair", first_search_cut)
+    res = realize_indecomposable(data_of("d=8; [2,2,2,2],[2,2,2,2],[2,2,2,2]"))
+    assert cuts == [None]
+    assert res.engine == "all_twos_chain"
+    assert res.certificate.all_ok
 
 
 def test_realize_more_rows_than_the_fold_retry_allowance():
