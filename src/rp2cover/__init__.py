@@ -15,25 +15,18 @@ from .branch import (
     Partition,
     euler_char_covering,
     is_admissible,
-    nu_partition,
     parse_branch_data,
-    preimage_count_check,
 )
 from .groups import (
     GeneratedGroup,
-    GroupTooLargeError,
     NotABlockError,
     block_system_from,
     conjugator,
-    elements,
     group_of,
     imprimitivity_block,
     is_primitive,
     is_transitive,
-    minimal_block_containing,
-    orbits,
     pair_conjugator,
-    stabilizer_is_maximal,
 )
 from .kernels import BACKEND
 from .perm import Permutation, canonical_of_type, format_cycles, parse_permutation
@@ -70,7 +63,6 @@ __all__ = [
     "Classification",
     "EngineDefect",
     "GeneratedGroup",
-    "GroupTooLargeError",
     "HurwitzWitness",
     "NotABlockError",
     "NotRealizableError",
@@ -91,7 +83,6 @@ __all__ = [
     "canonical_of_type",
     "classify",
     "conjugator",
-    "elements",
     "euler_char_covering",
     "format_cycles",
     "group_of",
@@ -100,17 +91,12 @@ __all__ = [
     "is_primitive",
     "is_square",
     "is_transitive",
-    "minimal_block_containing",
-    "nu_partition",
-    "orbits",
     "pair_conjugator",
     "parse_branch_data",
     "parse_permutation",
-    "preimage_count_check",
     "realize_decomposable_search",
     "realize_indecomposable",
     "sqrt",
     "sqrt_odd_cycle",
-    "stabilizer_is_maximal",
     "verify_witness",
 ]

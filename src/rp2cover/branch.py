@@ -65,18 +65,6 @@ class Partition:
         return "[" + ",".join(map(str, self.parts)) + "]"
 
 
-def nu_partition(parts: Iterable[int]) -> int:
-    """Defect of a partition given as a bag of parts.
-
-    >>> nu_partition([2, 2, 1, 1])
-    2
-    >>> nu_partition([6])
-    5
-    """
-    parts = list(parts)
-    return sum(parts) - len(parts)
-
-
 @dataclass(frozen=True)
 class BranchData:
     """Degree plus one non-trivial partition of the degree per branch point."""
@@ -145,19 +133,6 @@ def euler_char_covering(data: BranchData) -> int:
     if not adm.ok:
         raise ValueError(f"branch data not admissible: {adm.reason}")
     return data.degree - data.total_defect()
-
-
-def preimage_count_check(data: BranchData) -> bool:
-    """Identity between branch point preimages and Euler characteristics.
-
-    The covering has sum(len(row.parts)) points over the branch set, and
-    this count must equal chi(M) - d * (1 - s).  Holds for all admissible
-    data by construction; exposed so certificates can assert it.
-    """
-    chi = euler_char_covering(data)
-    s = data.rows_count
-    preimages = sum(len(row.parts) for row in data.rows)
-    return preimages == chi - data.degree * (1 - s)
 
 
 _ROW = r"\[\s*\d+(?:\s*,\s*\d+)*\s*\]"

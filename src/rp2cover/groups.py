@@ -1,8 +1,7 @@
 """Analysis of permutation groups given by generators.
 
-Groups are handled purely through generating sets; nothing here needs or
-builds a full group unless explicitly asked to (elements, stabilizer
-maximality).  Blocks of a transitive group are computed by partition
+Groups are handled purely through generating sets; nothing here builds a
+full group.  Blocks of a transitive group are computed by partition
 refinement: identify two points and close under the generators; the class
 of a point in the result is the minimal block containing the seed pair.
 """
@@ -10,14 +9,9 @@ of a point in the result is the minimal block containing the seed pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from . import kernels
 from .perm import Permutation
-
-
-class GroupTooLargeError(RuntimeError):
-    """Element enumeration exceeded the requested cap."""
 
 
 class NotABlockError(ValueError):
@@ -48,24 +42,8 @@ def group_of(*perms: Permutation) -> GeneratedGroup:
     return GeneratedGroup(perms[0].degree, tuple(perms))
 
 
-def orbits(G: GeneratedGroup) -> tuple[tuple[int, ...], ...]:
-    """Orbits as sorted tuples, ordered by minimal element."""
-    return kernels.orbits(G.generator_images(), G.degree)
-
-
 def is_transitive(G: GeneratedGroup) -> bool:
     return kernels.is_transitive(G.generator_images(), G.degree)
-
-
-def minimal_block_containing(G: GeneratedGroup, pair: tuple[int, int]) -> tuple[int, ...]:
-    """Minimal block of a transitive group containing the two given points."""
-    x, y = pair
-    d = G.degree
-    if not (1 <= x <= d and 1 <= y <= d) or x == y:
-        raise ValueError(f"seed pair must be two distinct points in 1..{d}")
-    if not is_transitive(G):
-        raise ValueError("group is not transitive")
-    return kernels.minimal_block(G.generator_images(), d, x, y)
 
 
 def imprimitivity_block(G: GeneratedGroup) -> tuple[int, ...] | None:
@@ -131,79 +109,6 @@ def block_system_from(G: GeneratedGroup, block: tuple[int, ...]) -> tuple[tuple[
                 point_to_block[x] = image
             queue.append(image)
     return tuple(sorted(seen))
-
-
-def elements(G: GeneratedGroup, cap: int = 20000) -> list[Permutation]:
-    """Full closure of the generators under composition, sorted by images.
-
-    Raises GroupTooLargeError as soon as the closure exceeds cap.
-    """
-    seen = _closure_images(G.generator_images(), G.degree, cap)
-    return [Permutation(t) for t in sorted(seen)]
-
-
-def _closure_images(gens: Sequence[tuple[int, ...]], d: int, cap: int) -> set[tuple[int, ...]]:
-    ident = kernels.identity(d)
-    seen = {ident}
-    queue = [ident]
-    while queue:
-        u = queue.pop()
-        for g in gens:
-            v = kernels.compose(u, g)
-            if v not in seen:
-                if len(seen) >= cap:
-                    raise GroupTooLargeError(f"group exceeds cap {cap}")
-                seen.add(v)
-                queue.append(v)
-    return seen
-
-
-def _small_generating_set(members: list[tuple[int, ...]], d: int, cap: int) -> list[tuple[int, ...]]:
-    """Greedy generating subset of a subgroup given by its element list."""
-    gens: list[tuple[int, ...]] = []
-    have: set[tuple[int, ...]] = {kernels.identity(d)}
-    for h in members:
-        if h not in have:
-            gens.append(h)
-            have = _closure_images(gens, d, cap)
-    return gens
-
-
-def stabilizer_is_maximal(G: GeneratedGroup, x: int, cap: int = 20000) -> bool:
-    """True iff the stabilizer of x is a maximal subgroup of G.
-
-    Equivalent to: adjoining any element outside the stabilizer generates
-    all of G.  It suffices to adjoin one coset representative per orbit of
-    the stabilizer, which keeps the number of closures at degree size.
-    Requires G transitive; enumerates G, so subject to cap.
-    """
-    d = G.degree
-    if not 1 <= x <= d:
-        raise ValueError(f"point {x} outside 1..{d}")
-    if not is_transitive(G):
-        raise ValueError("group is not transitive")
-    full = {p.images for p in elements(G, cap)}
-    stab = sorted(t for t in full if t[x - 1] == x)
-    stab_gens = _small_generating_set(stab, d, cap)
-    transversal: dict[int, tuple[int, ...]] = {}
-    for t in sorted(full):
-        transversal.setdefault(t[x - 1], t)
-    stab_orbit_labels = kernels.component_labels(
-        tuple(stab_gens) or (kernels.identity(d),), d
-    )
-    seen_orbits = set()
-    for y in range(1, d + 1):
-        if y == x:
-            continue
-        lb = stab_orbit_labels[y - 1]
-        if lb in seen_orbits:
-            continue
-        seen_orbits.add(lb)
-        g = transversal[y]
-        extended = _closure_images(stab_gens + [g], d, cap)
-        if len(extended) != len(full):
-            return False
-    return True
 
 
 def conjugator(p: Permutation, q: Permutation) -> Permutation | None:

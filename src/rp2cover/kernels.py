@@ -128,14 +128,6 @@ def is_transitive(gens, d):
     return orbit_count(gens, d) == 1
 
 
-def orbits(gens, d):
-    labels = component_labels(gens, d)
-    buckets = {}
-    for x in range(1, d + 1):
-        buckets.setdefault(labels[x - 1], []).append(x)
-    return tuple(tuple(buckets[k]) for k in sorted(buckets))
-
-
 def alpha_extension(labels, alpha, d):
     """Connectivity and orientation data for adding alpha on top of a group.
 

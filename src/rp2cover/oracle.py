@@ -123,10 +123,6 @@ def class_images(d: int, parts: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def class_size(d: int, parts: tuple[int, ...]) -> int:
-    return len(class_images(d, tuple(parts)))
-
-
 @lru_cache(maxsize=None)
 def _roots_of(images: tuple[int, ...], cap: int) -> tuple[tuple[int, ...], ...]:
     roots = all_square_roots(Permutation(images), cap=cap)

@@ -282,13 +282,11 @@ def verify_witness(
             for i in range(data.rows_count)
         )
 
-    prod = Permutation.identity(d)
-    for g in witness.gammas:
-        prod = prod * g
+    gamma_imgs = [g.images for g in witness.gammas]
+    prod = Permutation(kernels.product_of(gamma_imgs, d))
     relation_ok = prod == (witness.alpha * witness.alpha).inverse()
 
     alpha_imgs = witness.alpha.images
-    gamma_imgs = [g.images for g in witness.gammas]
     labels = kernels.component_labels(gamma_imgs, d)
     transitive, orientable = kernels.alpha_extension(labels, alpha_imgs, d)
 
@@ -1039,7 +1037,8 @@ def _goal_ladder(nu_prod: int, nu_row: int, d: int, rem_after: int) -> Iterator[
     parity allows: that shape always absorbs the next row by attaching its
     cycles to the big one, so later folds never get cornered.  Plain
     defect goals follow as backup, stepping down in twos because the
-    product defect parity is forced.
+    product defect parity is forced.  No goal breaks Riemann-Hurwitz: a
+    pair with k orbits needs nu_prod + nu_row + nu(product) >= 2(d - k).
 
     The goals are made as they are asked for: a fold usually takes the
     first, and each product type costs O(d log d) to build.
@@ -1050,13 +1049,12 @@ def _goal_ladder(nu_prod: int, nu_row: int, d: int, rem_after: int) -> Iterator[
         yield PairGoal(orbit_count=t, product_type=_one_cycle_type(d, total + 1))
         yield PairGoal(orbit_count=t, product_defect=total)
         if total >= 2:
-            yield PairGoal(orbit_count=t, product_defect=total - 2)
             yield PairGoal(orbit_count=t + 1, product_defect=total - 2)
         return
     cap = d - 1 if (total - (d - 1)) % 2 == 0 else d - 2
     # the product defect can still move by at most nu(row) per remaining
     # fold, and the chain must end at defect d - 2
-    lo = max(abs(nu_prod - nu_row), (d - 2) - rem_after, 0)
+    lo = max(abs(nu_prod - nu_row), (d - 2) - rem_after, 2 * (d - 1) - total, 0)
     for v in range(cap, lo - 1, -2):
         yield PairGoal(orbit_count=1, product_type=_one_cycle_type(d, v + 1))
     for v in range(cap, lo - 1, -2):

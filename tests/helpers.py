@@ -153,3 +153,25 @@ def brute_orbits(gens, d):
             seen.add(rep)
             out.append(tuple(sorted(reach[rep])))
     return tuple(out)
+
+
+def stabilizer_is_maximal(G, x):
+    """True iff the stabilizer S of x is a maximal subgroup of the transitive G.
+
+    That is, S with any element g outside it adjoined generates all of G.
+    The group <S, g> depends only on the S-orbit of x^g, so one g per
+    S-orbit is tried.  Enumerates G, so only usable for small groups.
+    """
+    from rp2cover import kernels
+
+    d = G.degree
+    if not kernels.is_transitive(G.generator_images(), d):
+        raise ValueError("group is not transitive")
+    full = brute_elements(G.generator_images(), d)
+    stab = [t for t in full if t[x - 1] == x]
+    image_of_x = {t[x - 1]: t for t in full}
+    return all(
+        len(brute_elements(stab + [image_of_x[orbit[0]]], d)) == len(full)
+        for orbit in brute_orbits(stab, d)
+        if orbit != (x,)
+    )

@@ -9,7 +9,6 @@ real construction output rather than hand-picked samples.
 from __future__ import annotations
 
 import io
-import json
 import math
 import random
 import time
@@ -19,13 +18,7 @@ from itertools import combinations_with_replacement
 
 from rp2cover.branch import BranchData, Partition, euler_char_covering, is_admissible
 from rp2cover.cli import main
-from rp2cover.groups import (
-    GroupTooLargeError,
-    elements,
-    group_of,
-    is_primitive,
-    stabilizer_is_maximal,
-)
+from rp2cover.groups import group_of, is_primitive
 from rp2cover.oracle import (
     SearchBounds,
     exists_primitive_realization,
@@ -36,16 +29,10 @@ from rp2cover.oracle import (
     tuple_survey,
 )
 from rp2cover.perm import Permutation, canonical_of_type
-from rp2cover.realize import (
-    Case,
-    Verdict,
-    classify,
-    realize_indecomposable,
-    verify_witness,
-)
+from rp2cover.realize import Verdict, classify, realize_indecomposable, verify_witness
 from rp2cover.squares import is_square, sqrt, sqrt_odd_cycle
 
-from helpers import data_of, nontrivial_partitions
+from helpers import brute_elements, data_of, nontrivial_partitions, stabilizer_is_maximal
 
 
 @contextmanager
@@ -70,10 +57,7 @@ def _register(data, witness, row_map=None):
     if witness.degree > 6:
         return
     G = witness.group()
-    try:
-        key = tuple(sorted(p.images for p in elements(G)))
-    except GroupTooLargeError:
-        return
+    key = tuple(sorted(brute_elements(G.generator_images(), G.degree)))
     if key not in _GROUP_KEYS:
         _GROUP_KEYS.add(key)
         GROUPS.append(G)

@@ -13,9 +13,7 @@ from rp2cover.branch import (
     Partition,
     euler_char_covering,
     is_admissible,
-    nu_partition,
     parse_branch_data,
-    preimage_count_check,
 )
 
 from helpers import INT_DIGITS, admissible_data, needs_int_digit_limit
@@ -107,9 +105,9 @@ def test_partition_validation():
 
 
 def test_nu_partition_values():
-    assert nu_partition([2, 2, 1, 1]) == 2
-    assert nu_partition([6]) == 5
-    assert nu_partition([1, 1, 1]) == 0
+    assert Partition((2, 2, 1, 1)).nu == 2
+    assert Partition((6,)).nu == 5
+    assert Partition((1, 1, 1)).nu == 0
 
 
 def test_branch_data_validation():
@@ -162,10 +160,13 @@ def test_euler_characteristic_requires_admissibility():
 
 
 def test_preimage_identity_on_all_small_admissible_data():
+    # the sum(len(row.parts)) points over the branch set number
+    # chi(M) - d(1 - s)
     cases = admissible_data([2, 3, 4, 5, 6], max_rows=3)
     assert len(cases) > 100
     for data in cases:
-        assert preimage_count_check(data)
+        preimages = sum(len(row.parts) for row in data.rows)
+        assert preimages == euler_char_covering(data) - data.degree * (1 - data.rows_count)
 
 
 def test_admissible_even_degree_needs_two_rows():
