@@ -173,7 +173,25 @@ def parse_branch_data(text: str) -> BranchData:
         for _ in range(i + 1):
             position = text.index("[", position + 1)
         raise ParseError(message, position)
-    return BranchData(degree, tuple(map(Partition.of, rows)))
+    return _accepted(degree, rows)
+
+
+def _accepted(degree: int, rows: list[list[int]]) -> BranchData:
+    """BranchData from rows `_row_error` accepted, without checking again.
+
+    The objects are the ones `BranchData(degree, tuple(map(Partition.of,
+    rows)))` builds, equal and with the same hash; the public constructors
+    keep their checks for every other caller.
+    """
+    new = object.__new__
+    partitions = []
+    for parts in rows:
+        partition = new(Partition)
+        partition.__dict__["parts"] = tuple(sorted(parts, reverse=True))
+        partitions.append(partition)
+    data = new(BranchData)
+    data.__dict__.update(degree=degree, rows=tuple(partitions))
+    return data
 
 
 def _row_error(parts: list[int], degree: int) -> str | None:
@@ -250,7 +268,7 @@ def _scan(text: str) -> BranchData:
         message = _row_error(parts, degree)
         if message is not None:
             raise ParseError(message, row_start)
-        rows.append(Partition.of(parts))
+        rows.append(parts)
         skip_ws()
         if pos < n and s[pos] == ",":
             pos += 1
@@ -261,4 +279,4 @@ def _scan(text: str) -> BranchData:
         raise ParseError("unexpected trailing input", pos)
     if degree < 1:
         raise ParseError("degree must be positive", 0)
-    return BranchData(degree, tuple(rows))
+    return _accepted(degree, rows)

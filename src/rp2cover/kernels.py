@@ -128,44 +128,53 @@ def is_transitive(gens, d):
     return orbit_count(gens, d) == 1
 
 
-def alpha_extension(labels, alpha, d):
-    """Connectivity and orientation data for adding alpha on top of a group.
+def orbit_index(gens, d):
+    """Orbits of the group generated by gens, numbered 0, 1, ... in order
+    of their least points.
 
-    labels are component_labels of the plain generators; alpha contributes
-    edges x -> x^alpha carrying an orientation flip.  Returns a pair
-    (transitive, orientable): transitive is True when the combined group acts
-    with a single orbit, orientable is True when sheet orientations can be
-    chosen consistently (flip across alpha edges, no flip inside components).
+    Returns (orbits, n): orbits[i] is the number of the orbit of point i+1
+    and n the number of orbits.  A relation scan builds this once per
+    gammas tuple and hands it to `alpha_extension` for every alpha.
     """
     index = {}
-    for lb in labels:
-        if lb not in index:
-            index[lb] = len(index)
-    n = len(index)
+    orbits = tuple(index.setdefault(lb, len(index)) for lb in component_labels(gens, d))
+    return orbits, len(index)
+
+
+def alpha_extension(orbits, n, alpha):
+    """Connectivity and orientation data for adding alpha on top of a group.
+
+    (orbits, n) is the `orbit_index` of the plain generators; alpha
+    contributes edges x -> x^alpha carrying an orientation flip.  Returns a
+    pair (transitive, orientable): transitive is True when the combined
+    group acts with a single orbit, orientable is True when sheet
+    orientations can be chosen consistently (flip across alpha edges, no
+    flip inside orbits).
+    """
+    if n == 1:
+        # every alpha edge joins the one orbit to itself without a flip
+        return True, False
     parent = list(range(n))
     par = [0] * n  # parity of node relative to its parent
-
-    def find(x):
-        p = 0
-        while parent[x] != x:
-            p ^= par[x]
-            x = parent[x]
-        return x, p
-
     consistent = True
     comps = n
-    for x in range(1, d + 1):
-        a = index[labels[x - 1]]
-        b = index[labels[alpha[x - 1] - 1]]
-        ra, pa = find(a)
-        rb, pb = find(b)
-        if ra == rb:
+    for a, y in zip(orbits, alpha):
+        b = orbits[y - 1]
+        pa = 0
+        while parent[a] != a:
+            pa ^= par[a]
+            a = parent[a]
+        pb = 0
+        while parent[b] != b:
+            pb ^= par[b]
+            b = parent[b]
+        if a == b:
             if pa == pb:
                 consistent = False
         else:
-            # o(b) = o(a) + 1  =>  parity(rb->ra) = pa ^ pb ^ 1
-            parent[rb] = ra
-            par[rb] = pa ^ pb ^ 1
+            # o(b) = o(a) + 1  =>  parity(b->a) = pa ^ pb ^ 1
+            parent[b] = a
+            par[b] = pa ^ pb ^ 1
             comps -= 1
     return comps == 1, consistent
 
@@ -179,7 +188,10 @@ def minimal_block(gens, d, x, y):
 
     The closed partition is a block system, whose classes all have one
     size dividing d.  So once any class holds more than d/2 points the
-    answer is all of 1..d, and the refinement stops there.
+    answer is all of 1..d, and the refinement stops there.  For an
+    intransitive group the partition is still the least invariant one
+    identifying x with y, and all of 1..d then means that every transitive
+    group containing this one has all of 1..d as its block through x and y.
     """
     parent = list(range(d + 1))
     size = [1] * (d + 1)

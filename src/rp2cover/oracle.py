@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 from itertools import permutations as _orderings
 from itertools import product as _cartesian
 from typing import Iterator
@@ -40,7 +41,10 @@ from .realize import (
     Verdict,
     canonical_involution_pair,
 )
-from .squares import RootCapExceeded, all_square_roots
+# all_square_roots is not called here either; like is_primitive above, it
+# stays importable from this module because perfbench/spans.py looks it up
+# here (WRAP_POINTS)
+from .squares import RootCapExceeded, all_square_roots, iter_root_images  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -125,8 +129,12 @@ def class_images(d: int, parts: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
 
 @lru_cache(maxsize=None)
 def _roots_of(images: tuple[int, ...], cap: int) -> tuple[tuple[int, ...], ...]:
-    roots = all_square_roots(Permutation(images), cap=cap)
-    return tuple(r.images for r in roots)
+    """Square roots of an image tuple, in the order of `all_square_roots`;
+    raises RootCapExceeded when more than cap exist."""
+    roots = tuple(islice(iter_root_images(images), cap + 1))
+    if len(roots) > cap:
+        raise RootCapExceeded(f"more than {cap} square roots")
+    return roots
 
 
 # ---------------------------------------------------------------------------
@@ -163,13 +171,13 @@ def iter_relation_pairs(
             pinv = kernels.inverse(prod)
             if not kernels.is_square_type(pinv):
                 continue
-            labels = kernels.component_labels(list(gammas), d)
+            orbits, n = kernels.orbit_index(gammas, d)
             try:
                 roots = _roots_of(pinv, bounds.root_cap)
             except RootCapExceeded as e:
                 raise BoundsExceededError(str(e)) from None
             for alpha in roots:
-                transitive, orientable = kernels.alpha_extension(labels, alpha, d)
+                transitive, orientable = kernels.alpha_extension(orbits, n, alpha)
                 yield gammas, alpha, transitive, orientable
 
 
@@ -195,36 +203,51 @@ def exists_realization(
 
 
 class _Primitivity:
-    """Is the transitive group <alpha, gammas> of a relation pair primitive?
+    """Is the transitive group G = <alpha, gammas> of a relation pair primitive?
 
-    Decides by the cheapest rule that applies.  A prime degree admits no
-    block size but 1 and d.  A product of type [d-1, 1] makes a transitive
-    group 2-transitive, hence primitive (Dixon & Mortimer, *Permutation
-    Groups*, ch. 1); the left-to-right product is one element of the
-    group, so its type is computed once per gammas tuple, which every
-    square root of that product shares.  Any other group gets the block
-    scan over seed pairs (1, y).  One instance serves one scan of degree d.
+    A prime degree admits no block size but 1 and d.  Otherwise G is
+    primitive exactly when the minimal block through {1, y} is all of
+    1..d for every y in 2..d.  A block of G containing {1, y} contains the
+    minimal <gammas>-block through {1, y} (Dixon & Mortimer, *Permutation
+    Groups*, ch. 1), so the first time it is asked about a gammas tuple
+    the decision keeps only the seeds y whose <gammas>-block is not all of
+    1..d, and every square root of the tuple's product scans only those.
+    This holds when <gammas> is intransitive too: a <gammas>-class of more
+    than d/2 points lies in a class of G, whose classes all have one size
+    dividing d, so that G-block is all of 1..d.  There are no seeds when
+    the product has type [d-1, 1], which makes a transitive G
+    2-transitive, hence primitive, or when <gammas> is primitive.  One
+    instance serves one scan of degree d.
     """
 
     def __init__(self, d: int):
         self.d = d
         self.prime = d > 1 and all(d % p for p in range(2, math.isqrt(d) + 1))
         self._gammas: tuple[tuple[int, ...], ...] | None = None
-        self._two_transitive = False
+        self._seeds: tuple[int, ...] = ()
+
+    def seeds(self, gammas: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+        """The y in 2..d that each alpha must still scan for these gammas."""
+        if gammas != self._gammas:
+            self._gammas = gammas
+            d = self.d
+            if kernels.cycle_lengths(kernels.product_of(gammas, d)) == (d - 1, 1):
+                self._seeds = ()
+            else:
+                self._seeds = tuple(
+                    y
+                    for y in range(2, d + 1)
+                    if len(kernels.minimal_block(gammas, d, 1, y)) < d
+                )
+        return self._seeds
 
     def __call__(self, gammas: tuple[tuple[int, ...], ...], alpha: tuple[int, ...]) -> bool:
         if self.prime:
             return True
         d = self.d
-        if gammas != self._gammas:
-            self._gammas = gammas
-            prod = kernels.product_of(gammas, d)
-            self._two_transitive = kernels.cycle_lengths(prod) == (d - 1, 1)
-        if self._two_transitive:
-            return True
         gens = (alpha, *gammas)
         return all(
-            len(kernels.minimal_block(gens, d, 1, y)) == d for y in range(2, d + 1)
+            len(kernels.minimal_block(gens, d, 1, y)) == d for y in self.seeds(gammas)
         )
 
 

@@ -287,8 +287,8 @@ def verify_witness(
     relation_ok = prod == (witness.alpha * witness.alpha).inverse()
 
     alpha_imgs = witness.alpha.images
-    labels = kernels.component_labels(gamma_imgs, d)
-    transitive, orientable = kernels.alpha_extension(labels, alpha_imgs, d)
+    orbits, n = kernels.orbit_index(gamma_imgs, d)
+    transitive, orientable = kernels.alpha_extension(orbits, n, alpha_imgs)
 
     # A transitive group holding a (d-1)-cycle that fixes a point is
     # 2-transitive, hence primitive; the product is such an element for
@@ -1173,10 +1173,10 @@ def _alpha_for_product(
     if not is_square(prod):
         return None
     gimgs = [g.images for g in gammas]
-    labels = kernels.component_labels(gimgs, d)
+    orbits, n = kernels.orbit_index(gimgs, d)
     for root in iter_square_roots(prod):
         alpha = root.inverse()
-        transitive, orientable = kernels.alpha_extension(labels, alpha.images, d)
+        transitive, orientable = kernels.alpha_extension(orbits, n, alpha.images)
         if transitive and not orientable:
             return alpha
     return None

@@ -85,25 +85,39 @@ def sqrt(p: Permutation) -> Permutation | None:
 def iter_square_roots(p: Permutation) -> Iterator[Permutation]:
     """Every permutation whose square is p, lazily, in a deterministic order.
 
+    The roots are those of `iter_root_images`, in its order.
+
+    >>> [str(r) for r in iter_square_roots(Permutation.from_cycles(4, [(1, 2), (3, 4)]))]
+    ['(1 3 2 4)', '(1 4 2 3)']
+    """
+    for images in iter_root_images(p.images):
+        yield Permutation(images)
+
+
+def iter_root_images(p: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """Image tuples of every square root of the image tuple p, lazily.
+
     Cycle lengths are taken in ascending order, the first varying slowest.
     Within one length the first unplaced cycle either takes its own root
     (odd lengths only) or pairs with a later cycle of that length, at each
     interleaving offset in turn.  The search keeps its own stack, so the
     number of cycles does not meet the recursion limit, and a caller that
-    stops early pays only for the roots it drew.
+    stops early pays only for the roots it drew.  Each choice writes the
+    images of the points it places; a complete root places every point,
+    so what earlier branches wrote is always overwritten.
 
-    >>> [str(r) for r in iter_square_roots(Permutation.from_cycles(4, [(1, 2), (3, 4)]))]
-    ['(1 3 2 4)', '(1 4 2 3)']
+    >>> list(iter_root_images((2, 1, 4, 3)))
+    [(3, 4, 2, 1), (4, 3, 1, 2)]
     """
-    if not is_square(p):
+    if not kernels.is_square_type(p):
         return
     by_len: dict[int, list[tuple[int, ...]]] = {}
-    for c in p.cycles():
+    for c in kernels.cycles_of(p):
         by_len.setdefault(len(c), []).append(c)
     lengths = sorted(by_len)
-    chosen: list[tuple[int, ...]] = []
+    images = list(p)
     # frame: [length index, indices of the cycles of that length still to
-    # place, next option to try, len(chosen) when the frame was entered]
+    # place, next option to try]
     stack: list[list] = []
 
     def enter(li: int, remaining: tuple[int, ...]) -> bool:
@@ -113,14 +127,13 @@ def iter_square_roots(p: Permutation) -> Iterator[Permutation]:
             if li == len(lengths):
                 return False
             remaining = tuple(range(len(by_len[lengths[li]])))
-        stack.append([li, remaining, 0, len(chosen)])
+        stack.append([li, remaining, 0])
         return True
 
     enter(0, tuple(range(len(by_len[lengths[0]]))))
     while stack:
         frame = stack[-1]
-        li, remaining, option, base = frame
-        del chosen[base:]
+        li, remaining, option = frame
         n = lengths[li]
         group = by_len[n]
         single = n % 2
@@ -130,15 +143,18 @@ def iter_square_roots(p: Permutation) -> Iterator[Permutation]:
             continue
         frame[2] = option + 1
         if option < single:
-            if n > 1:
-                chosen.append(_root_cycle_odd(group[first]))
+            cycle = _root_cycle_odd(group[first])
             tail = rest
         else:
             j, offset = divmod(option - single, n)
-            chosen.append(_interleave(group[first], group[rest[j]], offset))
+            cycle = _interleave(group[first], group[rest[j]], offset)
             tail = rest[:j] + rest[j + 1 :]
+        prev = cycle[-1]
+        for x in cycle:
+            images[prev - 1] = x
+            prev = x
         if not enter(li, tail):
-            yield Permutation.from_cycles(p.degree, list(chosen))
+            yield tuple(images)
 
 
 def all_square_roots(p: Permutation, cap: int | None = None) -> list[Permutation]:

@@ -328,7 +328,18 @@ def _branch_lines(draw):
 @settings(max_examples=600, deadline=None)
 @given(_branch_lines())
 def test_parse_matches_the_reference_scanner(text):
-    _assert_parses_like_reference(text)
+    kind, want, _ = _assert_parses_like_reference(text)
+    if kind != "data":
+        return
+    # both paths build the objects without the public constructors'
+    # checks; they must still be the objects those constructors build
+    for got in (parse_branch_data(text), branch._scan(text)):
+        assert got == want and hash(got) == hash(want)
+        assert type(got) is BranchData
+        assert [(type(r), hash(r)) for r in got.rows] == [
+            (Partition, hash(r)) for r in want.rows
+        ]
+        assert BranchData(got.degree, tuple(Partition(r.parts) for r in got.rows)) == got
 
 
 @pytest.mark.parametrize(

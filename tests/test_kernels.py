@@ -35,15 +35,50 @@ def test_cycles_cover_all_points_exactly_once():
 def test_alpha_extension_small_facts():
     # two sheets, one gamma orbit, alpha swapping: connected but the
     # orientation flip across the swap contradicts itself
-    labels = kernels.component_labels([(2, 1)], 2)
-    assert kernels.alpha_extension(labels, (2, 1), 2) == (True, False)
+    orbits, n = kernels.orbit_index([(2, 1)], 2)
+    assert kernels.alpha_extension(orbits, n, (2, 1)) == (True, False)
     # two singleton orbits joined by a swap: connected and orientable
-    labels = kernels.component_labels([(1, 2)], 2)
-    assert labels == (1, 2)
-    assert kernels.alpha_extension(labels, (2, 1), 2) == (True, True)
+    orbits, n = kernels.orbit_index([(1, 2)], 2)
+    assert (orbits, n) == ((0, 1), 2)
+    assert kernels.alpha_extension(orbits, n, (2, 1)) == (True, True)
     # identity alpha on one orbit: a flip inside a component
-    labels = kernels.component_labels([(2, 1)], 2)
-    assert kernels.alpha_extension(labels, (1, 2), 2) == (True, False)
+    orbits, n = kernels.orbit_index([(2, 1)], 2)
+    assert kernels.alpha_extension(orbits, n, (1, 2)) == (True, False)
+
+
+def _alpha_extension_from_labels(labels, alpha, d):
+    """`alpha_extension` as it was when it numbered the orbits of the
+    component labels itself on every call, kept as the reference."""
+    index = {}
+    for lb in labels:
+        if lb not in index:
+            index[lb] = len(index)
+    n = len(index)
+    parent = list(range(n))
+    par = [0] * n
+
+    def find(x):
+        p = 0
+        while parent[x] != x:
+            p ^= par[x]
+            x = parent[x]
+        return x, p
+
+    consistent = True
+    comps = n
+    for x in range(1, d + 1):
+        a = index[labels[x - 1]]
+        b = index[labels[alpha[x - 1] - 1]]
+        ra, pa = find(a)
+        rb, pb = find(b)
+        if ra == rb:
+            if pa == pb:
+                consistent = False
+        else:
+            parent[rb] = ra
+            par[rb] = pa ^ pb ^ 1
+            comps -= 1
+    return comps == 1, consistent
 
 
 # The orbit labelling as it was when it called a full-compression find
@@ -107,3 +142,17 @@ def test_component_labels_match_the_two_find_version(case):
 
 def test_component_labels_of_no_generators_are_the_points():
     assert kernels.component_labels([], 5) == (1, 2, 3, 4, 5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_generator_lists(), st.randoms(use_true_random=False))
+def test_alpha_extension_matches_the_label_version(case, rng):
+    gens, d = case
+    orbits, n = kernels.orbit_index(gens, d)
+    labels = kernels.component_labels(gens, d)
+    assert n == len(set(labels))
+    assert orbits == tuple(sorted(set(labels)).index(lb) for lb in labels)
+    for _ in range(3):
+        alpha = random_images(d, rng)
+        want = _alpha_extension_from_labels(labels, alpha, d)
+        assert kernels.alpha_extension(orbits, n, alpha) == want

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rp2cover import kernels, oracle
 from rp2cover.branch import is_admissible
-from rp2cover.groups import is_primitive
+from rp2cover.groups import group_of, is_primitive
 from rp2cover.oracle import (
     BoundsExceededError,
     SearchBounds,
@@ -191,6 +193,21 @@ DECISION_SCANS = [
 ]
 
 
+def _route(decide, gammas, d):
+    """Which rule of `_Primitivity` settles pairs with these gammas."""
+    if decide.prime:
+        return "prime"
+    if kernels.cycle_lengths(kernels.product_of(gammas, d)) == (d - 1, 1):
+        return "two_transitive"
+    seeds = decide.seeds(gammas)
+    transitive = kernels.is_transitive(gammas, d)
+    if not seeds:
+        return "gammas_primitive" if transitive else "gammas_orbit_over_half"
+    if len(seeds) < d - 1:
+        return "narrowed_seeds"
+    return "all_seeds_transitive" if transitive else "all_seeds_intransitive"
+
+
 def test_primitivity_decision_matches_the_group():
     """The oracle's decision equals `is_primitive` on every connected
     nonorientable pair, and the scans reach each of its routes."""
@@ -207,13 +224,67 @@ def test_primitivity_decision_matches_the_group():
             w = oracle._witness_of(d, gammas, alpha)
             want = is_primitive(w.group())
             assert decide(gammas, alpha) == want, (text, w.to_dict())
-            if d == 5:
-                routes["prime"] += 1
-            elif kernels.cycle_lengths(kernels.product_of(gammas, d)) == (d - 1, 1):
-                routes["two_transitive"] += 1
-            else:
-                routes[f"block_scan:{want}"] += 1
-    assert set(routes) == {"prime", "two_transitive", "block_scan:True", "block_scan:False"}
+            route = _route(decide, gammas, d)
+            if route == "gammas_primitive":
+                assert is_primitive(group_of(*w.gammas)), (text, w.to_dict())
+            routes[route if route in ("prime", "two_transitive") else f"{route}:{want}"] += 1
+    assert set(routes) == {
+        "prime",
+        "two_transitive",
+        "gammas_primitive:True",
+        "gammas_orbit_over_half:True",
+        "narrowed_seeds:True",
+        "narrowed_seeds:False",
+        "all_seeds_intransitive:True",
+        "all_seeds_intransitive:False",
+        "all_seeds_transitive:False",
+    }
+
+
+@st.composite
+def _transitive_pairs(draw):
+    """Gammas and alpha of degree 6..9 generating a transitive group.
+
+    Each permutation either is any permutation, or maps the blocks of a
+    drawn block system onto each other, or maps every part of a drawn set
+    partition onto itself, so the group and <gammas> range from primitive
+    to imprimitive and from transitive to intransitive.
+    """
+    d = draw(st.integers(6, 9))
+    size = draw(st.sampled_from([k for k in range(2, d) if d % k == 0] or [1]))
+    points = draw(st.permutations(range(1, d + 1)))
+    blocks = [points[i : i + size] for i in range(0, d, size)]
+    cuts = sorted(draw(st.sets(st.integers(1, d - 1), max_size=3)))
+    parts = [points[i:j] for i, j in zip([0, *cuts], [*cuts, d])]
+
+    def perm():
+        kind = draw(st.sampled_from(["any", "blocks", "parts"]))
+        if kind == "any":
+            return tuple(draw(st.permutations(range(1, d + 1))))
+        images = [0] * d
+        if kind == "blocks":
+            targets = draw(st.permutations(blocks))
+            for blk, target in zip(blocks, targets):
+                for x, y in zip(blk, draw(st.permutations(target))):
+                    images[x - 1] = y
+        else:
+            for part in parts:
+                for x, y in zip(part, draw(st.permutations(part))):
+                    images[x - 1] = y
+        return tuple(images)
+
+    gammas = tuple(perm() for _ in range(draw(st.integers(1, 3))))
+    alpha = perm()
+    assume(kernels.is_transitive([alpha, *gammas], d))
+    return d, gammas, alpha
+
+
+@settings(max_examples=300, deadline=None)
+@given(_transitive_pairs())
+def test_primitivity_decision_matches_the_group_on_random_pairs(case):
+    d, gammas, alpha = case
+    want = is_primitive(group_of(Permutation(alpha), *map(Permutation, gammas)))
+    assert oracle._Primitivity(d)(gammas, alpha) == want
 
 
 def test_primitivity_decision_follows_each_gammas_tuple():
@@ -239,6 +310,33 @@ def _count_block_calls(monkeypatch):
     return calls
 
 
+def test_primitive_gammas_scan_their_blocks_once(monkeypatch):
+    # a tuple whose <gammas> is primitive settles every square root of its
+    # product with the d - 1 block scans of <gammas> alone
+    d = 6
+    alphas = defaultdict(list)
+    for gammas, alpha, transitive, orientable in iter_relation_pairs(
+        data_of("d=6; [3,3],[2,2,1,1],[2,2,1,1]")
+    ):
+        if transitive and not orientable:
+            alphas[gammas].append(alpha)
+    chosen = [
+        gammas
+        for gammas, roots in alphas.items()
+        if len(roots) > 1
+        and kernels.cycle_lengths(kernels.product_of(gammas, d)) != (d - 1, 1)
+        and kernels.is_transitive(gammas, d)
+        and is_primitive(group_of(*map(Permutation, gammas)))
+    ]
+    assert len(chosen) > 10
+    calls = _count_block_calls(monkeypatch)
+    for gammas in chosen:
+        decide = oracle._Primitivity(d)
+        before = calls["minimal_block"]
+        assert all(decide(gammas, alpha) for alpha in alphas[gammas])
+        assert calls["minimal_block"] - before <= d - 1
+
+
 def test_prime_degree_scan_runs_no_block_scan(monkeypatch):
     calls = _count_block_calls(monkeypatch)
     s = tuple_survey(data_of("d=5; [3,2],[2,2,1],[2,1,1,1]"))
@@ -256,6 +354,49 @@ def test_product_certificate_skips_the_block_scan(monkeypatch):
     assert s.transitive_primitive == 18
     assert s.transitive_imprimitive == 0
     assert calls["minimal_block"] == 0
+
+
+# Whole survey dicts at raised bounds, as the scan computed them when every
+# square root ran the full block scan; the counts and the sample witness
+# pin both the primitivity decision and the order of the roots.
+RAISED_BOUND_SURVEYS = {
+    "d=10; [2,2,2,2,2],[2,2,2,2,2]": {
+        "degree": 10,
+        "rows": [[2, 2, 2, 2, 2], [2, 2, 2, 2, 2]],
+        "first_row_reduced": True,
+        "relation_pairs": 22680,
+        "intransitive": 18072,
+        "orientable_excluded": 0,
+        "transitive_imprimitive": 4608,
+        "transitive_primitive": 0,
+        "sample": {
+            "degree": 10,
+            "gammas": ["(1 2)(3 4)(5 6)(7 8)(9 10)", "(1 2)(3 4)(5 6)(7 8)(9 10)"],
+            "alpha": "(2 3)(4 5)(6 7)(8 9)",
+        },
+    },
+    "d=8; [4,4],[4,4]": {
+        "degree": 8,
+        "rows": [[4, 4], [4, 4]],
+        "first_row_reduced": True,
+        "relation_pairs": 4112,
+        "intransitive": 256,
+        "orientable_excluded": 80,
+        "transitive_imprimitive": 1216,
+        "transitive_primitive": 2560,
+        "sample": {
+            "degree": 8,
+            "gammas": ["(1 2 3 4)(5 6 7 8)", "(1 2 3 5)(4 6 7 8)"],
+            "alpha": "(1 2 8 4 6 7 3 5)",
+        },
+    },
+}
+
+
+@pytest.mark.parametrize("text", sorted(RAISED_BOUND_SURVEYS))
+def test_raised_bound_surveys_are_unchanged(text):
+    got = tuple_survey(data_of(text), SearchBounds(max_degree=10)).to_dict()
+    assert got == RAISED_BOUND_SURVEYS[text]
 
 
 # ---------------------------------------------------------------------------

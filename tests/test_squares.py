@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rp2cover.oracle import _roots_of
 from rp2cover.perm import Permutation, canonical_of_type
 from rp2cover.squares import (
     RootCapExceeded,
@@ -208,6 +209,23 @@ def test_root_cap_counts_like_the_old_enumeration():
             all_square_roots(p, cap=cap)
         with pytest.raises(RootCapExceeded):
             _old_all_square_roots(p, cap=cap)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 7, 8])
+def test_oracle_roots_match_all_square_roots(d):
+    # the oracle's scans read roots as image tuples through `_roots_of`
+    rng = random.Random(80 + d)
+    for parts in partitions_of(d):
+        p = canonical_of_type(d, parts)
+        for q in (p, p.conjugate(random_perm(d, rng))):
+            want = tuple(r.images for r in all_square_roots(q))
+            assert want == tuple(r.images for r in _old_all_square_roots(q))
+            assert _roots_of(q.images, len(want)) == want, parts
+            if want:
+                with pytest.raises(RootCapExceeded):
+                    _roots_of(q.images, len(want) - 1)
+                with pytest.raises(RootCapExceeded):
+                    all_square_roots(q, cap=len(want) - 1)
 
 
 def test_iter_square_roots_is_lazy_and_not_recursive():
