@@ -90,25 +90,11 @@ def block_system_from(G: GeneratedGroup, block: tuple[int, ...]) -> tuple[tuple[
     start = tuple(sorted(block))
     if not start or any(not 1 <= x <= d for x in start):
         raise ValueError(f"block must be a non-empty subset of 1..{d}")
-    seen = {start}
-    point_to_block = {x: start for x in start}
-    queue = [start]
-    while queue:
-        b = queue.pop()
-        for g in G.generator_images():
-            image = tuple(sorted(g[x - 1] for x in b))
-            if image in seen:
-                continue
-            for x in image:
-                if x in point_to_block:
-                    raise NotABlockError(
-                        f"translate {image} overlaps {point_to_block[x]}"
-                    )
-            seen.add(image)
-            for x in image:
-                point_to_block[x] = image
-            queue.append(image)
-    return tuple(sorted(seen))
+    translates, overlap = kernels.block_translates(G.generator_images(), start)
+    if overlap is not None:
+        image, member = overlap
+        raise NotABlockError(f"translate {image} overlaps {member}")
+    return translates
 
 
 def conjugator(p: Permutation, q: Permutation) -> Permutation | None:
@@ -150,32 +136,5 @@ def pair_conjugator(
     d = a.degree
     if {b.degree, c.degree, e.degree} != {d}:
         raise ValueError("degree mismatch")
-    gens_from = (a.images, b.images)
-    gens_to = (c.images, e.images)
-    for t in range(1, d + 1):
-        mu = [0] * (d + 1)
-        mu[1] = t
-        used = {t}
-        queue = [1]
-        ok = True
-        while queue and ok:
-            x = queue.pop()
-            for gf, gt in zip(gens_from, gens_to):
-                y = gf[x - 1]
-                v = gt[mu[x] - 1]
-                if mu[y]:
-                    if mu[y] != v:
-                        ok = False
-                        break
-                else:
-                    if v in used:
-                        ok = False
-                        break
-                    mu[y] = v
-                    used.add(v)
-                    queue.append(y)
-        if ok and all(mu[1:]):
-            lam = Permutation(tuple(mu[1:])).inverse()
-            if a.conjugate(lam) == c and b.conjugate(lam) == e:
-                return lam
-    return None
+    lam = kernels.pair_conjugator((a.images, b.images), (c.images, e.images), d)
+    return None if lam is None else Permutation(lam)

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
-from itertools import permutations as _orderings
 from itertools import product as _cartesian
 from typing import Iterator
 
@@ -27,13 +26,7 @@ from . import kernels
 from .branch import BranchData, is_admissible
 # is_primitive is not called here; it stays importable from this module
 # because perfbench/spans.py looks it up here (WRAP_POINTS)
-from .groups import (  # noqa: F401
-    NotABlockError,
-    block_system_from,
-    group_of,
-    is_primitive,
-    pair_conjugator,
-)
+from .groups import is_primitive  # noqa: F401
 from .perm import Permutation, canonical_of_type
 from .realize import (
     Classification,
@@ -85,7 +78,9 @@ def class_images(d: int, parts: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """Image tuples of every permutation of 1..d with the given cycle type.
 
     Each cycle is anchored at the smallest point it moves, which makes the
-    enumeration duplicate-free.
+    enumeration duplicate-free.  The points after the anchor are chosen one
+    at a time, each from the points still free in increasing order, and
+    leave that pool by index.
 
     >>> len(class_images(4, (2, 2)))
     3
@@ -95,33 +90,30 @@ def class_images(d: int, parts: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     if sum(parts) != d:
         raise ValueError("cycle type must partition the degree")
     out: list[tuple[int, ...]] = []
-    imgs = list(range(d + 1))
+    # every point gets its image on the way down to each leaf, so nothing
+    # is reset on the way back
+    imgs = [0] * d
 
     def rec(avail: tuple[int, ...], rem: tuple[int, ...]) -> None:
         if not avail:
-            out.append(tuple(imgs[1:]))
+            out.append(tuple(imgs))
             return
         x = avail[0]
         rest = avail[1:]
-        tried = set()
         for i, length in enumerate(rem):
-            if length in tried:
+            if i and length == rem[i - 1]:
                 continue
-            tried.add(length)
-            rem2 = rem[:i] + rem[i + 1 :]
-            if length == 1:
-                rec(rest, rem2)
-                continue
-            for combo in _orderings(rest, length - 1):
-                imgs[x] = combo[0]
-                for a, b in zip(combo, combo[1:]):
-                    imgs[a] = b
-                imgs[combo[-1]] = x
-                chosen = set(combo)
-                rec(tuple(p for p in rest if p not in chosen), rem2)
-                imgs[x] = x
-                for a in combo:
-                    imgs[a] = a
+            grow(x, x, length - 1, rest, rem[:i] + rem[i + 1 :])
+
+    def grow(x: int, tail: int, k: int, pool: tuple[int, ...], rem: tuple[int, ...]) -> None:
+        """Extend the cycle of x past `tail` by k points of `pool`."""
+        if not k:
+            imgs[tail - 1] = x
+            rec(pool, rem)
+            return
+        for j, y in enumerate(pool):
+            imgs[tail - 1] = y
+            grow(x, y, k - 1, pool[:j] + pool[j + 1 :], rem)
 
     rec(tuple(range(1, d + 1)), tuple(sorted(parts, reverse=True)))
     return tuple(out)
@@ -442,33 +434,27 @@ def involution_pair_survey(
         first_fixed = d > bounds.max_degree
     half = d // 2
     cls = class_images(d, (2,) * half)
-    canon = canonical_involution_pair(d)
-    firsts = (canon[0].images,) if first_fixed else cls
-    odd_points = tuple(range(1, d, 2))
+    canon = tuple(g.images for g in canonical_involution_pair(d))
+    firsts = (canon[0],) if first_fixed else cls
 
-    scanned = 0
     transitive_count = 0
     all_conj = True
     all_products = True
     all_blocks = True
     for pi in firsts:
-        p = Permutation(pi)
         for qi in cls:
-            scanned += 1
-            if not kernels.is_transitive([pi, qi], d):
+            pair = (pi, qi)
+            if not kernels.is_transitive(pair, d):
                 continue
             transitive_count += 1
-            q = Permutation(qi)
             if kernels.cycle_lengths(kernels.compose(pi, qi)) != (half, half):
                 all_products = False
-            lam = pair_conjugator((p, q), canon)
+            lam = kernels.pair_conjugator(pair, canon, d)
             if lam is None:
                 all_conj = False
                 continue
-            block = tuple(sorted(lam.apply(x) for x in odd_points))
-            try:
-                block_system_from(group_of(p, q), block)
-            except NotABlockError:
+            block = tuple(sorted(lam[::2]))  # the images of 1, 3, ..., d-1
+            if kernels.block_translates(pair, block)[1] is not None:
                 all_blocks = False
 
     if first_fixed:
@@ -478,7 +464,7 @@ def involution_pair_survey(
     return InvolutionPairSurvey(
         degree=d,
         first_fixed=first_fixed,
-        scanned_pairs=scanned,
+        scanned_pairs=len(firsts) * len(cls),
         transitive_pairs=transitive_count,
         total_transitive_pairs=total,
         all_conjugate_to_canonical=all_conj,

@@ -874,7 +874,9 @@ def assemble_pair(
     cycle type.  gamma_b is searched point by point in increasing order,
     or in a shuffled order drawn from `rng` when one is given.  Raises
     SearchExhausted with complete=True when no such pair exists,
-    complete=False when `_DEFAULT_NODE_BUDGET` nodes ran out first.
+    complete=False when `_DEFAULT_NODE_BUDGET` nodes ran out first.  A
+    goal that breaks Riemann-Hurwitz, or one that two involutions cannot
+    meet (`_involution_pair_can_meet`), is refused without a search.
     """
     ta = tuple(sorted(type_a, reverse=True))
     tb = tuple(sorted(type_b, reverse=True))
@@ -884,10 +886,20 @@ def assemble_pair(
     gamma_a = canonical_of_type(d, ta)
     if goal.product_type is not None and sum(goal.product_type) != d:
         raise ValueError("product_type must partition the degree")
+    if goal.product_type is not None:
+        nu_product = d - len(goal.product_type)
+    else:
+        nu_product = goal.product_defect
+    # Riemann-Hurwitz summed over the orbits: k orbits need
+    # nu_a + nu_b + nu_product >= 2(d - k)
+    nu_a, nu_b = d - len(ta), d - len(tb)
+    meets_rh = nu_a + nu_b + nu_product >= 2 * (d - goal.orbit_count)
 
     found = None
-    if max(ta) > 2 or max(tb) > 2 or _involution_pair_can_meet(
-        goal, d, ta.count(1), tb.count(1)
+    if meets_rh and (
+        max(ta) > 2
+        or max(tb) > 2
+        or _involution_pair_can_meet(goal, d, ta.count(1), tb.count(1))
     ):
         found = _PairSearch(gamma_a, tb, goal, rng, _DEFAULT_NODE_BUDGET).run()
     if found is None:
@@ -1003,22 +1015,34 @@ class RealizationResult:
 _FOLD_ATTEMPT_CAP = 300
 
 
-def _row_order(data: BranchData) -> list[int]:
+def _row_order(data: BranchData, order: Sequence[int] | None = None) -> list[int]:
     """Process rows so that the last one absorbed is not all twos, if possible.
 
     The final assembly targets a product of type [d-1, 1], which is easiest
     to steer when the last row has some room; the rule is to move the
-    highest-index row that is not all twos to the end.
+    last row of `order` (0, 1, ... by default) that is not all twos to the
+    end.
     """
-    order = list(range(data.rows_count))
-    pick = None
-    for j in range(data.rows_count - 1, -1, -1):
-        if not data.rows[j].is_all_twos():
-            pick = j
+    order = list(range(data.rows_count) if order is None else order)
+    for pos in range(len(order) - 1, -1, -1):
+        if not data.rows[order[pos]].is_all_twos():
+            order.append(order.pop(pos))
             break
-    if pick is not None:
-        order.append(order.pop(pick))
     return order
+
+
+def _row_orders(data: BranchData) -> list[list[int]]:
+    """The row orders the fold_chain engine tries, in turn.
+
+    The first is `_row_order`.  When its fold chain stalls, the rows are
+    tried once more by decreasing nu (a stable sort), under the same rule
+    for the last row: some data stall in one order and realize at once in
+    the other.
+    """
+    first = _row_order(data)
+    by_nu = sorted(range(data.rows_count), key=lambda j: -data.rows[j].nu)
+    second = _row_order(data, by_nu)
+    return [first] if second == first else [first, second]
 
 
 def _one_cycle_type(d: int, length: int) -> tuple[int, ...]:
@@ -1288,6 +1312,9 @@ def realize_indecomposable(
     that has classified the data already passes the result as
     `classification`, so odd data is not scanned twice.
 
+    `fold_chain` tries a second row order when the first stalls
+    (`_row_orders`); if that stalls too, the first stall is raised.
+
     Raises NotRealizableError when `classify` rules the data out, and
     EngineDefect if the engine fails for data classified realizable
     (which would be a bug, not a property of the data).
@@ -1312,14 +1339,22 @@ def realize_indecomposable(
     elif data.all_rows_all_twos():
         result = _realize_all_twos(data, seed)
     else:
-        order = _row_order(data)
-        first = canonical_of_type(d, data.rows[order[0]].parts)
-        gammas, trace = _fold_chain(
-            data, order, random.Random(seed), [first], _ladder_goals(data, order)
-        )
-        result = _accept(
-            data, gammas, None, "fold_chain", seed, order=order, trace=trace
-        )
+        stall: EngineDefect | None = None
+        for order in _row_orders(data):
+            first = canonical_of_type(d, data.rows[order[0]].parts)
+            try:
+                gammas, trace = _fold_chain(
+                    data, order, random.Random(seed), [first], _ladder_goals(data, order)
+                )
+            except EngineDefect as e:
+                stall = stall or e
+                continue
+            result = _accept(
+                data, gammas, None, "fold_chain", seed, order=order, trace=trace
+            )
+            break
+        else:
+            raise stall
     if result is None:
         raise EngineDefect(
             f"no witness produced for {data.to_text()}; this contradicts its "

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter, defaultdict
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from rp2cover import kernels, oracle
 from rp2cover.branch import is_admissible
-from rp2cover.groups import group_of, is_primitive
+from rp2cover.groups import NotABlockError, block_system_from, group_of, is_primitive
 from rp2cover.oracle import (
     BoundsExceededError,
     SearchBounds,
@@ -52,6 +53,53 @@ def test_class_images_examples():
     assert len(class_images(4, (2, 2))) == 3
     assert len(class_images(5, (3, 1, 1))) == 20
     assert class_images(3, (1, 1, 1)) == ((1, 2, 3),)
+
+
+def _old_class_images(d, parts):
+    """`class_images` before it took chosen points out by index, kept
+    verbatim (without its cache) as the reference for the order."""
+    if sum(parts) != d:
+        raise ValueError("cycle type must partition the degree")
+    out = []
+    imgs = list(range(d + 1))
+
+    def rec(avail, rem):
+        if not avail:
+            out.append(tuple(imgs[1:]))
+            return
+        x = avail[0]
+        rest = avail[1:]
+        tried = set()
+        for i, length in enumerate(rem):
+            if length in tried:
+                continue
+            tried.add(length)
+            rem2 = rem[:i] + rem[i + 1 :]
+            if length == 1:
+                rec(rest, rem2)
+                continue
+            for combo in itertools.permutations(rest, length - 1):
+                imgs[x] = combo[0]
+                for a, b in zip(combo, combo[1:]):
+                    imgs[a] = b
+                imgs[combo[-1]] = x
+                chosen = set(combo)
+                rec(tuple(p for p in rest if p not in chosen), rem2)
+                imgs[x] = x
+                for a in combo:
+                    imgs[a] = a
+
+    rec(tuple(range(1, d + 1)), tuple(sorted(parts, reverse=True)))
+    return tuple(out)
+
+
+@pytest.mark.parametrize(
+    "d, parts",
+    [(d, parts) for d in range(1, 9) for parts in partitions_of(d)] + [(10, (2,) * 5)],
+)
+def test_class_images_keeps_the_reference_order(d, parts):
+    # `tuple_survey`'s sample and the odd-degree witnesses depend on it
+    assert class_images(d, parts) == _old_class_images(d, parts)
 
 
 # ---------------------------------------------------------------------------
@@ -452,6 +500,90 @@ def test_pair_survey_rejects_bad_degree():
 def test_pair_survey_respects_degree_bound():
     with pytest.raises(BoundsExceededError):
         involution_pair_survey(10)
+
+
+# whole survey dicts as computed when the survey still built `Permutation`
+# and group objects per pair: (degree, max_degree, first_fixed) -> to_dict()
+PAIR_SURVEYS = {
+    (4, 6, None): dict(degree=4, first_fixed=False, scanned_pairs=9, transitive_pairs=6,
+                       total_transitive_pairs=6),
+    (6, 6, None): dict(degree=6, first_fixed=False, scanned_pairs=225, transitive_pairs=120,
+                       total_transitive_pairs=120),
+    (8, 6, None): dict(degree=8, first_fixed=True, scanned_pairs=105, transitive_pairs=48,
+                       total_transitive_pairs=5040),
+    (8, 8, None): dict(degree=8, first_fixed=False, scanned_pairs=11025, transitive_pairs=5040,
+                       total_transitive_pairs=5040),
+    (10, 8, None): dict(degree=10, first_fixed=True, scanned_pairs=945, transitive_pairs=384,
+                        total_transitive_pairs=362880),
+    (6, 6, True): dict(degree=6, first_fixed=True, scanned_pairs=15, transitive_pairs=8,
+                       total_transitive_pairs=120),
+}
+_ALL_HOLD = dict(
+    all_conjugate_to_canonical=True, products_all_two_half_cycles=True, blocks_all_valid=True
+)
+
+
+@pytest.mark.parametrize("key", sorted(PAIR_SURVEYS, key=str))
+def test_pair_survey_dicts_are_unchanged(key):
+    d, max_degree, first_fixed = key
+    got = involution_pair_survey(d, SearchBounds(max_degree=max_degree), first_fixed=first_fixed)
+    assert got.to_dict() == {**PAIR_SURVEYS[key], **_ALL_HOLD}
+
+
+def test_pair_survey_tests_transitivity_once_per_pair_on_image_tuples(monkeypatch):
+    calls = Counter()
+    is_transitive = kernels.is_transitive
+    post_init = Permutation.__post_init__
+
+    def counted(gens, d):
+        calls["is_transitive"] += 1
+        return is_transitive(gens, d)
+
+    def built(self):
+        calls["Permutation"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(kernels, "is_transitive", counted)
+    monkeypatch.setattr(Permutation, "__post_init__", built)
+    s = involution_pair_survey(6)
+    assert calls["is_transitive"] == s.scanned_pairs == 225
+    # only the canonical pair itself
+    assert calls["Permutation"] == 2
+
+
+def _survey_with(monkeypatch, attr, value, d=6):
+    monkeypatch.setattr(oracle, attr, value)
+    return involution_pair_survey(d).to_dict()
+
+
+def test_pair_survey_flags_conjugacy_failure(monkeypatch):
+    # an intransitive target: no transitive pair is conjugate to it
+    p, _ = canonical_involution_pair(6)
+    got = _survey_with(monkeypatch, "canonical_involution_pair", lambda d: (p, p))
+    assert got == {
+        **PAIR_SURVEYS[(6, 6, None)], **_ALL_HOLD, "all_conjugate_to_canonical": False
+    }
+
+
+def test_pair_survey_flags_product_failure(monkeypatch):
+    # the product of every pair read as its first involution, of type [2, 2, 2]
+    monkeypatch.setattr(kernels, "compose", lambda p, q: p)
+    got = involution_pair_survey(6).to_dict()
+    assert got == {
+        **PAIR_SURVEYS[(6, 6, None)], **_ALL_HOLD, "products_all_two_half_cycles": False
+    }
+
+
+def test_pair_survey_flags_block_failure(monkeypatch):
+    # the canonical pair relabelled by (1 2): still a conjugate, so every
+    # conjugator exists, but the odd points are no block of its group
+    p, q = canonical_involution_pair(6)
+    swap = Permutation.from_cycles(6, [(1, 2)])
+    moved = (p.conjugate(swap), q.conjugate(swap))
+    with pytest.raises(NotABlockError):
+        block_system_from(group_of(*moved), (1, 3, 5))
+    got = _survey_with(monkeypatch, "canonical_involution_pair", lambda d: moved)
+    assert got == {**PAIR_SURVEYS[(6, 6, None)], **_ALL_HOLD, "blocks_all_valid": False}
 
 
 # ---------------------------------------------------------------------------

@@ -255,6 +255,47 @@ def test_assemble_pair_budget_cut_is_flagged_incomplete(monkeypatch):
     assert not info.value.complete
 
 
+class _NoSearch(Exception):
+    pass
+
+
+def _no_pair_search(*args, **kwargs):
+    raise _NoSearch("a pair search was built")
+
+
+@pytest.mark.parametrize(
+    "ta, tb, goal",
+    [
+        # nu_a + nu_b + nu_product = 2 + 2 + 0 < 2(4 - 1)
+        ((3, 1), (3, 1), PairGoal(orbit_count=1, product_defect=0)),
+        ((3, 1), (3, 1), PairGoal(orbit_count=1, product_type=(1, 1, 1, 1))),
+        # 2 + 1 + 2 < 2(6 - 2)
+        ((3, 1, 1, 1), (2, 1, 1, 1, 1), PairGoal(orbit_count=2, product_defect=2)),
+        ((3, 1, 1, 1), (2, 1, 1, 1, 1), PairGoal(orbit_count=2, product_type=(3, 1, 1, 1))),
+    ],
+)
+def test_goal_breaking_riemann_hurwitz_is_refused_without_search(monkeypatch, ta, tb, goal):
+    monkeypatch.setattr(realize_module, "_PairSearch", _no_pair_search)
+    with pytest.raises(SearchExhausted) as info:
+        assemble_pair(ta, tb, goal)
+    assert info.value.complete
+
+
+@pytest.mark.parametrize(
+    "ta, tb, goal",
+    [
+        # equality in Riemann-Hurwitz: 2 + 2 + 2 = 2(4 - 1)
+        ((3, 1), (3, 1), PairGoal(orbit_count=1, product_defect=2)),
+        # 2 + 1 + 5 = 2(6 - 2)
+        ((3, 1, 1, 1), (2, 1, 1, 1, 1), PairGoal(orbit_count=2, product_type=(6,))),
+    ],
+)
+def test_goal_meeting_riemann_hurwitz_is_searched(monkeypatch, ta, tb, goal):
+    monkeypatch.setattr(realize_module, "_PairSearch", _no_pair_search)
+    with pytest.raises(_NoSearch):
+        assemble_pair(ta, tb, goal)
+
+
 def _packs_reference(lengths: Counter, rem: Counter) -> bool:
     """The pair search's packing check as first written: expand both
     multisets and search every placement."""
@@ -901,6 +942,46 @@ def test_fold_stall_is_an_engine_defect(monkeypatch):
         assert str(info.value).startswith(
             f"fold chain stalled on {text}: no feasible goal sequence; "
         )
+
+
+# rows by decreasing nu are (1, 2, 0); `_row_order` gives (0, 2, 1)
+_TWO_ORDERS = "d=6; [3,1,1,1],[4,1,1],[2,2,2]"
+
+
+def test_stalled_fold_chain_is_retried_by_decreasing_nu(monkeypatch):
+    fold_chain = realize_module._fold_chain
+    orders = []
+
+    def first_stalls(data, order, *args):
+        orders.append(list(order))
+        if len(orders) == 1:
+            raise EngineDefect("forced stall")
+        return fold_chain(data, order, *args)
+
+    monkeypatch.setattr(realize_module, "_fold_chain", first_stalls)
+    res = realize_indecomposable(data_of(_TWO_ORDERS))
+    assert orders == [[0, 2, 1], [1, 2, 0]]
+    assert res.engine == "fold_chain"
+    assert res.certificate.all_ok
+    assert res.certificate.row_permutation_applied == (1, 2, 0)
+
+
+def test_every_row_order_stalling_raises_the_first_stall(monkeypatch):
+    calls = []
+
+    def stalls(data, order, *args):
+        calls.append(list(order))
+        raise EngineDefect(f"stall {len(calls)}")
+
+    monkeypatch.setattr(realize_module, "_fold_chain", stalls)
+    with pytest.raises(EngineDefect, match="^stall 1$"):
+        realize_indecomposable(data_of(_TWO_ORDERS))
+    assert calls == [[0, 2, 1], [1, 2, 0]]
+    # an order by decreasing nu that equals the first is not run again
+    calls.clear()
+    with pytest.raises(EngineDefect, match="^stall 1$"):
+        realize_indecomposable(data_of("d=6; [3,3],[5,1]"))
+    assert calls == [[0, 1]]
 
 
 def test_all_twos_fold_cut_by_the_node_budget_is_retried(monkeypatch):
