@@ -114,11 +114,22 @@ def _bounds_from(args) -> SearchBounds:
     return SearchBounds(args.max_degree, args.max_rows, args.root_cap)
 
 
+def _non_negative_int(text: str) -> int:
+    """argparse type of a search bound: a negative bound is a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def _add_bounds_args(sub) -> None:
     base = SearchBounds()
-    sub.add_argument("--max-degree", type=int, default=base.max_degree)
-    sub.add_argument("--max-rows", type=int, default=base.max_rows)
-    sub.add_argument("--root-cap", type=int, default=base.root_cap)
+    sub.add_argument("--max-degree", type=_non_negative_int, default=base.max_degree)
+    sub.add_argument("--max-rows", type=_non_negative_int, default=base.max_rows)
+    sub.add_argument("--root-cap", type=_non_negative_int, default=base.root_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--unreduced",
         action="store_true",
-        help="do not pin the first row to its canonical representative",
+        help="enumerate every class in full: do not pin the first row to its "
+        "canonical representative or take the second row once per orbit",
     )
     p.add_argument(
         "--pair-survey",

@@ -125,7 +125,24 @@ def orbit_count(gens, d):
 
 
 def is_transitive(gens, d):
-    return orbit_count(gens, d) == 1
+    """One orbit: union-find over the generator edges that stops as soon as
+    d - 1 joins have made every point one class."""
+    if d < 2:
+        return d == 1
+    parent = list(range(d + 1))
+    joins = d - 1
+    for g in gens:
+        for x, y in enumerate(g, 1):
+            while parent[x] != x:
+                parent[x] = x = parent[parent[x]]
+            while parent[y] != y:
+                parent[y] = y = parent[parent[y]]
+            if x != y:
+                parent[y] = x
+                joins -= 1
+                if not joins:
+                    return True
+    return False
 
 
 def orbit_index(gens, d):

@@ -2,15 +2,19 @@
 
 The constructive engine in `realize` is fast but intricate; this module is
 its slow, obviously-correct counterpart.  Within explicit bounds it
-enumerates entire conjugacy classes and every square root outright, so its
+enumerates conjugacy classes and every square root outright, so its
 answers depend on nothing but the definitions.  It is used to settle
 degrees the classification rule does not cover and, in the test suite, to
 cross-check everything the engine produces.
 
 Conjugation-invariance of every property checked here means the first
-branching permutation can be pinned to the canonical representative of its
-class without changing any yes/no answer; `first_row_reduced=False` turns
-that reduction off for the scans where true counts matter.
+branching permutation can be pinned to the canonical representative g0 of
+its class without changing any yes/no answer.  A tuple survey goes one
+step further and enumerates the second row once per orbit of the
+centralizer of g0, weighting each representative by its orbit size (see
+`tuple_survey`).  `first_row_reduced=False` turns both reductions off: it
+enumerates entire classes, and is the reference the reductions are
+tested against.
 """
 
 from __future__ import annotations
@@ -144,17 +148,38 @@ def iter_relation_pairs(
     Yields raw image tuples plus the two cheap flags: whether the group of
     all the permutations together is transitive, and whether the cycles of
     the gammas admit an orientation that alpha consistently reverses.
+    The bounds are checked when it is called.
     """
     bounds = bounds or SearchBounds()
     _require_in_bounds(data, bounds)
+    return _relation_pairs(
+        _row_candidates(data, first_row_reduced), data.degree, bounds.root_cap
+    )
+
+
+def _row_candidates(
+    data: BranchData, first_row_reduced: bool
+) -> list[tuple[tuple[int, ...], ...]]:
+    """The permutations each row may take: the whole class of its cycle
+    type, or for a reduced first row the canonical element alone."""
     d = data.degree
     rows = [r.parts for r in data.rows]
     if first_row_reduced:
         first: tuple[tuple[int, ...], ...] = (canonical_of_type(d, rows[0]).images,)
     else:
         first = class_images(d, rows[0])
-    rest = [class_images(d, parts) for parts in rows[1:]]
-    for g0 in first:
+    return [first] + [class_images(d, parts) for parts in rows[1:]]
+
+
+def _relation_pairs(
+    candidates: list[tuple[tuple[int, ...], ...]], d: int, root_cap: int
+) -> Iterator[tuple[tuple[tuple[int, ...], ...], tuple[int, ...], bool, bool]]:
+    """The relation pairs whose gammas take one candidate from each row, in
+    the order of the candidates, the first row outermost; each gammas
+    tuple is followed by every square root of its product, in the order of
+    `all_square_roots`."""
+    rest = candidates[1:]
+    for g0 in candidates[0]:
         for tail in _cartesian(*rest):
             gammas = (g0, *tail)
             prod = g0
@@ -165,12 +190,60 @@ def iter_relation_pairs(
                 continue
             orbits, n = kernels.orbit_index(gammas, d)
             try:
-                roots = _roots_of(pinv, bounds.root_cap)
+                roots = _roots_of(pinv, root_cap)
             except RootCapExceeded as e:
                 raise BoundsExceededError(str(e)) from None
             for alpha in roots:
                 transitive, orientable = kernels.alpha_extension(orbits, n, alpha)
                 yield gammas, alpha, transitive, orientable
+
+
+def _centralizer_orbits(
+    g0: tuple[int, ...], cls: tuple[tuple[int, ...], ...]
+) -> dict[tuple[int, ...], int]:
+    """Orbits of the centralizer C(g0) of a canonical element, acting on the
+    conjugacy class `cls` by conjugation.
+
+    Returns a dict from the first element of each orbit, in `cls` order,
+    to the orbit's size; dict order is `cls` order.  g0 has its cycles on
+    consecutive points (`canonical_of_type`), fixed points counting as
+    1-cycles, so C(g0) is generated by the rotation of each cycle and the
+    swap of each two consecutive cycles of one length.
+    """
+    d = len(g0)
+
+    def moving(pairs) -> tuple[int, ...]:
+        images = list(range(1, d + 1))
+        for x, y in pairs:
+            images[x - 1] = y
+        return tuple(images)
+
+    cycles = kernels.cycles_of(g0)
+    gens = [moving(zip(c, c[1:] + c[:1])) for c in cycles if len(c) > 1]
+    gens += [
+        moving([*zip(a, b), *zip(b, a)])
+        for a, b in zip(cycles, cycles[1:])
+        if len(a) == len(b)
+    ]
+    index = {g: i for i, g in enumerate(cls)}
+    seen = [False] * len(cls)
+    sizes = {}
+    for i, g in enumerate(cls):
+        if seen[i]:
+            continue
+        seen[i] = True
+        queue = [g]
+        size = 0
+        while queue:
+            p = queue.pop()
+            size += 1
+            for c in gens:
+                j = index[kernels.conjugate(p, c)]
+                if not seen[j]:
+                    seen[j] = True
+                    queue.append(cls[j])
+        sizes[g] = size
+    return sizes
 
 
 def _witness_of(d: int, gammas, alpha) -> HurwitzWitness:
@@ -318,26 +391,50 @@ def tuple_survey(
     connected-but-orientable ones (excluded, the base surface forces a
     nonorientable cover or a decomposition through the orientation double
     cover), then connected nonorientable ones split by primitivity.
+
+    With `first_row_reduced` gamma_1 is pinned to the canonical element g0
+    of its class, and with two or more rows gamma_2 runs over one element
+    per orbit of the centralizer C(g0) on its class, acting by
+    conjugation; that element's pairs count as many times as its orbit
+    has elements.  Every row after the second and every square root is
+    still enumerated in full.  This is exact: conjugating a whole pair by
+    c in C(g0) keeps g0, maps the pairs of one gamma_2 bijectively onto
+    those of its conjugate, and keeps every bucket.  For the same reason a
+    gamma_2 with a connected nonorientable pair has such pairs across its
+    whole orbit, so the first one in class order is the first element of
+    its orbit, a representative: `sample` is the pair the full scan finds
+    first.  Conjugate products also have equally many square roots, so
+    the root cap is exceeded, and BoundsExceededError raised, exactly when
+    the full scan exceeds it.  `first_row_reduced=False` is the full
+    enumeration of every class, the independent reference.
     """
+    bounds = bounds or SearchBounds()
+    _require_in_bounds(data, bounds)
+    candidates = _row_candidates(data, first_row_reduced)
+    weight = None
+    if first_row_reduced and len(candidates) > 1:
+        weight = _centralizer_orbits(candidates[0][0], candidates[1])
+        candidates[1] = tuple(weight)
     total = intrans = orient = imprim = prim = 0
     sample = None
     is_primitive_pair = _Primitivity(data.degree)
-    for gammas, alpha, transitive, orientable in iter_relation_pairs(
-        data, bounds, first_row_reduced=first_row_reduced
+    for gammas, alpha, transitive, orientable in _relation_pairs(
+        candidates, data.degree, bounds.root_cap
     ):
-        total += 1
+        w = weight[gammas[1]] if weight else 1
+        total += w
         if not transitive:
-            intrans += 1
+            intrans += w
             continue
         if orientable:
-            orient += 1
+            orient += w
             continue
         if sample is None:
             sample = _witness_of(data.degree, gammas, alpha)
         if is_primitive_pair(gammas, alpha):
-            prim += 1
+            prim += w
         else:
-            imprim += 1
+            imprim += w
     return TupleSurvey(
         degree=data.degree,
         rows=tuple(r.parts for r in data.rows),

@@ -368,6 +368,22 @@ def test_oracle_missing_data_message():
     assert "--pair-survey" in err
 
 
+@pytest.mark.parametrize("flag", ["--max-degree", "--max-rows", "--root-cap"])
+def test_oracle_negative_bound_is_a_usage_error(flag, capsys):
+    with pytest.raises(SystemExit) as info:
+        run("oracle", "d=3; [3],[3]", flag, "-1")
+    assert info.value.code == 2
+    assert f"argument {flag}: must be at least 0, got -1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--max-degree", "--max-rows", "--root-cap"])
+def test_oracle_zero_bound_is_allowed(flag):
+    # zero is a bound that this datum exceeds, not a usage error
+    code, _, err = run("oracle", "d=3; [3],[3]", flag, "0")
+    assert code == 6
+    assert err.startswith("error: ")
+
+
 # ---------------------------------------------------------------------------
 # batch
 

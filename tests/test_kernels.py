@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rp2cover import kernels
@@ -156,6 +156,16 @@ def test_component_labels_match_the_two_find_version(case):
 
 def test_component_labels_of_no_generators_are_the_points():
     assert kernels.component_labels([], 5) == (1, 2, 3, 4, 5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_generator_lists())
+@example(([], 1))
+@example(([(1,)], 1))
+@example(([], 4))
+def test_is_transitive_matches_the_orbit_count(case):
+    gens, d = case
+    assert kernels.is_transitive(gens, d) == (kernels.orbit_count(gens, d) == 1)
 
 
 @settings(max_examples=300, deadline=None)

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import itertools
+import math
+import re
 from collections import Counter, defaultdict
 
 import pytest
@@ -26,7 +28,7 @@ from rp2cover.oracle import (
     iter_relation_pairs,
     tuple_survey,
 )
-from rp2cover.perm import Permutation
+from rp2cover.perm import Permutation, canonical_of_type
 from rp2cover.realize import Verdict, canonical_involution_pair, classify, verify_witness
 
 from helpers import admissible_data, all_images, data_of, partitions_of
@@ -445,6 +447,149 @@ RAISED_BOUND_SURVEYS = {
 def test_raised_bound_surveys_are_unchanged(text):
     got = tuple_survey(data_of(text), SearchBounds(max_degree=10)).to_dict()
     assert got == RAISED_BOUND_SURVEYS[text]
+
+
+# ---------------------------------------------------------------------------
+# centralizer-orbit reduction of the tuple survey
+
+
+def _full_tuple_survey(data, bounds=None, *, first_row_reduced=True):
+    """`tuple_survey` as it was before the second row was reduced to one
+    element per centralizer orbit, kept verbatim as the reference: every
+    element of every class after the first row is enumerated."""
+    total = intrans = orient = imprim = prim = 0
+    sample = None
+    is_primitive_pair = oracle._Primitivity(data.degree)
+    for gammas, alpha, transitive, orientable in iter_relation_pairs(
+        data, bounds, first_row_reduced=first_row_reduced
+    ):
+        total += 1
+        if not transitive:
+            intrans += 1
+            continue
+        if orientable:
+            orient += 1
+            continue
+        if sample is None:
+            sample = oracle._witness_of(data.degree, gammas, alpha)
+        if is_primitive_pair(gammas, alpha):
+            prim += 1
+        else:
+            imprim += 1
+    return oracle.TupleSurvey(
+        degree=data.degree,
+        rows=tuple(r.parts for r in data.rows),
+        first_row_reduced=first_row_reduced,
+        relation_pairs=total,
+        intransitive=intrans,
+        orientable_excluded=orient,
+        transitive_imprimitive=imprim,
+        transitive_primitive=prim,
+        sample=sample,
+    )
+
+
+def _every_row_order(data_list):
+    seen = set()
+    for data in data_list:
+        for rows in itertools.permutations(data.rows):
+            if rows not in seen:
+                seen.add(rows)
+                yield type(data)(data.degree, rows)
+
+
+# the tuple scans of the oracle-scan benchmark and the primitivity scans
+_SURVEY_SCANS = sorted(
+    {(text, reduced, bounds) for text, reduced, bounds in DECISION_SCANS}
+    | {(text, True, bounds) for text, _, bounds in DECISION_SCANS},
+    key=str,
+)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_reduced_survey_matches_the_full_scan_on_small_data(d):
+    for data in _every_row_order(admissible_data([d], max_rows=3)):
+        want = _full_tuple_survey(data).to_dict()
+        assert tuple_survey(data).to_dict() == want, data.to_text()
+
+
+@pytest.mark.parametrize("text, reduced, bounds", _SURVEY_SCANS)
+def test_reduced_survey_matches_the_full_scan_on_benchmark_data(text, reduced, bounds):
+    data = data_of(text)
+    got = tuple_survey(data, bounds, first_row_reduced=reduced).to_dict()
+    assert got == _full_tuple_survey(data, bounds, first_row_reduced=reduced).to_dict()
+
+
+@pytest.mark.parametrize(
+    "text", ["d=4; [2,2],[2,2]", "d=6; [3,3],[2,2,1,1],[2,2,1,1]", "d=5; [3,1,1],[2,2,1],[2,2,1]"]
+)
+@pytest.mark.parametrize("cap", [1, 5, 10, 20, 50, 100])
+def test_reduced_survey_exceeds_the_root_cap_as_the_full_scan_does(text, cap):
+    data, bounds = data_of(text), SearchBounds(root_cap=cap)
+    try:
+        want = _full_tuple_survey(data, bounds).to_dict()
+    except BoundsExceededError as e:
+        with pytest.raises(BoundsExceededError, match=f"^{re.escape(str(e))}$"):
+            tuple_survey(data, bounds)
+    else:
+        assert tuple_survey(data, bounds).to_dict() == want
+
+
+def _brute_centralizer(g, d):
+    return [c for c in all_images(d) if kernels.compose(c, g) == kernels.compose(g, c)]
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_centralizer_orbits_partition_each_class(d):
+    for first in partitions_of(d):
+        g0 = canonical_of_type(d, first).images
+        cent = _brute_centralizer(g0, d)
+        order = math.prod(k**m * math.factorial(m) for k, m in Counter(first).items())
+        assert len(cent) == order
+        for second in partitions_of(d):
+            cls = class_images(d, second)
+            where = {g: i for i, g in enumerate(cls)}
+            sizes = oracle._centralizer_orbits(g0, cls)
+            assert sum(sizes.values()) == len(cls)
+            assert list(sizes) == sorted(sizes, key=where.get)
+            for rep, size in sizes.items():
+                assert order % size == 0
+                orbit = {kernels.conjugate(rep, c) for c in cent}
+                assert len(orbit) == size
+                assert min(map(where.get, orbit)) == where[rep]
+
+
+@pytest.mark.parametrize("d, max_rows", [(2, 3), (3, 3), (4, 3), (5, 2)])
+def test_reduced_survey_scales_to_the_unreduced_counts(d, max_rows):
+    counts = (
+        "relation_pairs",
+        "intransitive",
+        "orientable_excluded",
+        "transitive_imprimitive",
+        "transitive_primitive",
+    )
+    for data in _every_row_order(admissible_data([d], max_rows)):
+        if data.rows_count < 2:
+            continue
+        red = tuple_survey(data).to_dict()
+        full = tuple_survey(data, first_row_reduced=False).to_dict()
+        scale = len(class_images(d, data.rows[0].parts))
+        assert [red[k] * scale for k in counts] == [full[k] for k in counts], data.to_text()
+        assert red["sample"] == full["sample"], data.to_text()
+
+
+def test_reduced_survey_scans_one_second_row_per_centralizer_orbit(monkeypatch):
+    calls = Counter()
+    extension = kernels.alpha_extension
+
+    def counted(*args):
+        calls["alpha_extension"] += 1
+        return extension(*args)
+
+    monkeypatch.setattr(kernels, "alpha_extension", counted)
+    s = tuple_survey(data_of("d=6; [3,3],[2,2,1,1],[2,2,1,1]"))
+    assert s.relation_pairs == 4374
+    assert calls["alpha_extension"] < s.relation_pairs / 4
 
 
 # ---------------------------------------------------------------------------
