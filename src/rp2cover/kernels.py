@@ -71,8 +71,25 @@ def cycles_of(p):
 
 
 def cycle_lengths(p):
-    """Cycle lengths in non-increasing order, 1-cycles included."""
-    return tuple(sorted((len(c) for c in cycles_of(p)), reverse=True))
+    """Cycle lengths in non-increasing order, 1-cycles included.
+
+    Walks each cycle once from its least point on a copy of the images,
+    zeroing every other point it passes (the walk never returns to a
+    smaller start); no cycle tuple is built.
+    """
+    q = [0, *p]
+    out = []
+    for s in range(1, len(q)):
+        x = q[s]
+        if not x:
+            continue
+        n = 1
+        while x != s:
+            q[x], x = 0, q[x]
+            n += 1
+        out.append(n)
+    out.sort(reverse=True)
+    return tuple(out)
 
 
 def is_square_type(p):

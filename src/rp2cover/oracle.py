@@ -123,7 +123,14 @@ def class_images(d: int, parts: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+# Products whose roots `_roots_of` keeps.  A scan within the default
+# bounds meets far fewer distinct products than this, so it never evicts;
+# a scan at raised bounds may meet millions, and without a bound would
+# hold the roots of every one of them until the process exits.
+_ROOTS_CACHE_SIZE = 512
+
+
+@lru_cache(maxsize=_ROOTS_CACHE_SIZE)
 def _roots_of(images: tuple[int, ...], cap: int) -> tuple[tuple[int, ...], ...]:
     """Square roots of an image tuple, in the order of `all_square_roots`;
     raises RootCapExceeded when more than cap exist."""

@@ -148,13 +148,21 @@ def format_cycles(p: Permutation) -> str:
 def parse_permutation(text: str, degree: int) -> Permutation:
     """Parse cycle notation; the degree is supplied by the caller.
 
+    A point is a token of decimal digits (`str.isdecimal`); tokens are
+    separated by spaces or commas.  Each point is read once: its range and
+    repetition are checked and its image written in the same pass.  An
+    out-of-range or repeated point is reported only once the whole text
+    has parsed, so a malformed cycle later in the text is reported first.
+
     >>> parse_permutation("(1 2)(3 4)", 5).images
     (2, 1, 4, 3, 5)
     """
     s = text.strip()
     if s == "()":
         return Permutation.identity(degree)
-    cycles = []
+    images = list(range(1, degree + 1))
+    seen = [False] * (degree + 1)
+    fault = None  # first out-of-range or repeated point
     i = 0
     n = len(s)
     while i < n:
@@ -170,9 +178,27 @@ def parse_permutation(text: str, degree: int) -> Permutation:
         if not body:
             raise ValueError(f"empty cycle at position {i} in {text!r}")
         try:
-            cyc = tuple(int(w) for w in body)
+            if not "".join(body).isdecimal():
+                raise ValueError
+            points = list(map(int, body))
         except ValueError:
             raise ValueError(f"non-integer point in cycle at position {i} in {text!r}") from None
-        cycles.append(cyc)
+        if fault is None:
+            prev = 0
+            for x in points:
+                if not 1 <= x <= degree:
+                    fault = f"point {x} outside 1..{degree}"
+                    break
+                if seen[x]:
+                    fault = f"point {x} appears in two cycles"
+                    break
+                seen[x] = True
+                if prev:
+                    images[prev - 1] = x
+                prev = x
+            else:
+                images[prev - 1] = points[0]  # the last point closes the cycle
         i = j + 1
-    return Permutation.from_cycles(degree, cycles)
+    if fault is not None:
+        raise ValueError(fault)
+    return Permutation(tuple(images))

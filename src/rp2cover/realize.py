@@ -268,8 +268,10 @@ def verify_witness(
     d = data.degree
     if witness.degree != d or len(witness.gammas) != data.rows_count:
         raise ValueError("witness shape does not match branch data")
+    gamma_imgs = [g.images for g in witness.gammas]
+    types = [kernels.cycle_lengths(g) for g in gamma_imgs]
     if row_map is None:
-        row_map = _match_rows(data, witness)
+        row_map = _match_rows(data, types)
         row_types_ok = row_map is not None
         if row_map is None:
             row_map = tuple(range(data.rows_count))
@@ -278,17 +280,21 @@ def verify_witness(
         if sorted(row_map) != list(range(data.rows_count)):
             raise ValueError("row_map must be a permutation of the row indices")
         row_types_ok = all(
-            witness.gammas[i].cycle_type() == data.rows[row_map[i]].parts
-            for i in range(data.rows_count)
+            types[i] == data.rows[row_map[i]].parts for i in range(data.rows_count)
         )
 
-    gamma_imgs = [g.images for g in witness.gammas]
-    prod = Permutation(kernels.product_of(gamma_imgs, d))
-    relation_ok = prod == (witness.alpha * witness.alpha).inverse()
-
+    # gamma_1 ... gamma_s = alpha^-2  <=>  alpha^2 * product = 1
+    prod = kernels.product_of(gamma_imgs, d)
     alpha_imgs = witness.alpha.images
-    orbits, n = kernels.orbit_index(gamma_imgs, d)
-    transitive, orientable = kernels.alpha_extension(orbits, n, alpha_imgs)
+    relation_ok = [prod[alpha_imgs[y - 1] - 1] for y in alpha_imgs] == list(range(1, d + 1))
+
+    # With <gamma> transitive, alpha joins nothing and cannot flip a sheet
+    # against itself: alpha_extension would answer (True, False).
+    if kernels.is_transitive(gamma_imgs, d):
+        transitive, orientable = True, False
+    else:
+        orbits, n = kernels.orbit_index(gamma_imgs, d)
+        transitive, orientable = kernels.alpha_extension(orbits, n, alpha_imgs)
 
     # A transitive group holding a (d-1)-cycle that fixes a point is
     # 2-transitive, hence primitive; the product is such an element for
@@ -298,13 +304,14 @@ def verify_witness(
     primitive = False
     primitive_by = None
     if transitive:
-        if prod.cycle_type() == (d - 1, 1):
+        if kernels.cycle_lengths(prod) == (d - 1, 1):
             primitive, primitive_by = True, "two_transitive"
         else:
             block = imprimitivity_block(witness.group())
             primitive, primitive_by = block is None, "block_scan"
 
-    euler = d - sum(g.defect() for g in witness.gammas)
+    # each gamma's defect is d minus its number of cycles
+    euler = d - sum(d - len(t) for t in types)
     return Certificate(
         relation_ok=relation_ok,
         row_types_ok=row_types_ok,
@@ -318,12 +325,11 @@ def verify_witness(
     )
 
 
-def _match_rows(data: BranchData, witness: HurwitzWitness) -> tuple[int, ...] | None:
+def _match_rows(data: BranchData, types: Sequence[tuple[int, ...]]) -> tuple[int, ...] | None:
     """Greedy assignment of witness slots to rows of equal cycle type."""
     unused = list(range(data.rows_count))
     out = []
-    for g in witness.gammas:
-        t = g.cycle_type()
+    for t in types:
         for j in unused:
             if data.rows[j].parts == t:
                 out.append(j)

@@ -180,3 +180,18 @@ def test_alpha_extension_matches_the_label_version(case, rng):
         alpha = random_images(d, rng)
         want = _alpha_extension_from_labels(labels, alpha, d)
         assert kernels.alpha_extension(orbits, n, alpha) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 40).flatmap(lambda d: st.permutations(range(1, d + 1))))
+def test_cycle_lengths_match_the_cycle_tuples(images):
+    images = tuple(images)
+    want = tuple(sorted((len(c) for c in kernels.cycles_of(images)), reverse=True))
+    assert kernels.cycle_lengths(images) == want
+
+
+def test_cycle_lengths_of_every_small_permutation():
+    for d in range(1, 6):
+        for p in all_images(d):
+            want = tuple(sorted((len(c) for c in kernels.cycles_of(p)), reverse=True))
+            assert kernels.cycle_lengths(p) == want

@@ -760,3 +760,35 @@ def test_root_cap_enforced():
 def test_loose_bounds_open_larger_degrees():
     wide = SearchBounds(max_degree=8)
     assert exists_realization(data_of("d=7; [7],[7]"), wide)
+
+
+def _benchmark_data():
+    """The data of the benchmark's oracle scans, read from perfbench/workloads.py."""
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.OracleScan.TUPLE_SCANS, workloads.ClassifyBatch.ODD
+
+
+def test_roots_cache_is_bounded_and_never_evicts_in_default_scans():
+    assert oracle._roots_of.cache_info().maxsize is not None
+    tuple_scans, odd_lines = _benchmark_data()
+    # each tuple scan starts cold, as every `rp2cover oracle` process does
+    for text, reduced in tuple_scans:
+        oracle._roots_of.cache_clear()
+        oracle.class_images.cache_clear()
+        tuple_survey(data_of(text), first_row_reduced=reduced)
+        info = oracle._roots_of.cache_info()
+        # a miss per distinct product and no more: nothing was evicted
+        assert info.misses == info.currsize < info.maxsize, (text, info)
+    # a batch file's odd lines share one process and one cache
+    oracle._roots_of.cache_clear()
+    for text in odd_lines * 2:
+        classify(data_of(text))
+    info = oracle._roots_of.cache_info()
+    assert info.misses == info.currsize < info.maxsize, info
+    oracle._roots_of.cache_clear()

@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from rp2cover import kernels
 from rp2cover.perm import Permutation, canonical_of_type, format_cycles, parse_permutation
 
 from helpers import all_perms, partitions_of, random_perm
@@ -150,3 +154,203 @@ def test_parse_permutation_forms():
     for bad in ["(1 2", "1 2)", "(x)", "()()", "(1 2)(2 3)"]:
         with pytest.raises(ValueError):
             parse_permutation(bad, 4)
+
+
+def test_parse_permutation_reads_only_decimal_points():
+    # int() would read these as 10, 3 and -1
+    for token in ("1_0", "+3", "-1", "3.0", "0x2"):
+        with pytest.raises(ValueError, match="non-integer point in cycle at position 0"):
+            parse_permutation(f"({token} 2)", 12)
+    # any Unicode decimal digit is a digit, as in branch data
+    assert parse_permutation("(\uff11 2)", 3) == parse_permutation("(1 2)", 3)
+    assert parse_permutation("(01, 002)", 3) == parse_permutation("(1 2)", 3)
+
+
+def test_parse_permutation_reports_a_malformed_cycle_before_a_bad_point():
+    # the out-of-range point 9 comes first, but the text must parse whole
+    with pytest.raises(ValueError, match="non-integer"):
+        parse_permutation("(1 9)(x)", 4)
+    with pytest.raises(ValueError, match="unclosed"):
+        parse_permutation("(1 1)(2", 4)
+    with pytest.raises(ValueError, match="point 9 outside 1..4"):
+        parse_permutation("(1 9)(2 2)", 4)
+    with pytest.raises(ValueError, match="point 2 appears in two cycles"):
+        parse_permutation("(1 2)(2 9)", 4)
+
+
+# ---------------------------------------------------------------------------
+# differential checks against the reader as it was before it took each point
+# once: `_OldPermutation` and `_old_parse_permutation` are verbatim copies of
+# that validation, `from_cycles` and `parse_permutation`.  The validation and
+# `from_cycles` are unchanged; their tests guard them against a later rewrite.
+
+
+@dataclass(frozen=True)
+class _OldPermutation:
+    images: tuple
+
+    def __post_init__(self):
+        d = len(self.images)
+        if d < 1:
+            raise ValueError("degree must be at least 1")
+        seen = [False] * (d + 1)
+        for v in self.images:
+            if not isinstance(v, int) or not 1 <= v <= d or seen[v]:
+                raise ValueError(f"not a bijection of 1..{d}: {self.images!r}")
+            seen[v] = True
+
+    @classmethod
+    def identity(cls, d):
+        return cls(kernels.identity(d))
+
+    @classmethod
+    def from_cycles(cls, d, cycles):
+        images = list(range(1, d + 1))
+        used = set()
+        for cyc in cycles:
+            for x in cyc:
+                if not 1 <= x <= d:
+                    raise ValueError(f"point {x} outside 1..{d}")
+                if x in used:
+                    raise ValueError(f"point {x} appears in two cycles")
+                used.add(x)
+            for i, x in enumerate(cyc):
+                images[x - 1] = cyc[(i + 1) % len(cyc)]
+        return cls(tuple(images))
+
+
+def _old_parse_permutation(text, degree):
+    s = text.strip()
+    if s == "()":
+        return _OldPermutation.identity(degree)
+    cycles = []
+    i = 0
+    n = len(s)
+    while i < n:
+        if s[i].isspace():
+            i += 1
+            continue
+        if s[i] != "(":
+            raise ValueError(f"expected '(' at position {i} in {text!r}")
+        j = s.find(")", i)
+        if j < 0:
+            raise ValueError(f"unclosed cycle at position {i} in {text!r}")
+        body = s[i + 1 : j].replace(",", " ").split()
+        if not body:
+            raise ValueError(f"empty cycle at position {i} in {text!r}")
+        try:
+            cyc = tuple(int(w) for w in body)
+        except ValueError:
+            raise ValueError(f"non-integer point in cycle at position {i} in {text!r}") from None
+        cycles.append(cyc)
+        i = j + 1
+    return _OldPermutation.from_cycles(degree, cycles)
+
+
+def _outcome(f, *args):
+    """Images built, or the type and text of the exception raised."""
+    try:
+        return "ok", f(*args).images
+    except Exception as e:  # noqa: BLE001 - the exception itself is compared
+        return type(e).__name__, str(e)
+
+
+_ODD_POINTS = st.one_of(
+    st.booleans(), st.sampled_from([2.0, 1.5, -1.0, None, "1"])
+)
+
+
+def _points(d):
+    return st.one_of(st.integers(-1, d + 2), _ODD_POINTS)
+
+
+@st.composite
+def _image_tuples(draw):
+    d = draw(st.integers(0, 8))
+    images = list(draw(st.permutations(range(1, d + 1))))
+    for _ in range(draw(st.integers(0, 2))):
+        if images:
+            images[draw(st.integers(0, d - 1))] = draw(_points(d))
+    if images and draw(st.booleans()):
+        # True and False stand for 1 and 0
+        images = [True if v == 1 else v for v in images]
+    return draw(st.sampled_from([tuple, list]))(images)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_image_tuples())
+@example((1, 2, 3))
+@example((1, 1, 3))
+@example((0, 2, 1))
+@example((2, 4, 1))
+@example((2, True, 3))
+@example((2.0, 1))
+@example(())
+def test_permutation_validation_matches_the_point_loop(images):
+    assert _outcome(Permutation, images) == _outcome(_OldPermutation, images)
+
+
+@st.composite
+def _cycle_lists(draw):
+    d = draw(st.integers(0, 8))
+    points = list(draw(st.permutations(range(1, d + 1))))
+    cycles = []
+    while points and draw(st.integers(0, 3)):
+        k = draw(st.integers(1, len(points)))
+        cycles.append(points[:k])
+        points = points[k:]
+    for _ in range(draw(st.integers(0, 2))):
+        if cycles and draw(st.booleans()):
+            cyc = draw(st.sampled_from(cycles))
+            cyc.insert(draw(st.integers(0, len(cyc))), draw(_points(d)))
+        elif cycles:
+            # a point repeated from an earlier cycle or this one
+            src = draw(st.sampled_from(cycles))
+            draw(st.sampled_from(cycles)).append(draw(st.sampled_from(src)))
+    return d, [tuple(c) for c in cycles]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_cycle_lists())
+@example((4, [(2.0, 3, 9)]))
+@example((4, [(2, 3), (2.0,)]))
+@example((4, [(True, 2), (1, 3)]))
+@example((3, [(1, 4)]))
+@example((4, [(1, 2), (2, 3)]))
+@example((0, []))
+def test_from_cycles_matches_the_set_check(case):
+    d, cycles = case
+    assert _outcome(Permutation.from_cycles, d, cycles) == _outcome(_OldPermutation.from_cycles, d, cycles)
+
+
+# tokens that int() and the decimal rule read alike
+_TOKENS = ["1", "2", "3", "4", "5", "9", "0", "01", "12", "\uff13", "x", "1.5", "2a", "", "\u00b2"]
+
+
+@st.composite
+def _cycle_texts(draw):
+    d = draw(st.integers(0, 8))
+    if d and draw(st.booleans()):
+        # a well-formed text, perhaps with commas and extra spaces
+        text = format_cycles(Permutation(tuple(draw(st.permutations(range(1, d + 1))))))
+        if draw(st.booleans()):
+            text = text.replace(" ", draw(st.sampled_from([",", " , ", "  "])))
+        return " " * draw(st.integers(0, 2)) + text, d
+    pieces = st.one_of(st.sampled_from(["(", ")", " ", ",", ")("]), st.sampled_from(_TOKENS))
+    return "".join(draw(st.lists(pieces, max_size=14))), d
+
+
+@settings(max_examples=600, deadline=None)
+@given(_cycle_texts())
+@example(("(1 9)(x)", 4))
+@example(("(1 1)(2", 4))
+@example(("(1 2)(2 9)", 4))
+@example(("()", 0))
+@example(("(1)", 0))
+@example(("()()", 3))
+@example(("(1 2", 3))
+@example(("1 2)", 3))
+@example(("(" + "9" * 5000 + ")", 3))
+def test_parse_permutation_matches_the_old_reader(case):
+    text, d = case
+    assert _outcome(parse_permutation, text, d) == _outcome(_old_parse_permutation, text, d)
