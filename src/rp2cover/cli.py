@@ -251,14 +251,24 @@ def cmd_oracle(args, out, err) -> int:
     return OK
 
 
-def _classify_line(line: str) -> dict:
+def _batch_line(line: str, fmt: str) -> tuple[str, bool]:
+    """The output line for one stripped input line, and whether it failed
+    to parse."""
     try:
         data = parse_branch_data(line)
     except ParseError as e:
-        return {"input": line, "error": str(e)}
-    cls = classify(data)
-    out = {"input": data.to_text(), "classification": cls.to_dict()}
-    return out
+        rec = {"input": line, "error": str(e)}
+    else:
+        rec = {"input": data.to_text(), "classification": classify(data).to_dict()}
+    failed = "error" in rec
+    if fmt == "json":
+        return json.dumps(rec, sort_keys=True), failed
+    if failed:
+        return f"{rec['input']} :: error: {rec['error']}", failed
+    cls = rec["classification"]
+    tag = cls["case"] or cls["reason"]
+    suffix = f" ({tag})" if tag else ""
+    return f"{rec['input']} :: {cls['verdict']}{suffix}", failed
 
 
 def cmd_batch(args, out, err) -> int:
@@ -271,19 +281,22 @@ def cmd_batch(args, out, err) -> int:
         except OSError as e:
             print(f"error: {e}", file=err)
             return PARSE_ERROR
-    work = [ln.strip() for ln in lines if ln.strip() and not ln.strip().startswith("#")]
-    results = [_classify_line(ln) for ln in work]
-    for rec in results:
-        if args.format == "json":
-            print(json.dumps(rec, sort_keys=True), file=out)
-        elif "error" in rec:
-            print(f"{rec['input']} :: error: {rec['error']}", file=out)
-        else:
-            cls = rec["classification"]
-            tag = cls["case"] or cls["reason"]
-            suffix = f" ({tag})" if tag else ""
-            print(f"{rec['input']} :: {cls['verdict']}{suffix}", file=out)
-    return PARSE_ERROR if any("error" in rec for rec in results) else OK
+    # A line's output depends on its stripped text alone, so each distinct
+    # line is settled once per run.  Every line is settled before anything
+    # is printed: a defect on any line leaves stdout empty.
+    settled: dict[str, tuple[str, bool]] = {}
+    printed = []
+    for ln in lines:
+        ln = ln.strip()
+        if not ln or ln.startswith("#"):
+            continue
+        result = settled.get(ln)
+        if result is None:
+            result = settled[ln] = _batch_line(ln, args.format)
+        printed.append(result[0])
+    if printed:
+        out.write("\n".join(printed) + "\n")
+    return PARSE_ERROR if any(failed for _, failed in settled.values()) else OK
 
 
 # ---------------------------------------------------------------------------

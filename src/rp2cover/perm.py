@@ -145,6 +145,16 @@ def format_cycles(p: Permutation) -> str:
     return "".join("(" + " ".join(str(x) for x in c) + ")" for c in parts)
 
 
+_ECHO_PREFIX = 80
+
+
+def _echo(text: str) -> str:
+    """`text` quoted for an error message; a long text only by its start."""
+    if len(text) <= _ECHO_PREFIX:
+        return repr(text)
+    return f"{text[:_ECHO_PREFIX]!r}... ({len(text)} characters)"
+
+
 def parse_permutation(text: str, degree: int) -> Permutation:
     """Parse cycle notation; the degree is supplied by the caller.
 
@@ -153,6 +163,9 @@ def parse_permutation(text: str, degree: int) -> Permutation:
     repetition are checked and its image written in the same pass.  An
     out-of-range or repeated point is reported only once the whole text
     has parsed, so a malformed cycle later in the text is reported first.
+    A point longer than `sys.get_int_max_str_digits()` is reported as an
+    integer too long, and a message quotes a long text only by its first
+    80 characters.
 
     >>> parse_permutation("(1 2)(3 4)", 5).images
     (2, 1, 4, 3, 5)
@@ -170,19 +183,23 @@ def parse_permutation(text: str, degree: int) -> Permutation:
             i += 1
             continue
         if s[i] != "(":
-            raise ValueError(f"expected '(' at position {i} in {text!r}")
+            raise ValueError(f"expected '(' at position {i} in {_echo(text)}")
         j = s.find(")", i)
         if j < 0:
-            raise ValueError(f"unclosed cycle at position {i} in {text!r}")
+            raise ValueError(f"unclosed cycle at position {i} in {_echo(text)}")
         body = s[i + 1 : j].replace(",", " ").split()
         if not body:
-            raise ValueError(f"empty cycle at position {i} in {text!r}")
+            raise ValueError(f"empty cycle at position {i} in {_echo(text)}")
+        if not "".join(body).isdecimal():
+            raise ValueError(f"non-integer point in cycle at position {i} in {_echo(text)}")
         try:
-            if not "".join(body).isdecimal():
-                raise ValueError
             points = list(map(int, body))
         except ValueError:
-            raise ValueError(f"non-integer point in cycle at position {i} in {text!r}") from None
+            # more digits than sys.get_int_max_str_digits() allows
+            digits = max(map(len, body))
+            raise ValueError(
+                f"integer too long ({digits} digits) in cycle at position {i} in {_echo(text)}"
+            ) from None
         if fault is None:
             prev = 0
             for x in points:

@@ -11,8 +11,9 @@ import sys
 import pytest
 
 import rp2cover
-from rp2cover import oracle, realize
+from rp2cover import cli, oracle, realize
 from rp2cover.cli import main
+from rp2cover.perm import parse_permutation
 
 from helpers import INT_DIGITS, needs_int_digit_limit
 
@@ -269,6 +270,22 @@ def test_verify_refuses_a_claimed_degree_before_building_it(tmp_path, monkeypatc
     assert degrees == []
 
 
+@needs_int_digit_limit
+def test_verify_reports_a_witness_point_too_long_for_int(tmp_path):
+    digits = INT_DIGITS + 700
+    text = "(" + "9" * digits + ")"
+    want = f"integer too long ({digits} digits) in cycle at position 0 in {text[:80]!r}... ({digits + 2} characters)"
+    with pytest.raises(ValueError) as info:
+        parse_permutation(text, 4)
+    assert str(info.value) == want
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps({**_GOOD_WITNESS, "alpha": text}), encoding="utf-8")
+    code, out, err = run("verify", "d=4; [2,2],[2,2]", "--witness", str(path))
+    # the text is quoted by its first 80 characters only
+    assert (code, out, err) == (2, "", f"error: {want}\n")
+    assert len(err) < 200
+
+
 def test_realize_engine_failure_exits_5(monkeypatch):
     def no_pair(*args, **kwargs):
         raise realize.SearchExhausted("forced: no such pair", complete=True)
@@ -473,6 +490,90 @@ def test_batch_reports_an_integer_too_long_for_int_and_goes_on(tmp_path):
     assert (code, out, err) == (2, "", f"error: {want}\n")
     code, out, err = run("check", long_sum)
     assert (code, out, err) == (2, "", f"error: {want_sum}\n")
+
+
+# repeated even, all-twos, odd and malformed lines, whitespace variants of
+# a line, blank lines and comments
+MIXED_BATCH = [
+    "d=6; [3,2,1],[2,2,2]",
+    "d=4; [2,2],[2,2]",
+    "# comment",
+    "d=3; [3],[3]",
+    "d=4; [5]",
+    "",
+    "  d=6;[3,2,1], [2,2,2]\t",
+    "d=6; [3,2,1],[2,2,2]",
+    "\t",
+    "d=3; [3],[3]",
+    "d=4; [2,2],[2,2]",
+    "   # indented comment",
+    "d=4; [5]",
+    " d=6; [3,2,1],[2,2,2] ",
+    "d=5; [5],[5]",
+    "d=3; [3],[3]",
+]
+
+
+@pytest.mark.parametrize("fmt", ["human", "json"])
+def test_batch_output_is_the_per_line_records_concatenated(tmp_path, fmt):
+    path = tmp_path / "batch.txt"
+    path.write_text("\n".join(MIXED_BATCH) + "\n", encoding="utf-8")
+    code, out, err = run("batch", str(path), "--format", fmt)
+    want_out, want_code = "", 0
+    for line in MIXED_BATCH:
+        if not line.strip() or line.strip().startswith("#"):
+            continue
+        path.write_text(line + "\n", encoding="utf-8")
+        one_code, one_out, one_err = run("batch", str(path), "--format", fmt)
+        assert one_err == "" and one_out.count("\n") == 1
+        want_out += one_out
+        want_code = max(want_code, one_code)
+    assert want_code == 2
+    assert (code, out, err) == (want_code, want_out, "")
+
+
+def test_batch_settles_each_distinct_line_once(tmp_path, monkeypatch):
+    parsed, classified = [], []
+
+    def counted_parse(text):
+        parsed.append(text)
+        return parse(text)
+
+    def counted_classify(data):
+        classified.append(data.to_text())
+        return classify(data)
+
+    parse, classify = cli.parse_branch_data, cli.classify
+    monkeypatch.setattr(cli, "parse_branch_data", counted_parse)
+    monkeypatch.setattr(cli, "classify", counted_classify)
+    path = tmp_path / "batch.txt"
+    path.write_text("\n".join(MIXED_BATCH) + "\n", encoding="utf-8")
+    code, out, _ = run("batch", str(path), "--format", "json")
+    assert code == 2
+    assert out.count("\n") == 12
+    distinct = {ln.strip() for ln in MIXED_BATCH if ln.strip() and not ln.strip().startswith("#")}
+    assert sorted(parsed) == sorted(distinct)
+    # lines equal once stripped are one line, two spellings of a datum are
+    # two; "d=4; [5]" does not parse
+    assert len(classified) == len(distinct) - 1 == 5
+    assert classified.count("d=6; [3,2,1],[2,2,2]") == 2
+
+
+def test_batch_defect_on_a_repeated_later_line_prints_nothing(tmp_path, monkeypatch):
+    classify = cli.classify
+
+    def broken(data):
+        if data.degree == 5:
+            raise RuntimeError("forced defect")
+        return classify(data)
+
+    monkeypatch.setattr(cli, "classify", broken)
+    path = tmp_path / "batch.txt"
+    path.write_text("\n".join(MIXED_BATCH + ["d=5; [5],[5]"]) + "\n", encoding="utf-8")
+    code, out, err = run("batch", str(path))
+    assert (code, out) == (5, "")
+    assert err.startswith("error: internal failure: RuntimeError: forced defect (")
+    assert err.count("\n") == 1
 
 
 def test_batch_missing_file(tmp_path):
