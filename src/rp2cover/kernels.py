@@ -7,6 +7,8 @@ points numbered 1..d.  Composition is left-to-right: x^(pq) = (x^p)^q.
 
 from __future__ import annotations
 
+from operator import neg
+
 BACKEND = "python"
 
 
@@ -70,25 +72,31 @@ def cycles_of(p):
     return tuple(out)
 
 
-def cycle_lengths(p):
+def cycle_lengths(p, labels=False):
     """Cycle lengths in non-increasing order, 1-cycles included.
 
     Walks each cycle once from its least point on a copy of the images,
-    zeroing every other point it passes (the walk never returns to a
-    smaller start); no cycle tuple is built.
+    writing minus that point over every point it passes (the walk never
+    returns to a smaller start); no cycle tuple is built.  With `labels`
+    the result is (lengths, labels), the labels being those of
+    `component_labels((p,), d)`: entry i is the least point of the cycle
+    through point i+1.
     """
     q = [0, *p]
     out = []
     for s in range(1, len(q)):
         x = q[s]
-        if not x:
+        if x < 0:
             continue
+        q[s] = label = -s
         n = 1
         while x != s:
-            q[x], x = 0, q[x]
+            q[x], x = label, q[x]
             n += 1
         out.append(n)
     out.sort(reverse=True)
+    if labels:
+        return tuple(out), tuple(map(neg, q[1:]))
     return tuple(out)
 
 
@@ -141,13 +149,26 @@ def orbit_count(gens, d):
     return len(set(labels))
 
 
-def is_transitive(gens, d):
+def is_transitive(gens, d, labels=None):
     """One orbit: union-find over the generator edges that stops as soon as
-    d - 1 joins have made every point one class."""
+    every point is in one class.
+
+    `labels`, in the form `component_labels` returns, are the orbits of
+    generators left out of gens, such as the cycles of one generator from
+    `cycle_lengths(g, labels=True)`.  The union-find starts from those
+    classes, so the points of one class are never joined again.
+    """
     if d < 2:
         return d == 1
-    parent = list(range(d + 1))
-    joins = d - 1
+    if labels is None:
+        parent = list(range(d + 1))
+        joins = d - 1
+    else:
+        # each class hangs from its least point
+        parent = [0, *labels]
+        joins = len(set(labels)) - 1
+        if not joins:
+            return True
     for g in gens:
         for x, y in enumerate(g, 1):
             while parent[x] != x:

@@ -155,29 +155,62 @@ def _echo(text: str) -> str:
     return f"{text[:_ECHO_PREFIX]!r}... ({len(text)} characters)"
 
 
+def _echo_point(x: int) -> str:
+    """The point `x` for an error message; a long one only by its first digits."""
+    digits = str(x)
+    if len(digits) <= _ECHO_PREFIX:
+        return digits
+    return f"{digits[:_ECHO_PREFIX]}... ({len(digits)} digits)"
+
+
+# The point named by each plain decimal text: "k" -> k for k = 1 .. n, with
+# n = len(_POINTS).  Built per call it would cost more than it saves, so
+# every call shares it.  A call extends it to min(degree, length of its
+# text), so it never holds more points than the longest text read had
+# characters.  It only grows, and only by these fixed entries, so callers
+# on several threads can at worst add the same entries twice.
+_POINTS: dict[str, int] = {}
+
+
+def _point_table(n: int) -> dict[str, int]:
+    """`_POINTS`, extended to hold at least the points 1..n."""
+    k = len(_POINTS)
+    if k < n:
+        new = range(k + 1, n + 1)
+        _POINTS.update(zip(map(str, new), new))
+    return _POINTS
+
+
 def parse_permutation(text: str, degree: int) -> Permutation:
     """Parse cycle notation; the degree is supplied by the caller.
 
     A point is a token of decimal digits (`str.isdecimal`); tokens are
-    separated by spaces or commas.  Each point is read once: its range and
-    repetition are checked and its image written in the same pass.  An
-    out-of-range or repeated point is reported only once the whole text
-    has parsed, so a malformed cycle later in the text is reported first.
-    A point longer than `sys.get_int_max_str_digits()` is reported as an
-    integer too long, and a message quotes a long text only by its first
-    80 characters.
+    separated by spaces or commas.  A token is looked up in a table of the
+    plain decimal texts of 1, 2, ..., which every call shares and extends
+    to min(degree, length of the text) points; only a token the table
+    lacks (a leading zero, a non-ASCII digit, 0 or a point past the table)
+    is read by `int`.  The whole text is read before any point is checked:
+    a set of the points finds a repeat, and a point from the table is at
+    least 1 and at most the table's end.  These checks prove the result a
+    bijection, so it is built without `Permutation`'s own check.  Only a
+    text that fails them is walked point by point, to name its first
+    out-of-range or repeated point; a malformed cycle anywhere in the text
+    is reported before either.  A point longer than
+    `sys.get_int_max_str_digits()` is reported as an integer too long, and
+    a message quotes a long text by its first 80 characters and a long
+    point by its first 80 digits.
 
     >>> parse_permutation("(1 2)(3 4)", 5).images
     (2, 1, 4, 3, 5)
     """
     s = text.strip()
-    if s == "()":
-        return Permutation.identity(degree)
-    images = list(range(1, degree + 1))
-    seen = [False] * (degree + 1)
-    fault = None  # first out-of-range or repeated point
+    table = _point_table(min(degree, len(s)))
+    point = table.__getitem__
+    from_table = True  # every point was looked up in the table
+    points = []  # each point, in text order
+    nexts = []  # the point after it in its cycle
     i = 0
-    n = len(s)
+    n = 0 if s == "()" else len(s)
     while i < n:
         if s[i].isspace():
             i += 1
@@ -190,32 +223,56 @@ def parse_permutation(text: str, degree: int) -> Permutation:
         body = s[i + 1 : j].replace(",", " ").split()
         if not body:
             raise ValueError(f"empty cycle at position {i} in {_echo(text)}")
-        if not "".join(body).isdecimal():
-            raise ValueError(f"non-integer point in cycle at position {i} in {_echo(text)}")
         try:
-            points = list(map(int, body))
-        except ValueError:
-            # more digits than sys.get_int_max_str_digits() allows
-            digits = max(map(len, body))
-            raise ValueError(
-                f"integer too long ({digits} digits) in cycle at position {i} in {_echo(text)}"
-            ) from None
-        if fault is None:
-            prev = 0
-            for x in points:
-                if not 1 <= x <= degree:
-                    fault = f"point {x} outside 1..{degree}"
-                    break
-                if seen[x]:
-                    fault = f"point {x} appears in two cycles"
-                    break
-                seen[x] = True
-                if prev:
-                    images[prev - 1] = x
-                prev = x
-            else:
-                images[prev - 1] = points[0]  # the last point closes the cycle
+            cycle = list(map(point, body))
+        except KeyError:
+            cycle = _int_points(body, i, text)
+            from_table = False
+        points += cycle
+        nexts += cycle[1:]
+        nexts.append(cycle[0])
         i = j + 1
-    if fault is not None:
-        raise ValueError(fault)
-    return Permutation(tuple(images))
+    # a point from the table lies in 1..len(table), and the table only grows
+    in_range = (
+        (from_table and len(table) <= degree)
+        or not points
+        or (1 <= min(points) and max(points) <= degree)
+    )
+    if not in_range or len(set(points)) < len(points):
+        raise ValueError(_first_fault(points, degree))
+    if degree < 1:
+        raise ValueError("degree must be at least 1")
+    images = list(range(degree + 1))  # images[x] is the image of x
+    for x, y in zip(points, nexts):
+        images[x] = y
+    # a bijection by the checks above, so Permutation's own check is skipped
+    p = object.__new__(Permutation)
+    p.__dict__["images"] = tuple(images[1:])
+    return p
+
+
+def _int_points(body: list[str], i: int, text: str) -> list[int]:
+    """The points of a cycle some of whose tokens the table lacks."""
+    if not "".join(body).isdecimal():
+        raise ValueError(f"non-integer point in cycle at position {i} in {_echo(text)}")
+    try:
+        return list(map(int, body))
+    except ValueError:
+        # more digits than sys.get_int_max_str_digits() allows
+        digits = max(map(len, body))
+        raise ValueError(
+            f"integer too long ({digits} digits) in cycle at position {i} in {_echo(text)}"
+        ) from None
+
+
+def _first_fault(points: list[int], degree: int) -> str:
+    """Why `points`, in text order, are not distinct points of 1..degree:
+    the first point out of range or met before."""
+    seen = set()
+    for x in points:
+        if not 1 <= x <= degree:
+            return f"point {_echo_point(x)} outside 1..{degree}"
+        if x in seen:
+            return f"point {x} appears in two cycles"
+        seen.add(x)
+    raise AssertionError("no faulty point")

@@ -269,7 +269,9 @@ def verify_witness(
     if witness.degree != d or len(witness.gammas) != data.rows_count:
         raise ValueError("witness shape does not match branch data")
     gamma_imgs = [g.images for g in witness.gammas]
-    types = [kernels.cycle_lengths(g) for g in gamma_imgs]
+    # one walk over gamma_1 gives its cycle type and the cycle of each point
+    first_type, first_cycles = kernels.cycle_lengths(gamma_imgs[0], labels=True)
+    types = [first_type, *map(kernels.cycle_lengths, gamma_imgs[1:])]
     if row_map is None:
         row_map = _match_rows(data, types)
         row_types_ok = row_map is not None
@@ -290,7 +292,7 @@ def verify_witness(
 
     # With <gamma> transitive, alpha joins nothing and cannot flip a sheet
     # against itself: alpha_extension would answer (True, False).
-    if kernels.is_transitive(gamma_imgs, d):
+    if kernels.is_transitive(gamma_imgs[1:], d, first_cycles):
         transitive, orientable = True, False
     else:
         orbits, n = kernels.orbit_index(gamma_imgs, d)

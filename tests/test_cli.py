@@ -286,6 +286,17 @@ def test_verify_reports_a_witness_point_too_long_for_int(tmp_path):
     assert len(err) < 200
 
 
+def test_verify_quotes_a_long_out_of_range_point_by_its_first_digits(tmp_path):
+    # the longest point int() reads at the default digit limit
+    digits = min(INT_DIGITS or 4300, 4300)
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps({**_GOOD_WITNESS, "alpha": "(1 " + "9" * digits + ")"}), encoding="utf-8")
+    code, out, err = run("verify", "d=4; [2,2],[2,2]", "--witness", str(path))
+    want = f"error: point {'9' * 80}... ({digits} digits) outside 1..4\n"
+    assert (code, out, err) == (2, "", want)
+    assert len(err) < 200
+
+
 def test_realize_engine_failure_exits_5(monkeypatch):
     def no_pair(*args, **kwargs):
         raise realize.SearchExhausted("forced: no such pair", complete=True)

@@ -195,3 +195,18 @@ def test_cycle_lengths_of_every_small_permutation():
         for p in all_images(d):
             want = tuple(sorted((len(c) for c in kernels.cycles_of(p)), reverse=True))
             assert kernels.cycle_lengths(p) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(_generator_lists().filter(lambda case: case[0]))
+@example(([(1, 2, 3, 4, 5), (2, 3, 4, 5, 1)], 5))  # gamma_1 the identity: d labels
+@example(([(1, 2, 3), (1, 2, 3)], 3))
+@example(([(2, 1, 3, 4), (1, 2, 4, 3)], 4))  # intransitive
+@example(([(1,)], 1))
+@example(([(1,), (1,)], 1))
+def test_transitivity_from_the_first_generators_cycles_matches_the_orbit_count(case):
+    gens, d = case
+    lengths, labels = kernels.cycle_lengths(gens[0], labels=True)
+    assert lengths == kernels.cycle_lengths(gens[0])
+    assert labels == kernels.component_labels(gens[:1], d)
+    assert kernels.is_transitive(gens[1:], d, labels) == (kernels.orbit_count(gens, d) == 1)

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rp2cover import kernels
+from rp2cover import perm as perm_module
 from rp2cover.perm import Permutation, canonical_of_type, format_cycles, parse_permutation
 
 from helpers import all_perms, partitions_of, random_perm
@@ -367,3 +368,103 @@ def _cycle_texts(draw):
 def test_parse_permutation_matches_the_old_reader(case):
     text, d = case
     assert _outcome(parse_permutation, text, d) == _outcome(_old_parse_permutation, text, d)
+
+
+def _fullwidth(token):
+    return "".join(chr(0xFF10 + int(c)) for c in token)
+
+
+@st.composite
+def _long_cycle_texts(draw):
+    """Texts of degree up to 600 that the old reader takes without a syntax
+    fault: well-formed cycles with comma and space variants, points with
+    leading zeros or fullwidth digits, 0 and d + 1, repeats, and degrees of
+    0 and below.  Returns (text, degree, table size to start from)."""
+    rng = draw(st.randoms(use_true_random=False))
+    d = draw(st.one_of(st.integers(-2, 600), st.integers(-2, 3), st.integers(250, 600)))
+    points = list(range(1, max(d, 0) + 1))
+    rng.shuffle(points)
+    cycles = []
+    while points:
+        k = min(len(points), rng.choice([1, 2, 2, 3, rng.randint(1, 600)]))
+        cycles.append(points[:k])
+        points = points[k:]
+    if rng.random() < 0.5:
+        # a few cycles only, so a large point may lie past the table
+        cycles = rng.sample(cycles, min(len(cycles), rng.randint(0, 3)))
+    for _ in range(rng.choice([0, 0, 1, 1, 2])):
+        bad = rng.choice([0, max(d, 0) + 1, max(d, 0) + 1, max(d, 0) + rng.randint(1, 10**6)])
+        if rng.random() < 0.3 and cycles:
+            # a repeat in a later cycle than the out-of-range point
+            cycles.append([rng.choice(rng.choice(cycles))])
+            cycles.insert(rng.randrange(len(cycles)), [bad])
+        elif cycles:
+            rng.choice(cycles).insert(0, bad)
+        else:
+            cycles.append([bad])
+    if cycles and rng.random() < 0.2:
+        src = rng.choice(cycles)
+        rng.choice(cycles).append(rng.choice(src))
+    sep = rng.choice([" ", ",", " , ", "  "])
+    gap = rng.choice(["", "", " "])
+
+    def token(x):
+        t = str(x)
+        r = rng.random()
+        if r < 0.05:
+            return "0" * rng.randint(1, 3) + t
+        if r < 0.1:
+            return _fullwidth(t)
+        return t
+
+    text = gap.join("(" + sep.join(map(token, c)) + ")" for c in cycles)
+    if not cycles:
+        text = rng.choice(["", "()", " () ", "  "])
+    return text, d, rng.choice([0, 5, max(d, 0) // 2, max(d, 0) + 1, 700])
+
+
+# The messages of both readers agree here: no drawn text has a syntax
+# fault, and every point has fewer than 80 digits.
+@settings(max_examples=300, deadline=None)
+@given(_long_cycle_texts())
+@example(("(1 2)(3 4)", 600, 0))
+@example(("(1 500)", 600, 0))
+@example(("(01 2)(３ 4)", 4, 0))
+@example(("(1 0)(2 1)", 4, 700))
+@example(("(1 5)(2 1)", 4, 0))
+@example(("(1 2)(3 5)", 4, 700))
+@example(("(3 4)(5)(3)", 4, 700))
+@example(("(1 2)", 0, 0))
+@example(("(1 2)", -1, 0))
+@example(("()", 0, 700))
+@example(("", -2, 0))
+@example(("", 3, 700))
+def test_parse_permutation_matches_the_old_reader_on_long_texts(case):
+    text, d, table = case
+    # the table only saves work: start from a table shorter or longer than
+    # the text needs
+    perm_module._POINTS.clear()
+    perm_module._point_table(table)
+    got = _outcome(parse_permutation, text, d)
+    assert got == _outcome(_old_parse_permutation, text, d)
+    if got[0] == "ok":
+        p, want = parse_permutation(text, d), Permutation(got[1])
+        assert p == want and hash(p) == hash(want)
+
+
+def test_parse_permutation_quotes_a_long_point_by_its_first_digits():
+    short = "9" * 80
+    with pytest.raises(ValueError) as info:
+        parse_permutation(f"(1 {short})", 4)
+    assert str(info.value) == f"point {short} outside 1..4"
+    long = "9" * 81
+    with pytest.raises(ValueError) as info:
+        parse_permutation(f"(1 2)(3 {long})", 4)
+    assert str(info.value) == f"point {short}... (81 digits) outside 1..4"
+
+
+def test_parse_permutation_grows_its_table_only_as_far_as_the_text(monkeypatch):
+    monkeypatch.setattr(perm_module, "_POINTS", {})
+    p = parse_permutation("(1 2)", 10**6)
+    assert p.images[:3] == (2, 1, 3) and p.degree == 10**6
+    assert len(perm_module._POINTS) <= len("(1 2)")

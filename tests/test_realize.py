@@ -1078,6 +1078,22 @@ def test_realize_is_deterministic_per_seed():
     assert a.to_dict() == b.to_dict()
 
 
+def _refuse_post_init(self):
+    raise AssertionError("Permutation checked again")
+
+
+def test_reading_a_witness_checks_no_permutation_twice(monkeypatch):
+    w = realize_indecomposable(data_of("d=8; [4,3,1],[2,2,2,2],[8]"), seed=5).witness
+    rec = w.to_dict()
+    rec["gammas"] += ["()", " (1,2, 3) "]
+    want = (*w.gammas, Permutation.identity(8), Permutation.from_cycles(8, [(1, 2, 3)]))
+    monkeypatch.setattr(Permutation, "__post_init__", _refuse_post_init)
+    with pytest.raises(AssertionError):
+        Permutation.identity(8)
+    again = HurwitzWitness.from_dict(rec)
+    assert again.gammas == want and again.alpha == w.alpha
+
+
 def test_realize_result_dict_shape():
     res = realize_indecomposable(data_of("d=6; [3,2,1],[2,2,2]"), seed=3)
     rec = res.to_dict()
