@@ -59,7 +59,8 @@ class Partition:
         return self.parts[0] == 1
 
     def is_all_twos(self) -> bool:
-        return all(p == 2 for p in self.parts)
+        # the parts are non-increasing, so the first and last bound them all
+        return self.parts[0] == 2 == self.parts[-1]
 
     def __str__(self) -> str:
         return "[" + ",".join(map(str, self.parts)) + "]"
@@ -90,13 +91,15 @@ class BranchData:
         return len(self.rows)
 
     def total_defect(self) -> int:
-        return sum(row.nu for row in self.rows)
+        # every row sums to the degree, so sum(row.nu) is d*s - sum(len(parts))
+        return self.degree * len(self.rows) - sum([len(r.parts) for r in self.rows])
 
     def all_rows_all_twos(self) -> bool:
         return all(row.is_all_twos() for row in self.rows)
 
     def to_text(self) -> str:
-        return f"d={self.degree}; " + ",".join(map(str, self.rows))
+        rows = "],[".join([",".join(map(str, r.parts)) for r in self.rows])
+        return f"d={self.degree}; [{rows}]"
 
     def __str__(self) -> str:
         return self.to_text()
@@ -107,8 +110,13 @@ class Admissibility(NamedTuple):
     reason: str
 
 
+def admissible_defect(nu: int, d: int) -> bool:
+    """The admissibility rule: total defect nu even and at least d - 1."""
+    return nu % 2 == 0 and nu >= d - 1
+
+
 def is_admissible(data: BranchData) -> Admissibility:
-    """Check d - 1 <= nu and nu even; the reason states which side failed.
+    """`admissible_defect` of the data; the reason states which side failed.
 
     >>> is_admissible(parse_branch_data("d=4; [2,2]")).ok
     False
@@ -117,11 +125,11 @@ def is_admissible(data: BranchData) -> Admissibility:
     """
     nu = data.total_defect()
     d = data.degree
+    if admissible_defect(nu, d):
+        return Admissibility(True, f"total defect {nu} is even and at least d-1={d - 1}")
     if nu % 2 != 0:
         return Admissibility(False, f"total defect {nu} is odd")
-    if nu < d - 1:
-        return Admissibility(False, f"total defect {nu} is below d-1={d - 1}")
-    return Admissibility(True, f"total defect {nu} is even and at least d-1={d - 1}")
+    return Admissibility(False, f"total defect {nu} is below d-1={d - 1}")
 
 
 def euler_char_covering(data: BranchData) -> int:
@@ -136,8 +144,7 @@ def euler_char_covering(data: BranchData) -> int:
 
 
 _ROW = r"\[\s*\d+(?:\s*,\s*\d+)*\s*\]"
-# The whole accepted language.  In a str pattern \d and \s are the classes
-# of str.isdecimal and str.isspace, the ones the scanner below reads.
+# In a str pattern \d and \s are str.isdecimal and str.isspace, as in `_scan`.
 _LINE = re.compile(rf"\s*d\s*=\s*(\d+)\s*;\s*({_ROW}(?:\s*,\s*{_ROW})*)\s*")
 
 
@@ -164,30 +171,31 @@ def parse_branch_data(text: str) -> BranchData:
         ]
     except ValueError:
         return _scan(text)
-    for i, parts in enumerate(rows):
-        message = _row_error(parts, degree)
-        if message is None:
-            continue
-        # In accepted text every "[" opens a row.
-        position = -1
-        for _ in range(i + 1):
-            position = text.index("[", position + 1)
-        raise ParseError(message, position)
-    return _accepted(degree, rows)
+    return _accepted(text, degree, rows)
 
 
-def _accepted(degree: int, rows: list[list[int]]) -> BranchData:
-    """BranchData from rows `_row_error` accepted, without checking again.
+def _accepted(text: str, degree: int, rows: list[list[int]]) -> BranchData:
+    """BranchData from the rows of `text`, each row sorted, tested and built
+    in one pass.
 
-    The objects are the ones `BranchData(degree, tuple(map(Partition.of,
-    rows)))` builds, equal and with the same hash; the public constructors
-    keep their checks for every other caller.
+    A row that is not a non-trivial partition of the degree raises the
+    ParseError `_row_error` words, at the row's "[" (in text the grammar
+    accepts, every "[" opens a row).  The objects are the ones
+    `BranchData(degree, tuple(map(Partition.of, rows)))` builds, equal and
+    with the same hash; the public constructors keep their checks for
+    every other caller.
     """
     new = object.__new__
     partitions = []
     for parts in rows:
+        parts.sort(reverse=True)
+        if parts[-1] < 1 or parts[0] < 2 or sum(parts) != degree:
+            position = -1
+            for _ in range(len(partitions) + 1):
+                position = text.index("[", position + 1)
+            raise ParseError(_row_error(parts, degree), position)
         partition = new(Partition)
-        partition.__dict__["parts"] = tuple(sorted(parts, reverse=True))
+        partition.__dict__["parts"] = tuple(parts)
         partitions.append(partition)
     data = new(BranchData)
     data.__dict__.update(degree=degree, rows=tuple(partitions))
@@ -279,4 +287,4 @@ def _scan(text: str) -> BranchData:
         raise ParseError("unexpected trailing input", pos)
     if degree < 1:
         raise ParseError("degree must be positive", 0)
-    return _accepted(degree, rows)
+    return _accepted(text, degree, rows)

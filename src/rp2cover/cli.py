@@ -15,6 +15,7 @@ undecided, 4 the requested construction is ruled out, 5 engine failure
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -24,6 +25,7 @@ from . import __version__, kernels
 from .branch import (
     BranchData,
     ParseError,
+    admissible_defect,
     euler_char_covering,
     is_admissible,
     parse_branch_data,
@@ -37,9 +39,12 @@ from .oracle import (
     tuple_survey,
 )
 from .realize import (
+    Case,
+    Classification,
     HurwitzWitness,
     NotRealizableError,
     RealizationError,
+    Reason,
     Verdict,
     classify,
     realize_decomposable_search,
@@ -139,7 +144,7 @@ def _add_bounds_args(sub) -> None:
 def cmd_check(args, out, err) -> int:
     data = parse_branch_data(args.data)
     _emit(_data_payload(data), args.format, out)
-    return OK if is_admissible(data).ok else NEGATIVE
+    return OK if admissible_defect(data.total_defect(), data.degree) else NEGATIVE
 
 
 def cmd_classify(args, out, err) -> int:
@@ -251,6 +256,18 @@ def cmd_oracle(args, out, err) -> int:
     return OK
 
 
+# The JSON record of a classified line, up to its input text, for every
+# (verdict, case, reason): the text json.dumps(rec, sort_keys=True) writes
+# before the input's string literal.
+_BATCH_RECORD_HEADS = {
+    (v, c, r): json.dumps(
+        {"classification": Classification(v, c, r).to_dict(), "input": ""},
+        sort_keys=True,
+    )[:-3]
+    for v, c, r in itertools.product(Verdict, (None, *Case), (None, *Reason))
+}
+
+
 def _batch_line(line: str, fmt: str) -> tuple[str, bool]:
     """The output line for one stripped input line, and whether it failed
     to parse."""
@@ -259,7 +276,11 @@ def _batch_line(line: str, fmt: str) -> tuple[str, bool]:
     except ParseError as e:
         rec = {"input": line, "error": str(e)}
     else:
-        rec = {"input": data.to_text(), "classification": classify(data).to_dict()}
+        cls = classify(data)
+        if fmt == "json":
+            head = _BATCH_RECORD_HEADS[cls.verdict, cls.case, cls.reason]
+            return head + json.dumps(data.to_text()) + "}", False
+        rec = {"input": data.to_text(), "classification": cls.to_dict()}
     failed = "error" in rec
     if fmt == "json":
         return json.dumps(rec, sort_keys=True), failed

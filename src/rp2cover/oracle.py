@@ -27,7 +27,7 @@ from itertools import product as _cartesian
 from typing import Iterator
 
 from . import kernels
-from .branch import BranchData, is_admissible
+from .branch import BranchData, admissible_defect
 # is_primitive is not called here; it stays importable from this module
 # because perfbench/spans.py looks it up here (WRAP_POINTS)
 from .groups import is_primitive  # noqa: F401
@@ -465,7 +465,7 @@ def classify_by_search(
     applied.  A realizable verdict carries the primitive witness found,
     which `realize_indecomposable` returns as it is.
     """
-    if not is_admissible(data).ok:
+    if not admissible_defect(data.total_defect(), data.degree):
         return Classification(Verdict.NOT_ADMISSIBLE)
     witness, connected = _first_witness(data, bounds, primitive=True)
     if witness is not None:

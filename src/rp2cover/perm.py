@@ -181,6 +181,12 @@ def _point_table(n: int) -> dict[str, int]:
     return _POINTS
 
 
+# The largest degree `parse_permutation` builds.  A degree is the length of
+# the image tuple, so a larger claim is refused before that tuple is made:
+# 10**7 points already take hundreds of megabytes.
+MAX_DEGREE = 10**7
+
+
 def parse_permutation(text: str, degree: int) -> Permutation:
     """Parse cycle notation; the degree is supplied by the caller.
 
@@ -198,7 +204,8 @@ def parse_permutation(text: str, degree: int) -> Permutation:
     is reported before either.  A point longer than
     `sys.get_int_max_str_digits()` is reported as an integer too long, and
     a message quotes a long text by its first 80 characters and a long
-    point by its first 80 digits.
+    point by its first 80 digits.  A degree above `MAX_DEGREE` is refused
+    before any image list is built.
 
     >>> parse_permutation("(1 2)(3 4)", 5).images
     (2, 1, 4, 3, 5)
@@ -242,6 +249,8 @@ def parse_permutation(text: str, degree: int) -> Permutation:
         raise ValueError(_first_fault(points, degree))
     if degree < 1:
         raise ValueError("degree must be at least 1")
+    if degree > MAX_DEGREE:
+        raise ValueError(f"degree {degree} exceeds the largest supported degree, {MAX_DEGREE}")
     images = list(range(degree + 1))  # images[x] is the image of x
     for x, y in zip(points, nexts):
         images[x] = y

@@ -33,7 +33,7 @@ from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import kernels
-from .branch import BranchData, is_admissible
+from .branch import BranchData, admissible_defect
 from .groups import conjugator, group_of, imprimitivity_block
 from .perm import Permutation, canonical_of_type, format_cycles, parse_permutation
 # all_square_roots is not called here; it stays importable from this module
@@ -125,10 +125,9 @@ def classify(data: BranchData) -> Classification:
     decision rule; when the data is small enough they are settled by the
     exhaustive search in `oracle`, otherwise the verdict is UNKNOWN.
     """
-    adm = is_admissible(data)
-    if not adm.ok:
-        return Classification(Verdict.NOT_ADMISSIBLE)
     d = data.degree
+    if not admissible_defect(data.total_defect(), d):
+        return Classification(Verdict.NOT_ADMISSIBLE)
     if d % 2 == 1:
         from .oracle import SearchBounds, classify_by_search
 
@@ -186,7 +185,8 @@ class HurwitzWitness:
 
     @classmethod
     def from_dict(cls, rec: dict) -> "HurwitzWitness":
-        """Read a witness record; a record of the wrong shape is a ValueError."""
+        """Read a witness record; a record of the wrong shape, or of a degree
+        above `perm.MAX_DEGREE`, is a ValueError."""
         if not isinstance(rec, dict):
             raise ValueError("witness record must be a JSON object")
         missing = [k for k in ("degree", "gammas", "alpha") if k not in rec]

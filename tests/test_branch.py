@@ -358,6 +358,40 @@ def test_recognized_text_reports_the_failing_rows_bracket(text, message):
     assert got == f"{message} (at position {position})"
 
 
+# A bad row after good ones: message and position of each.
+@pytest.mark.parametrize(
+    "text, message, position",
+    [
+        ("d=4; [2,2],[3,1],[4,0]", "parts must be at least 1", 17),
+        ("d=6; [3,2,1],[2,2,2],[4,1]", "row sums to 5, expected 6", 21),
+        # rows out of order as written
+        ("d=6; [3,2,1],[1,2,2]", "row sums to 5, expected 6", 13),
+        ("d=6; [1,2,3],[0,3,3]", "parts must be at least 1", 13),
+        ("d=6; [1,2,3],[1,1,4],[1,1,1,1,1,1]", "trivial row (all parts 1)", 21),
+        ("d=4; [2,2],[1,1,1,1]", "trivial row (all parts 1)", 11),
+        ("d=4; [2,2] ,\t[ 1 ,1, 1,1 ]", "trivial row (all parts 1)", 13),
+        ("d=٤; [٢,٢],[3]", "row sums to 3, expected 4", 11),
+        ("d=04; [2,02],[03]", "row sums to 3, expected 4", 13),
+        # the scanner reports the bad row before the unclosed one after it
+        ("d=4; [2,2],[5],[2", "row sums to 5, expected 4", 11),
+        pytest.param(
+            "d=2; [2],[" + "9" * INT_DIGITS + "," + "9" * INT_DIGITS + "]",
+            f"row sum has more than {INT_DIGITS} digits, expected 2",
+            9,
+            marks=needs_int_digit_limit,
+            id="row-sum-too-long-for-str",
+        ),
+    ],
+)
+def test_bad_row_after_good_rows(text, message, position):
+    with pytest.raises(ParseError) as info:
+        parse_branch_data(text)
+    assert (str(info.value), info.value.position) == (
+        f"{message} (at position {position})",
+        position,
+    )
+
+
 def test_long_lines_parse_like_the_reference():
     valid = "d=2; " + ", ".join(["[ 2 ]"] * 20_000)
     assert len(valid) >= 10**5

@@ -468,3 +468,19 @@ def test_parse_permutation_grows_its_table_only_as_far_as_the_text(monkeypatch):
     p = parse_permutation("(1 2)", 10**6)
     assert p.images[:3] == (2, 1, 3) and p.degree == 10**6
     assert len(perm_module._POINTS) <= len("(1 2)")
+
+
+def test_parse_permutation_refuses_a_degree_above_the_limit(monkeypatch):
+    # 10**20 points cannot be listed at all; the claim alone is refused
+    with pytest.raises(ValueError) as info:
+        parse_permutation("(1 2)", 10**20)
+    assert str(info.value) == (
+        f"degree {10**20} exceeds the largest supported degree, {perm_module.MAX_DEGREE}"
+    )
+    monkeypatch.setattr(perm_module, "MAX_DEGREE", 8)
+    assert parse_permutation("(1 2)", 8).images == (2, 1, 3, 4, 5, 6, 7, 8)
+    with pytest.raises(ValueError, match="^degree 9 exceeds the largest supported degree, 8$"):
+        parse_permutation("(1 2)", 9)
+    # a fault in the text is still reported first
+    with pytest.raises(ValueError, match="^point 0 outside 1..9$"):
+        parse_permutation("(0 2)", 9)

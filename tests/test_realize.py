@@ -1082,6 +1082,12 @@ def _refuse_post_init(self):
     raise AssertionError("Permutation checked again")
 
 
+def test_reading_a_witness_of_a_huge_degree_is_a_value_error():
+    rec = {"degree": 10**20, "gammas": ["(1 2)"], "alpha": "()"}
+    with pytest.raises(ValueError, match=f"^degree {10**20} exceeds"):
+        HurwitzWitness.from_dict(rec)
+
+
 def test_reading_a_witness_checks_no_permutation_twice(monkeypatch):
     w = realize_indecomposable(data_of("d=8; [4,3,1],[2,2,2,2],[8]"), seed=5).witness
     rec = w.to_dict()
