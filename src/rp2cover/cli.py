@@ -21,7 +21,7 @@ import os
 import sys
 import traceback
 
-from . import __version__, kernels
+from . import __version__, kernels, perm
 from .branch import (
     BranchData,
     ParseError,
@@ -160,6 +160,11 @@ def cmd_classify(args, out, err) -> int:
 
 def cmd_realize(args, out, err) -> int:
     data = parse_branch_data(args.data)
+    # `verify` reads no witness of a larger degree (perm.parse_permutation)
+    if data.degree > perm.MAX_DEGREE:
+        raise BoundsExceededError(
+            f"degree {data.degree} exceeds the largest supported degree, {perm.MAX_DEGREE}"
+        )
     cls = classify(data)
     payload = _data_payload(data)
     payload["classification"] = cls.to_dict()
@@ -200,7 +205,10 @@ def cmd_verify(args, out, err) -> int:
     else:
         with open(args.witness, "r", encoding="utf-8") as fh:
             raw = fh.read()
-    rec = json.loads(raw)
+    try:
+        rec = json.loads(raw)
+    except RecursionError:
+        raise ValueError("witness file nests its JSON too deeply") from None
     if not isinstance(rec, dict):
         raise ValueError("witness file must hold a JSON object")
     if "witness" in rec:
@@ -274,34 +282,24 @@ def _batch_line(line: str, fmt: str) -> tuple[str, bool]:
     try:
         data = parse_branch_data(line)
     except ParseError as e:
-        rec = {"input": line, "error": str(e)}
-    else:
-        cls = classify(data)
         if fmt == "json":
-            head = _BATCH_RECORD_HEADS[cls.verdict, cls.case, cls.reason]
-            return head + json.dumps(data.to_text()) + "}", False
-        rec = {"input": data.to_text(), "classification": cls.to_dict()}
-    failed = "error" in rec
+            return json.dumps({"error": str(e), "input": line}, sort_keys=True), True
+        return f"{line} :: error: {e}", True
+    cls = classify(data)
     if fmt == "json":
-        return json.dumps(rec, sort_keys=True), failed
-    if failed:
-        return f"{rec['input']} :: error: {rec['error']}", failed
-    cls = rec["classification"]
-    tag = cls["case"] or cls["reason"]
-    suffix = f" ({tag})" if tag else ""
-    return f"{rec['input']} :: {cls['verdict']}{suffix}", failed
+        head = _BATCH_RECORD_HEADS[cls.verdict, cls.case, cls.reason]
+        return head + json.dumps(data.to_text()) + "}", False
+    tag = cls.case or cls.reason
+    suffix = f" ({tag.value})" if tag else ""
+    return f"{data.to_text()} :: {cls.verdict.value}{suffix}", False
 
 
 def cmd_batch(args, out, err) -> int:
     if args.file == "-":
         lines = sys.stdin.read().splitlines()
     else:
-        try:
-            with open(args.file, "r", encoding="utf-8") as fh:
-                lines = fh.read().splitlines()
-        except OSError as e:
-            print(f"error: {e}", file=err)
-            return PARSE_ERROR
+        with open(args.file, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
     # A line's output depends on its stripped text alone, so each distinct
     # line is settled once per run.  Every line is settled before anything
     # is printed: a defect on any line leaves stdout empty.
@@ -413,16 +411,14 @@ def main(argv=None, out=None, err=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, out, err)
-    except ParseError as e:
-        print(f"error: {e}", file=err)
-        return PARSE_ERROR
     except BoundsExceededError as e:
         print(f"error: {e}", file=err)
         return BOUNDS_EXCEEDED
     except NotRealizableError as e:
         print(f"error: {e}", file=err)
         return FORBIDDEN
-    except (ValueError, OSError, json.JSONDecodeError) as e:
+    # a ParseError or a json.JSONDecodeError is a ValueError
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=err)
         return PARSE_ERROR
     except RealizationError as e:

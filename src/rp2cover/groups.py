@@ -111,13 +111,13 @@ def conjugator(p: Permutation, q: Permutation) -> Permutation | None:
     def keyed(perm: Permutation):
         return sorted(perm.cycles(), key=lambda c: (len(c), c[0]))
 
-    mapping = [0] * (p.degree + 1)
+    # lam^-1 maps each cycle of p onto the cycle of q in its place
+    inv = [0] * (p.degree + 1)
     for cp, cq in zip(keyed(p), keyed(q)):
         for a, b in zip(cp, cq):
-            mapping[a] = b
-    mu = Permutation(tuple(mapping[1:]))
-    lam = mu.inverse()
-    assert p.conjugate(lam) == q
+            inv[a] = b
+    lam = Permutation(kernels.inverse(inv[1:]))
+    assert kernels.conjugate(p.images, lam.images) == q.images
     return lam
 
 

@@ -102,12 +102,9 @@ def cycle_lengths(p, labels=False):
 
 def is_square_type(p):
     """True iff p has an even number of cycles of every even length."""
-    counts = {}
-    for c in cycles_of(p):
-        n = len(c)
-        if n % 2 == 0:
-            counts[n] = counts.get(n, 0) + 1
-    return all(v % 2 == 0 for v in counts.values())
+    even = [n for n in cycle_lengths(p) if n % 2 == 0]
+    # sorted, so every count is even iff the lengths pair up in order
+    return even[::2] == even[1::2]
 
 
 def _uf_find(parent, x):

@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
 from itertools import product as _cartesian
 from typing import Iterator
 
@@ -31,17 +30,18 @@ from .branch import BranchData, admissible_defect
 # is_primitive is not called here; it stays importable from this module
 # because perfbench/spans.py looks it up here (WRAP_POINTS)
 from .groups import is_primitive  # noqa: F401
-from .perm import Permutation, canonical_of_type
+from .perm import canonical_of_type
 from .realize import (
     Classification,
     HurwitzWitness,
     Verdict,
+    _build_witness,
     canonical_involution_pair,
 )
 # all_square_roots is not called here either; like is_primitive above, it
 # stays importable from this module because perfbench/spans.py looks it up
 # here (WRAP_POINTS)
-from .squares import RootCapExceeded, all_square_roots, iter_root_images  # noqa: F401
+from .squares import RootCapExceeded, _root_images, all_square_roots  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -130,14 +130,9 @@ def class_images(d: int, parts: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
 _ROOTS_CACHE_SIZE = 512
 
 
-@lru_cache(maxsize=_ROOTS_CACHE_SIZE)
-def _roots_of(images: tuple[int, ...], cap: int) -> tuple[tuple[int, ...], ...]:
-    """Square roots of an image tuple, in the order of `all_square_roots`;
-    raises RootCapExceeded when more than cap exist."""
-    roots = tuple(islice(iter_root_images(images), cap + 1))
-    if len(roots) > cap:
-        raise RootCapExceeded(f"more than {cap} square roots")
-    return roots
+# Square roots of an image tuple, in the order of `all_square_roots`;
+# raises RootCapExceeded when more than cap exist.
+_roots_of = lru_cache(maxsize=_ROOTS_CACHE_SIZE)(_root_images)
 
 
 # ---------------------------------------------------------------------------
@@ -253,12 +248,6 @@ def _centralizer_orbits(
     return sizes
 
 
-def _witness_of(d: int, gammas, alpha) -> HurwitzWitness:
-    return HurwitzWitness(
-        d, tuple(Permutation(g) for g in gammas), Permutation(alpha)
-    )
-
-
 def exists_realization(
     data: BranchData,
     bounds: SearchBounds | None = None,
@@ -336,7 +325,7 @@ def _first_witness(
             continue
         connected = True
         if is_primitive_pair(gammas, alpha) == primitive:
-            return _witness_of(data.degree, gammas, alpha), True
+            return _build_witness(data.degree, gammas, alpha), True
     return None, connected
 
 
@@ -437,7 +426,7 @@ def tuple_survey(
             orient += w
             continue
         if sample is None:
-            sample = _witness_of(data.degree, gammas, alpha)
+            sample = _build_witness(data.degree, gammas, alpha)
         if is_primitive_pair(gammas, alpha):
             prim += w
         else:
@@ -515,17 +504,15 @@ class InvolutionPairSurvey:
 
 
 def involution_pair_survey(
-    d: int,
-    bounds: SearchBounds | None = None,
-    *,
-    first_fixed: bool | None = None,
+    d: int, bounds: SearchBounds | None = None
 ) -> InvolutionPairSurvey:
     """Check that every transitive involution pair looks like the canonical one.
 
     For each transitive pair of fixed-point-free involutions: the product
     must be two d/2-cycles, some relabeling must carry the pair onto the
     canonical pair, and the relabeled odd points must form a block of the
-    group the pair generates.
+    group the pair generates.  Above `bounds.max_degree` the first
+    involution is fixed (`first_fixed`).
     """
     bounds = bounds or SearchBounds()
     if d < 4 or d % 2:
@@ -534,8 +521,7 @@ def involution_pair_survey(
         raise BoundsExceededError(
             f"degree {d} exceeds pair-survey bound {bounds.max_degree + 2}"
         )
-    if first_fixed is None:
-        first_fixed = d > bounds.max_degree
+    first_fixed = d > bounds.max_degree
     half = d // 2
     cls = class_images(d, (2,) * half)
     canon = tuple(g.images for g in canonical_involution_pair(d))

@@ -11,6 +11,7 @@ may be omitted and the identity prints as "()".
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -127,14 +128,15 @@ def canonical_of_type(d: int, parts: Sequence[int]) -> Permutation:
     >>> str(canonical_of_type(6, (3, 2, 1)))
     '(1 2 3)(4 5)'
     """
-    if sum(parts) != d:
-        raise ValueError(f"parts sum to {sum(parts)}, expected {d}")
-    cycles = []
-    start = 1
+    if sum(parts) != d or min(parts, default=1) < 1:
+        raise ValueError(f"parts {list(parts)} are no cycle type of degree {d}")
+    images: list[int] = []
     for n in sorted(parts, reverse=True):
-        cycles.append(tuple(range(start, start + n)))
-        start += n
-    return Permutation.from_cycles(d, cycles)
+        # the cycle (start ... start+n-1): each point to the next, the last back
+        start = len(images) + 1
+        images += range(start + 1, start + n)
+        images.append(start)
+    return Permutation(tuple(images))
 
 
 def format_cycles(p: Permutation) -> str:
@@ -156,8 +158,12 @@ def _echo(text: str) -> str:
 
 
 def _echo_point(x: int) -> str:
-    """The point `x` for an error message; a long one only by its first digits."""
-    digits = str(x)
+    """The integer `x` for an error message; a long one only by its first
+    digits, and one too long for `str` by that limit."""
+    try:
+        digits = str(x)
+    except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+        return f"(more than {sys.get_int_max_str_digits()} digits)"
     if len(digits) <= _ECHO_PREFIX:
         return digits
     return f"{digits[:_ECHO_PREFIX]}... ({len(digits)} digits)"
@@ -203,9 +209,10 @@ def parse_permutation(text: str, degree: int) -> Permutation:
     out-of-range or repeated point; a malformed cycle anywhere in the text
     is reported before either.  A point longer than
     `sys.get_int_max_str_digits()` is reported as an integer too long, and
-    a message quotes a long text by its first 80 characters and a long
-    point by its first 80 digits.  A degree above `MAX_DEGREE` is refused
-    before any image list is built.
+    a message quotes a long text by its first 80 characters, a long point
+    or degree by its first 80 digits, and a degree too long for `str` by
+    that limit.  A degree above `MAX_DEGREE` is refused before any image
+    list is built.
 
     >>> parse_permutation("(1 2)(3 4)", 5).images
     (2, 1, 4, 3, 5)
@@ -250,7 +257,9 @@ def parse_permutation(text: str, degree: int) -> Permutation:
     if degree < 1:
         raise ValueError("degree must be at least 1")
     if degree > MAX_DEGREE:
-        raise ValueError(f"degree {degree} exceeds the largest supported degree, {MAX_DEGREE}")
+        raise ValueError(
+            f"degree {_echo_point(degree)} exceeds the largest supported degree, {MAX_DEGREE}"
+        )
     images = list(range(degree + 1))  # images[x] is the image of x
     for x, y in zip(points, nexts):
         images[x] = y
@@ -280,7 +289,7 @@ def _first_fault(points: list[int], degree: int) -> str:
     seen = set()
     for x in points:
         if not 1 <= x <= degree:
-            return f"point {_echo_point(x)} outside 1..{degree}"
+            return f"point {_echo_point(x)} outside 1..{_echo_point(degree)}"
         if x in seen:
             return f"point {x} appears in two cycles"
         seen.add(x)

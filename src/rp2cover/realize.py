@@ -38,7 +38,7 @@ from .groups import conjugator, group_of, imprimitivity_block
 from .perm import Permutation, canonical_of_type, format_cycles, parse_permutation
 # all_square_roots is not called here; it stays importable from this module
 # because perfbench/spans.py looks it up here (WRAP_POINTS)
-from .squares import all_square_roots, is_square, iter_square_roots  # noqa: F401
+from .squares import all_square_roots, iter_root_images  # noqa: F401
 
 
 class RealizationError(Exception):
@@ -971,11 +971,11 @@ def _check_pair(ga, gb, ta, tb, goal) -> None:
     d = ga.degree
     if kernels.orbit_count([ga.images, gb.images], d) != goal.orbit_count:
         raise EngineDefect("assembled pair has wrong orbit count")
-    prod = ga * gb
+    prod_type = kernels.cycle_lengths(kernels.compose(ga.images, gb.images))
     if goal.product_type is not None:
-        if prod.cycle_type() != goal.product_type:
+        if prod_type != goal.product_type:
             raise EngineDefect("assembled pair has wrong product type")
-    elif prod.defect() != goal.product_defect:
+    elif d - len(prod_type) != goal.product_defect:
         raise EngineDefect("assembled pair has wrong product defect")
 
 
@@ -1112,15 +1112,16 @@ def _fold_chain(
     data: BranchData,
     order: Sequence[int],
     rng: random.Random,
-    start: Sequence[Permutation],
+    start: Sequence[tuple[int, ...]],
     goals: Callable[[int, Permutation], Iterable[PairGoal]],
-) -> tuple[list[Permutation], list[FoldStep]]:
+) -> tuple[list[tuple[int, ...]], list[FoldStep]]:
     """Absorb rows one at a time, keeping the running product canonical.
 
-    `start` holds the gammas of rows order[:len(start)]; fold j absorbs
-    row order[j], trying in turn the goals `goals(j, prod)` gives for the
-    product prod of the gammas so far.  Each fold conjugates everything
-    built so far onto the canonical frame `assemble_pair` starts from.
+    `start` holds the gammas of rows order[:len(start)], as image tuples;
+    fold j absorbs row order[j], trying in turn the goals `goals(j, prod)`
+    gives for the product prod of the gammas so far.  Each fold relabels
+    everything built so far onto the canonical frame `assemble_pair`
+    starts from.
     When a later fold finds no workable goal the chain backtracks and
     takes the next option at an earlier fold.  A goal whose deterministic
     search ran out of nodes gets two randomized retries before the next
@@ -1131,8 +1132,8 @@ def _fold_chain(
     runs on an explicit stack with one fold generator per row absorbed, so
     its depth is not bounded by the recursion limit.
 
-    Returns the gammas of the rows in `order` and the trace.  Raises
-    EngineDefect if no goal sequence works.
+    Returns the image tuples of the gammas of the rows in `order` and the
+    trace.  Raises EngineDefect if no goal sequence works.
     """
     d = data.degree
     rows = [data.rows[j] for j in order]
@@ -1165,19 +1166,19 @@ def _fold_chain(
                 except SearchExhausted as e:
                     cut = cut or not e.complete
                     continue
-                mu = conjugator(prod, ga)
-                nxt = [g.conjugate(mu) for g in gammas]
-                nxt.append(gb)
-                nprod = ga * gb
+                mu = conjugator(prod, ga).images
+                nxt = [kernels.conjugate(g, mu) for g in gammas]
+                nxt.append(gb.images)
+                nprod = Permutation(kernels.compose(ga.images, gb.images))
                 step = FoldStep(
                     row=order[j],
                     goal=goal,
                     product_type=nprod.cycle_type(),
-                    orbits=kernels.orbit_count([g.images for g in nxt], d),
+                    orbits=kernels.orbit_count(nxt, d),
                 )
                 yield nxt, nprod, trace + [step]
 
-    prod = Permutation(kernels.product_of([g.images for g in start], d))
+    prod = Permutation(kernels.product_of(start, d))
     # stack[i] is the generator of fold len(start) + i
     stack = [fold(list(start), prod, len(start), [])]
     while stack:
@@ -1193,22 +1194,19 @@ def _fold_chain(
 
 
 def _alpha_for_product(
-    prod: Permutation, gammas: Sequence[Permutation]
-) -> Permutation | None:
-    """Pick alpha with alpha^-2 = prod making the witness work, if possible.
+    gammas: Sequence[tuple[int, ...]], d: int
+) -> tuple[int, ...] | None:
+    """Pick alpha with alpha^-2 = the product of the gammas making the
+    witness work, if possible; all are image tuples.
 
     The first square root usually suffices; if the resulting extension is
-    orientable or intransitive the later roots of prod are drawn one at a
-    time, so an identity product does not enumerate every involution.
+    orientable or intransitive the later roots are drawn one at a time, so
+    an identity product does not enumerate every involution.
     """
-    d = prod.degree
-    if not is_square(prod):
-        return None
-    gimgs = [g.images for g in gammas]
-    orbits, n = kernels.orbit_index(gimgs, d)
-    for root in iter_square_roots(prod):
-        alpha = root.inverse()
-        transitive, orientable = kernels.alpha_extension(orbits, n, alpha.images)
+    orbits, n = kernels.orbit_index(gammas, d)
+    for root in iter_root_images(kernels.product_of(gammas, d)):
+        alpha = kernels.inverse(root)
+        transitive, orientable = kernels.alpha_extension(orbits, n, alpha)
         if transitive and not orientable:
             return alpha
     return None
@@ -1216,8 +1214,8 @@ def _alpha_for_product(
 
 def _accept(
     data: BranchData,
-    gammas: Sequence[Permutation],
-    alpha: Permutation | None,
+    gammas: Sequence[tuple[int, ...]],
+    alpha: tuple[int, ...] | None,
     engine: str,
     seed: int | None,
     *,
@@ -1225,7 +1223,8 @@ def _accept(
     trace: list[FoldStep] | None = None,
     primitive: bool = True,
 ) -> RealizationResult | None:
-    """Verify a candidate witness and wrap it, or None if it falls short.
+    """Verify a candidate witness, given by image tuples, and wrap it, or
+    None if it falls short.
 
     With alpha None, alpha is extracted from the product of the gammas.
     gamma_i must carry the cycle type of row order[i] (row i by default).
@@ -1233,11 +1232,10 @@ def _accept(
     group and a nonorientable surface, and primitivity exactly as asked.
     """
     if alpha is None:
-        prod = Permutation(kernels.product_of([g.images for g in gammas], data.degree))
-        alpha = _alpha_for_product(prod, gammas)
+        alpha = _alpha_for_product(gammas, data.degree)
         if alpha is None:
             return None
-    witness = HurwitzWitness(data.degree, tuple(gammas), alpha)
+    witness = _build_witness(data.degree, gammas, alpha)
     if order is None:
         order = range(data.rows_count)
     cert = verify_witness(data, witness, row_map=order)
@@ -1249,7 +1247,6 @@ def _accept(
         and cert.primitive == primitive
     ):
         return None
-    witness = _with_shared_points(witness)
     return RealizationResult(witness, cert, engine, trace or [], seed)
 
 
@@ -1259,23 +1256,20 @@ def _points(d: int) -> tuple[int, ...]:
     return tuple(range(d + 1))
 
 
-def _with_shared_points(w: HurwitzWitness) -> HurwitzWitness:
-    """The same witness with every image drawn from one int object per
-    point of its degree.
+def _build_witness(
+    d: int, gammas: Sequence[tuple[int, ...]], alpha: tuple[int, ...]
+) -> HurwitzWitness:
+    """The witness of degree d with these gamma and alpha image tuples,
+    every image drawn from one int object per point.
 
     Ints above 256 are separate objects wherever they are computed, so
     every image tuple the engines build holds its own copies, which would
-    be most of the size of a result a caller keeps.  A permutation the
-    witness repeats stays one object.
+    be most of the size of a result a caller keeps.  An image tuple the
+    witness repeats becomes one permutation.
     """
-    take = _points(w.degree).__getitem__
-    shared: dict[int, Permutation] = {}
-    for p in (*w.gammas, w.alpha):
-        if id(p) not in shared:
-            shared[id(p)] = Permutation(tuple(map(take, p.images)))
-    return HurwitzWitness(
-        w.degree, tuple(shared[id(g)] for g in w.gammas), shared[id(w.alpha)]
-    )
+    take = _points(d).__getitem__
+    perms = {p: Permutation(tuple(map(take, p))) for p in {*gammas, alpha}}
+    return HurwitzWitness(d, tuple(perms[g] for g in gammas), perms[alpha])
 
 
 def _realize_all_twos(data: BranchData, seed: int | None) -> RealizationResult | None:
@@ -1298,7 +1292,7 @@ def _realize_all_twos(data: BranchData, seed: int | None) -> RealizationResult |
         data,
         range(2 + len(targets)),
         random.Random(seed),
-        canonical_involution_pair(d),
+        [g.images for g in canonical_involution_pair(d)],
         lambda j, prod: [PairGoal(orbit_count=1, product_type=targets[j - 2])],
     )
     gammas = core[:2] + [core[1]] * pads + core[2:]
@@ -1337,19 +1331,18 @@ def realize_indecomposable(
     d = data.degree
     result: RealizationResult | None = None
     if d == 2:
-        flip = Permutation.from_cycles(2, [(1, 2)])
-        gammas = [flip] * data.rows_count
-        result = _accept(data, gammas, Permutation.identity(2), "degree_two", seed)
+        result = _accept(data, [(2, 1)] * data.rows_count, (1, 2), "degree_two", seed)
     elif d % 2 == 1:
         w = cls.witness
         if w is not None:
-            result = _accept(data, w.gammas, w.alpha, "exhaustive_scan", seed)
+            gammas = [g.images for g in w.gammas]
+            result = _accept(data, gammas, w.alpha.images, "exhaustive_scan", seed)
     elif data.all_rows_all_twos():
         result = _realize_all_twos(data, seed)
     else:
         stall: EngineDefect | None = None
         for order in _row_orders(data):
-            first = canonical_of_type(d, data.rows[order[0]].parts)
+            first = canonical_of_type(d, data.rows[order[0]].parts).images
             try:
                 gammas, trace = _fold_chain(
                     data, order, random.Random(seed), [first], _ladder_goals(data, order)
@@ -1399,7 +1392,7 @@ def realize_decomposable_search(
     if d >= 4 and d % 2 == 0 and data.all_rows_all_twos():
         # g1, g2 is the canonical pair, so every tuple holding both is
         # transitive, and nonorientable whatever alpha is.  The alpha taken
-        # is the inverse of the first root `iter_square_roots` gives.
+        # is the inverse of the first root `iter_root_images` gives.
         #
         # Even s: the product (g1 g2)^(s/2) has cycles all of one length m,
         # which ordered by least point alternate between odd and even
@@ -1414,7 +1407,7 @@ def realize_decomposable_search(
         # [g1] * s never answers: alpha^2 = g1, so <g1, alpha> = <alpha>
         # has orbits of 4 points, intransitive for d > 4 and orientable at
         # d = 4.
-        g1, g2 = canonical_involution_pair(d)
+        g1, g2 = (g.images for g in canonical_involution_pair(d))
         if s % 2 == 0:
             gammas = [g1, g2] * (s // 2)
         else:
@@ -1431,7 +1424,8 @@ def realize_decomposable_search(
     if d <= bounds.max_degree and s <= bounds.max_rows:
         w = find_imprimitive_witness(data, bounds)
         if w is not None:
+            gammas = [g.images for g in w.gammas]
             return _accept(
-                data, w.gammas, w.alpha, "exhaustive_scan", seed, primitive=False
+                data, gammas, w.alpha.images, "exhaustive_scan", seed, primitive=False
             )
     return None

@@ -10,6 +10,7 @@ odd-length ones may) yields every square root exactly once.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Iterator, Sequence
 
 from . import kernels
@@ -165,9 +166,13 @@ def all_square_roots(p: Permutation, cap: int | None = None) -> list[Permutation
     >>> len(all_square_roots(Permutation.identity(3)))
     4
     """
-    roots: list[Permutation] = []
-    for root in iter_square_roots(p):
-        if cap is not None and len(roots) >= cap:
-            raise RootCapExceeded(f"more than {cap} square roots")
-        roots.append(root)
+    return list(map(Permutation, _root_images(p.images, cap)))
+
+
+def _root_images(p: tuple[int, ...], cap: int | None) -> tuple[tuple[int, ...], ...]:
+    """The roots of `iter_root_images(p)`; raises RootCapExceeded when
+    more than cap exist."""
+    roots = tuple(islice(iter_root_images(p), None if cap is None else cap + 1))
+    if cap is not None and len(roots) > cap:
+        raise RootCapExceeded(f"more than {cap} square roots")
     return roots

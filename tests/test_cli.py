@@ -297,6 +297,32 @@ def test_verify_quotes_a_long_out_of_range_point_by_its_first_digits(tmp_path):
     assert len(err) < 200
 
 
+def test_verify_deeply_nested_witness_file_is_parse_error(tmp_path):
+    # json.loads recursed once per bracket and met the recursion limit
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000, encoding="utf-8")
+    code, out, err = run("verify", "d=2; [2],[2]", "--witness", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "internal failure" not in err
+
+
+def test_realize_refuses_a_degree_above_the_witness_limit(monkeypatch):
+    # the limit is lowered so that no test builds a huge witness; at the
+    # real limit `realize` started a 2e7-point image list
+    def refuse(*args, **kwargs):
+        raise AssertionError("engine reached")
+
+    monkeypatch.setattr(rp2cover.perm, "MAX_DEGREE", 8)
+    monkeypatch.setattr(cli, "realize_indecomposable", refuse)
+    code, out, err = run("realize", "d=10; [10],[10]")
+    assert (code, out) == (6, "")
+    assert err == "error: degree 10 exceeds the largest supported degree, 8\n"
+    # the largest degree allowed reaches the engine
+    code, _, err = run("realize", "d=8; [8],[8]")
+    assert code == 5 and "engine reached" in err
+
+
 def test_realize_engine_failure_exits_5(monkeypatch):
     def no_pair(*args, **kwargs):
         raise realize.SearchExhausted("forced: no such pair", complete=True)
@@ -591,6 +617,13 @@ def test_batch_missing_file(tmp_path):
     code, _, err = run("batch", str(tmp_path / "absent.txt"))
     assert code == 2
     assert "error:" in err
+
+
+def test_batch_missing_file_reports_the_os_error_in_one_line(tmp_path):
+    path = str(tmp_path / "absent.txt")
+    code, out, err = run("batch", path, "--format", "json")
+    assert (code, out) == (2, "")
+    assert err == f"error: [Errno 2] No such file or directory: {path!r}\n"
 
 
 def test_batch_stdin(monkeypatch):

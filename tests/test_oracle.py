@@ -29,7 +29,13 @@ from rp2cover.oracle import (
     tuple_survey,
 )
 from rp2cover.perm import Permutation, canonical_of_type
-from rp2cover.realize import Verdict, canonical_involution_pair, classify, verify_witness
+from rp2cover.realize import (
+    Verdict,
+    _build_witness,
+    canonical_involution_pair,
+    classify,
+    verify_witness,
+)
 
 from helpers import admissible_data, all_images, data_of, partitions_of
 
@@ -271,7 +277,7 @@ def test_primitivity_decision_matches_the_group():
         ):
             if not transitive or orientable:
                 continue
-            w = oracle._witness_of(d, gammas, alpha)
+            w = _build_witness(d, gammas, alpha)
             want = is_primitive(w.group())
             assert decide(gammas, alpha) == want, (text, w.to_dict())
             route = _route(decide, gammas, d)
@@ -471,7 +477,7 @@ def _full_tuple_survey(data, bounds=None, *, first_row_reduced=True):
             orient += 1
             continue
         if sample is None:
-            sample = oracle._witness_of(data.degree, gammas, alpha)
+            sample = _build_witness(data.degree, gammas, alpha)
         if is_primitive_pair(gammas, alpha):
             prim += 1
         else:
@@ -619,7 +625,7 @@ def test_pair_survey_degree_six():
 
 def test_pair_survey_first_fixed_reduction_scales_back():
     full = involution_pair_survey(6)
-    reduced = involution_pair_survey(6, first_fixed=True)
+    reduced = involution_pair_survey(6, SearchBounds(max_degree=4))
     assert reduced.first_fixed
     assert reduced.scanned_pairs < full.scanned_pairs
     assert reduced.total_transitive_pairs == full.total_transitive_pairs == 120
@@ -648,20 +654,20 @@ def test_pair_survey_respects_degree_bound():
 
 
 # whole survey dicts as computed when the survey still built `Permutation`
-# and group objects per pair: (degree, max_degree, first_fixed) -> to_dict()
+# and group objects per pair: (degree, max_degree) -> to_dict()
 PAIR_SURVEYS = {
-    (4, 6, None): dict(degree=4, first_fixed=False, scanned_pairs=9, transitive_pairs=6,
-                       total_transitive_pairs=6),
-    (6, 6, None): dict(degree=6, first_fixed=False, scanned_pairs=225, transitive_pairs=120,
-                       total_transitive_pairs=120),
-    (8, 6, None): dict(degree=8, first_fixed=True, scanned_pairs=105, transitive_pairs=48,
-                       total_transitive_pairs=5040),
-    (8, 8, None): dict(degree=8, first_fixed=False, scanned_pairs=11025, transitive_pairs=5040,
-                       total_transitive_pairs=5040),
-    (10, 8, None): dict(degree=10, first_fixed=True, scanned_pairs=945, transitive_pairs=384,
-                        total_transitive_pairs=362880),
-    (6, 6, True): dict(degree=6, first_fixed=True, scanned_pairs=15, transitive_pairs=8,
-                       total_transitive_pairs=120),
+    (4, 6): dict(degree=4, first_fixed=False, scanned_pairs=9, transitive_pairs=6,
+                 total_transitive_pairs=6),
+    (6, 6): dict(degree=6, first_fixed=False, scanned_pairs=225, transitive_pairs=120,
+                 total_transitive_pairs=120),
+    (8, 6): dict(degree=8, first_fixed=True, scanned_pairs=105, transitive_pairs=48,
+                 total_transitive_pairs=5040),
+    (8, 8): dict(degree=8, first_fixed=False, scanned_pairs=11025, transitive_pairs=5040,
+                 total_transitive_pairs=5040),
+    (10, 8): dict(degree=10, first_fixed=True, scanned_pairs=945, transitive_pairs=384,
+                  total_transitive_pairs=362880),
+    (6, 4): dict(degree=6, first_fixed=True, scanned_pairs=15, transitive_pairs=8,
+                 total_transitive_pairs=120),
 }
 _ALL_HOLD = dict(
     all_conjugate_to_canonical=True, products_all_two_half_cycles=True, blocks_all_valid=True
@@ -670,8 +676,8 @@ _ALL_HOLD = dict(
 
 @pytest.mark.parametrize("key", sorted(PAIR_SURVEYS, key=str))
 def test_pair_survey_dicts_are_unchanged(key):
-    d, max_degree, first_fixed = key
-    got = involution_pair_survey(d, SearchBounds(max_degree=max_degree), first_fixed=first_fixed)
+    d, max_degree = key
+    got = involution_pair_survey(d, SearchBounds(max_degree=max_degree))
     assert got.to_dict() == {**PAIR_SURVEYS[key], **_ALL_HOLD}
 
 
@@ -706,7 +712,7 @@ def test_pair_survey_flags_conjugacy_failure(monkeypatch):
     p, _ = canonical_involution_pair(6)
     got = _survey_with(monkeypatch, "canonical_involution_pair", lambda d: (p, p))
     assert got == {
-        **PAIR_SURVEYS[(6, 6, None)], **_ALL_HOLD, "all_conjugate_to_canonical": False
+        **PAIR_SURVEYS[(6, 6)], **_ALL_HOLD, "all_conjugate_to_canonical": False
     }
 
 
@@ -715,7 +721,7 @@ def test_pair_survey_flags_product_failure(monkeypatch):
     monkeypatch.setattr(kernels, "compose", lambda p, q: p)
     got = involution_pair_survey(6).to_dict()
     assert got == {
-        **PAIR_SURVEYS[(6, 6, None)], **_ALL_HOLD, "products_all_two_half_cycles": False
+        **PAIR_SURVEYS[(6, 6)], **_ALL_HOLD, "products_all_two_half_cycles": False
     }
 
 
@@ -728,7 +734,7 @@ def test_pair_survey_flags_block_failure(monkeypatch):
     with pytest.raises(NotABlockError):
         block_system_from(group_of(*moved), (1, 3, 5))
     got = _survey_with(monkeypatch, "canonical_involution_pair", lambda d: moved)
-    assert got == {**PAIR_SURVEYS[(6, 6, None)], **_ALL_HOLD, "blocks_all_valid": False}
+    assert got == {**PAIR_SURVEYS[(6, 6)], **_ALL_HOLD, "blocks_all_valid": False}
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from rp2cover import kernels
 from rp2cover import perm as perm_module
 from rp2cover.perm import Permutation, canonical_of_type, format_cycles, parse_permutation
 
-from helpers import all_perms, partitions_of, random_perm
+from helpers import INT_DIGITS, all_perms, needs_int_digit_limit, partitions_of, random_perm
 
 
 def test_composition_is_left_to_right():
@@ -484,3 +484,19 @@ def test_parse_permutation_refuses_a_degree_above_the_limit(monkeypatch):
     # a fault in the text is still reported first
     with pytest.raises(ValueError, match="^point 0 outside 1..9$"):
         parse_permutation("(0 2)", 9)
+
+
+@needs_int_digit_limit
+def test_parse_permutation_names_a_degree_too_long_for_str():
+    # str() of a degree past the digit limit (5000 digits at the default
+    # limit) raised Python's own ValueError, which names no degree
+    degree = 10 ** (INT_DIGITS + 700)
+    limit = f"(more than {INT_DIGITS} digits)"
+    with pytest.raises(ValueError) as info:
+        parse_permutation("(1 2)", degree)
+    assert str(info.value) == (
+        f"degree {limit} exceeds the largest supported degree, {perm_module.MAX_DEGREE}"
+    )
+    with pytest.raises(ValueError) as info:
+        parse_permutation("(0 2)", degree)
+    assert str(info.value) == f"point 0 outside 1..{limit}"

@@ -1045,6 +1045,26 @@ def test_realize_degree_1024_without_recursion_error():
     assert code == 0
 
 
+@pytest.mark.parametrize("engine", ["fold_chain", "all_twos_chain"])
+def test_witness_shares_one_int_per_point_and_each_repeated_permutation(engine):
+    # ints above 256 are separate objects wherever they are computed, so
+    # only a witness built from one table of points holds each once
+    d = 300
+    if engine == "fold_chain":
+        data = _mixed_instance(d, 3, random.Random(d))
+    else:
+        data = _all_twos_data(d, 5)
+    w = realize_indecomposable(data).witness
+    points: dict[int, int] = {}
+    for p in (*w.gammas, w.alpha):
+        for v in p.images:
+            assert points.setdefault(v, v) is v
+    assert len(points) == d
+    if engine == "all_twos_chain":
+        # the two padding rows repeat the second involution
+        assert w.gammas[1] is w.gammas[2] is w.gammas[3]
+
+
 @pytest.mark.parametrize("d", [2048, 4096])
 def test_realize_large_all_twos_rows_within_node_budget(d):
     # the full scan tried about d*d/8 targets per fold and ran out of its
@@ -1197,14 +1217,14 @@ def test_decomposable_search_draws_few_roots_of_an_identity_product(monkeypatch)
     # the identity, which has about 2.4e10 square roots
     data = data_of("d=20; " + ",".join(["[" + ",".join(["2"] * 10) + "]"] * 20))
     drawn = Counter()
-    roots = realize_module.iter_square_roots
+    roots = realize_module.iter_root_images
 
     def counted(p):
         for r in roots(p):
-            drawn[p.images] += 1
+            drawn[p] += 1
             yield r
 
-    monkeypatch.setattr(realize_module, "iter_square_roots", counted)
+    monkeypatch.setattr(realize_module, "iter_root_images", counted)
     res = realize_decomposable_search(data)
     assert res is not None
     assert res.engine == "decomposable_search"
@@ -1223,14 +1243,14 @@ def test_decomposable_search_draws_one_root(monkeypatch):
     # three all-twos rows of degree 16: the tuple [g1] * 3, once tried
     # first, drew all 1,680 roots of g1 before [g1, g2, g1] answered
     drawn = []
-    roots = realize_module.iter_square_roots
+    roots = realize_module.iter_root_images
 
     def counted(p):
         for r in roots(p):
             drawn.append(r)
             yield r
 
-    monkeypatch.setattr(realize_module, "iter_square_roots", counted)
+    monkeypatch.setattr(realize_module, "iter_root_images", counted)
     res = realize_decomposable_search(_all_twos_data(16, 3))
     assert res.engine == "decomposable_search"
     assert not res.certificate.primitive
@@ -1288,7 +1308,7 @@ def test_decomposable_search_takes_the_parity_tuple(d, s):
         g1, g2 = canonical_involution_pair(d)
         for gammas in _old_all_twos_variants(d, s, g1, g2, random.Random(0)):
             old = realize_module._accept(
-                data, gammas, None, "decomposable_search", 0, primitive=False
+                data, [g.images for g in gammas], None, "decomposable_search", 0, primitive=False
             )
             if old is not None:
                 break
