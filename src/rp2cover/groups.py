@@ -100,25 +100,19 @@ def block_system_from(G: GeneratedGroup, block: tuple[int, ...]) -> tuple[tuple[
 def conjugator(p: Permutation, q: Permutation) -> Permutation | None:
     """Some lam with p.conjugate(lam) == q, or None if cycle types differ.
 
-    Aligns the cycle decompositions length by length and maps them onto
-    each other pointwise.
+    Relabels p onto the canonical frame of its cycle type and that frame
+    onto q (`kernels.canonical_frame`), so each cycle of p maps pointwise
+    onto the cycle of q of its length and rank by least point.
     """
     if p.degree != q.degree:
         raise ValueError("degree mismatch")
-    if p.cycle_type() != q.cycle_type():
+    lam_p, type_p = kernels.canonical_frame(p.images)
+    lam_q, type_q = kernels.canonical_frame(q.images)
+    if type_p != type_q:
         return None
-
-    def keyed(perm: Permutation):
-        return sorted(perm.cycles(), key=lambda c: (len(c), c[0]))
-
-    # lam^-1 maps each cycle of p onto the cycle of q in its place
-    inv = [0] * (p.degree + 1)
-    for cp, cq in zip(keyed(p), keyed(q)):
-        for a, b in zip(cp, cq):
-            inv[a] = b
-    lam = Permutation(kernels.inverse(inv[1:]))
-    assert kernels.conjugate(p.images, lam.images) == q.images
-    return lam
+    lam = kernels.compose(kernels.inverse(lam_q), lam_p)
+    assert kernels.conjugate(p.images, lam) == q.images
+    return Permutation(lam)
 
 
 def pair_conjugator(

@@ -100,6 +100,15 @@ def cycle_lengths(p, labels=False):
     return tuple(out)
 
 
+def canonical_frame(p):
+    """(lam, cycle_type): lam lists the cycles of p longest first, ties
+    broken by least point, each from its least point, so conjugate(p, lam)
+    is the canonical permutation of p's cycle type."""
+    # sorted is stable: equal lengths keep cycles_of's order by least point
+    cycles = sorted(cycles_of(p), key=len, reverse=True)
+    return tuple(x for c in cycles for x in c), tuple(map(len, cycles))
+
+
 def is_square_type(p):
     """True iff p has an even number of cycles of every even length."""
     even = [n for n in cycle_lengths(p) if n % 2 == 0]

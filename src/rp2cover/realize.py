@@ -30,14 +30,15 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
+from itertools import accumulate
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import kernels
 from .branch import BranchData, admissible_defect
-from .groups import conjugator, group_of, imprimitivity_block
+# conjugator and all_square_roots are not called here; they stay importable
+# from this module because perfbench/spans.py looks them up here (WRAP_POINTS)
+from .groups import conjugator, group_of, imprimitivity_block  # noqa: F401
 from .perm import Permutation, canonical_of_type, format_cycles, parse_permutation
-# all_square_roots is not called here; it stays importable from this module
-# because perfbench/spans.py looks it up here (WRAP_POINTS)
 from .squares import all_square_roots, iter_root_images  # noqa: F401
 
 
@@ -1098,12 +1099,14 @@ def _ladder_goals(data: BranchData, order: Sequence[int]):
     row order[j], and the last fold targets a product of type [d-1, 1]."""
     d = data.degree
     nus = [data.rows[j].nu for j in order]
+    # rest[j] is the defect of the rows after order[j]
+    rest = list(accumulate(reversed(nus[1:]), initial=0))[::-1]
     last = len(order) - 1
 
-    def goals(j, prod):
+    def goals(j, ptype):
         if j == last:
             return [PairGoal(orbit_count=1, product_type=(d - 1, 1))]
-        return _goal_ladder(prod.defect(), nus[j], d, sum(nus[j + 1 :]))
+        return _goal_ladder(d - len(ptype), nus[j], d, rest[j])
 
     return goals
 
@@ -1113,15 +1116,15 @@ def _fold_chain(
     order: Sequence[int],
     rng: random.Random,
     start: Sequence[tuple[int, ...]],
-    goals: Callable[[int, Permutation], Iterable[PairGoal]],
+    goals: Callable[[int, tuple[int, ...]], Iterable[PairGoal]],
 ) -> tuple[list[tuple[int, ...]], list[FoldStep]]:
     """Absorb rows one at a time, keeping the running product canonical.
 
     `start` holds the gammas of rows order[:len(start)], as image tuples;
-    fold j absorbs row order[j], trying in turn the goals `goals(j, prod)`
-    gives for the product prod of the gammas so far.  Each fold relabels
-    everything built so far onto the canonical frame `assemble_pair`
-    starts from.
+    fold j absorbs row order[j], trying in turn the goals `goals(j, ptype)`
+    gives for the cycle type ptype of the product so far.  A fold keeps its
+    gamma_b and the relabeling mu onto the canonical frame `assemble_pair`
+    starts from; each gamma is relabeled once, by the later mus, at the end.
     When a later fold finds no workable goal the chain backtracks and
     takes the next option at an earlier fold.  A goal whose deterministic
     search ran out of nodes gets two randomized retries before the next
@@ -1147,11 +1150,13 @@ def _fold_chain(
             "its classification and indicates an engine bug or undersized budget"
         )
 
-    def fold(gammas, prod, j, trace):
-        """The states after absorbing row j, in the order they are tried."""
+    def fold(j, prod, labels):
+        """Frames (gamma_b, mu, product, orbit labels, step) of row j, in turn."""
         nonlocal attempts
-        ptype = prod.cycle_type()
-        for goal in goals(j, prod):
+        mu, ptype = kernels.canonical_frame(prod)
+        # each point's label, relabeled by mu, still lies in its orbit
+        labels = kernels.conjugate(labels, mu)
+        for goal in goals(j, ptype):
             cut = False
             for use_rng in (False, True, True):
                 if use_rng and not cut:
@@ -1166,31 +1171,37 @@ def _fold_chain(
                 except SearchExhausted as e:
                     cut = cut or not e.complete
                     continue
-                mu = conjugator(prod, ga).images
-                nxt = [kernels.conjugate(g, mu) for g in gammas]
-                nxt.append(gb.images)
-                nprod = Permutation(kernels.compose(ga.images, gb.images))
+                assert kernels.conjugate(prod, mu) == ga.images
+                nprod = kernels.compose(ga.images, gb.images)
+                nlabels = kernels.component_labels([labels, gb.images], d)
                 step = FoldStep(
                     row=order[j],
                     goal=goal,
-                    product_type=nprod.cycle_type(),
-                    orbits=kernels.orbit_count(nxt, d),
+                    product_type=kernels.cycle_lengths(nprod),
+                    orbits=len(set(nlabels)),
                 )
-                yield nxt, nprod, trace + [step]
+                yield gb.images, mu, nprod, nlabels, step
 
-    prod = Permutation(kernels.product_of(start, d))
-    # stack[i] is the generator of fold len(start) + i
-    stack = [fold(list(start), prod, len(start), [])]
+    # stack[i] is the generator of fold len(start) + i, frames[i] what it last gave
+    stack = [fold(len(start), kernels.product_of(start, d), kernels.component_labels(start, d))]
+    frames = []
     while stack:
         got = next(stack[-1], None)
         if got is None:
             stack.pop()
             continue
-        gammas, prod, trace = got
+        frames[len(stack) - 1 :] = [got]
         if len(stack) == folds:
-            return gammas, trace
-        stack.append(fold(gammas, prod, len(start) + len(stack), trace))
-    raise stalled("no feasible goal sequence")
+            break
+        stack.append(fold(len(start) + len(stack), got[2], got[3]))
+    else:
+        raise stalled("no feasible goal sequence")
+    later, gammas = kernels.identity(d), []
+    for gb, mu, *_ in reversed(frames):
+        gammas.append(kernels.conjugate(gb, later))
+        later = kernels.compose(later, mu)
+    gammas += (kernels.conjugate(g, later) for g in reversed(start))
+    return gammas[::-1], [step for *_, step in frames]
 
 
 def _alpha_for_product(
@@ -1293,7 +1304,7 @@ def _realize_all_twos(data: BranchData, seed: int | None) -> RealizationResult |
         range(2 + len(targets)),
         random.Random(seed),
         [g.images for g in canonical_involution_pair(d)],
-        lambda j, prod: [PairGoal(orbit_count=1, product_type=targets[j - 2])],
+        lambda j, ptype: [PairGoal(orbit_count=1, product_type=targets[j - 2])],
     )
     gammas = core[:2] + [core[1]] * pads + core[2:]
     return _accept(data, gammas, None, "all_twos_chain", seed, trace=trace)

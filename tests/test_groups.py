@@ -25,12 +25,14 @@ from rp2cover.perm import Permutation, parse_permutation
 from rp2cover.realize import canonical_involution_pair
 
 from helpers import (
+    all_images,
     brute_elements,
     brute_minimal_block,
     is_block_under,
     random_perm,
     stabilizer_is_maximal,
 )
+from test_fold_chain_reference import conjugator as old_conjugator
 
 
 def test_orbits_and_transitivity():
@@ -211,6 +213,26 @@ def test_conjugator_on_matching_types():
         mu = conjugator(p, q)
         assert mu is not None
         assert p.conjugate(mu) == q
+        assert mu == old_conjugator(p, q)
+    # every pair of one cycle type up to degree 6
+    for d in range(1, 7):
+        by_type = {}
+        for images in all_images(d):
+            by_type.setdefault(kernels.cycle_lengths(images), []).append(Permutation(images))
+        for perms in by_type.values():
+            for p in perms:
+                for q in perms:
+                    assert conjugator(p, q) == old_conjugator(p, q)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_conjugator_matches_the_reference(data):
+    draw = data.draw
+    d = draw(st.integers(1, 40))
+    p = _perm_of(draw, d)
+    q = p.conjugate(_perm_of(draw, d)) if draw(st.booleans()) else _perm_of(draw, d)
+    assert conjugator(p, q) == old_conjugator(p, q)
 
 
 def test_conjugator_none_on_type_mismatch():

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rp2cover import kernels
+from rp2cover.perm import canonical_of_type
 
 from helpers import all_images, brute_orbits
 
@@ -188,6 +189,7 @@ def test_cycle_lengths_match_the_cycle_tuples(images):
     images = tuple(images)
     want = tuple(sorted((len(c) for c in kernels.cycles_of(images)), reverse=True))
     assert kernels.cycle_lengths(images) == want
+    _assert_canonical_frame(images)
 
 
 def test_cycle_lengths_of_every_small_permutation():
@@ -195,6 +197,13 @@ def test_cycle_lengths_of_every_small_permutation():
         for p in all_images(d):
             want = tuple(sorted((len(c) for c in kernels.cycles_of(p)), reverse=True))
             assert kernels.cycle_lengths(p) == want
+            _assert_canonical_frame(p)
+
+
+def _assert_canonical_frame(p):
+    lam, cycle_type = kernels.canonical_frame(p)
+    assert cycle_type == kernels.cycle_lengths(p)
+    assert kernels.conjugate(p, lam) == canonical_of_type(len(p), cycle_type).images
 
 
 @settings(max_examples=300, deadline=None)
