@@ -19,14 +19,11 @@ from .branch import (
 )
 from .groups import (
     GeneratedGroup,
-    NotABlockError,
-    block_system_from,
     conjugator,
     group_of,
     imprimitivity_block,
     is_primitive,
     is_transitive,
-    pair_conjugator,
 )
 from .kernels import BACKEND
 from .perm import Permutation, canonical_of_type, format_cycles, parse_permutation
@@ -64,7 +61,6 @@ __all__ = [
     "EngineDefect",
     "GeneratedGroup",
     "HurwitzWitness",
-    "NotABlockError",
     "NotRealizableError",
     "PairGoal",
     "ParseError",
@@ -78,7 +74,6 @@ __all__ = [
     "Verdict",
     "all_square_roots",
     "assemble_pair",
-    "block_system_from",
     "canonical_involution_pair",
     "canonical_of_type",
     "classify",
@@ -91,7 +86,6 @@ __all__ = [
     "is_primitive",
     "is_square",
     "is_transitive",
-    "pair_conjugator",
     "parse_branch_data",
     "parse_permutation",
     "realize_decomposable_search",

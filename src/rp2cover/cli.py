@@ -60,6 +60,11 @@ FORBIDDEN = 4
 ENGINE_FAILURE = 5
 BOUNDS_EXCEEDED = 6
 
+# The largest degree times row count `realize` takes on.  Construction is
+# linear in d*s: at this limit 12,500 rows of [3,1], the slowest shape per
+# point, take about 3 s and 55 MB.
+MAX_REALIZE_SIZE = 50_000
+
 
 def _emit(payload: dict, fmt: str, out) -> None:
     if fmt == "json":
@@ -164,6 +169,11 @@ def cmd_realize(args, out, err) -> int:
     if data.degree > perm.MAX_DEGREE:
         raise BoundsExceededError(
             f"degree {data.degree} exceeds the largest supported degree, {perm.MAX_DEGREE}"
+        )
+    size = data.degree * data.rows_count
+    if size > MAX_REALIZE_SIZE:
+        raise BoundsExceededError(
+            f"degree times rows is {size}, above the largest supported {MAX_REALIZE_SIZE}"
         )
     cls = classify(data)
     payload = _data_payload(data)

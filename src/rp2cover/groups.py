@@ -14,10 +14,6 @@ from . import kernels
 from .perm import Permutation
 
 
-class NotABlockError(ValueError):
-    """A set claimed to be a block has overlapping distinct translates."""
-
-
 @dataclass(frozen=True)
 class GeneratedGroup:
     """Permutation group described by a non-empty generating sequence."""
@@ -78,25 +74,6 @@ def is_primitive(G: GeneratedGroup) -> bool:
     return imprimitivity_block(G) is None
 
 
-def block_system_from(G: GeneratedGroup, block: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """All translates of a verified block, sorted by minimal element.
-
-    Raises NotABlockError when some translate overlaps the block system
-    without coinciding with a member.
-    """
-    if not is_transitive(G):
-        raise ValueError("group is not transitive")
-    d = G.degree
-    start = tuple(sorted(block))
-    if not start or any(not 1 <= x <= d for x in start):
-        raise ValueError(f"block must be a non-empty subset of 1..{d}")
-    translates, overlap = kernels.block_translates(G.generator_images(), start)
-    if overlap is not None:
-        image, member = overlap
-        raise NotABlockError(f"translate {image} overlaps {member}")
-    return translates
-
-
 def conjugator(p: Permutation, q: Permutation) -> Permutation | None:
     """Some lam with p.conjugate(lam) == q, or None if cycle types differ.
 
@@ -114,21 +91,3 @@ def conjugator(p: Permutation, q: Permutation) -> Permutation | None:
     assert kernels.conjugate(p.images, lam) == q.images
     return Permutation(lam)
 
-
-def pair_conjugator(
-    pair: tuple[Permutation, Permutation],
-    target: tuple[Permutation, Permutation],
-) -> Permutation | None:
-    """Some lam conjugating pair onto target elementwise, or None.
-
-    Requires the pair to generate a transitive group; the relabeling is
-    then forced by the image of a single point, so each of the d choices
-    is propagated and checked.
-    """
-    a, b = pair
-    c, e = target
-    d = a.degree
-    if {b.degree, c.degree, e.degree} != {d}:
-        raise ValueError("degree mismatch")
-    lam = kernels.pair_conjugator((a.images, b.images), (c.images, e.images), d)
-    return None if lam is None else Permutation(lam)

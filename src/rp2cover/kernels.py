@@ -240,73 +240,6 @@ def alpha_extension(orbits, n, alpha):
     return comps == 1, consistent
 
 
-def pair_conjugator(gens_from, gens_to, d):
-    """Some lam with conjugate(f, lam) == t for every paired f, t, or None.
-
-    Meant for generators of a transitive group, whose relabeling is then
-    forced by the image of a single point: for t = 1..d in turn the map
-    mu = lam^-1 is propagated from mu(1) = t along every generator, and
-    the first mu that is a bijection and passes the final check gives
-    lam.  Returns lam as an image tuple.
-    """
-    pairs = tuple(zip(gens_from, gens_to))
-    for t in range(1, d + 1):
-        mu = [0] * (d + 1)
-        mu[1] = t
-        used = [False] * (d + 1)
-        used[t] = True
-        queue = [1]
-        ok = True
-        while queue and ok:
-            x = queue.pop()
-            for gf, gt in pairs:
-                y = gf[x - 1]
-                v = gt[mu[x] - 1]
-                if mu[y]:
-                    if mu[y] != v:
-                        ok = False
-                        break
-                else:
-                    if used[v]:
-                        ok = False
-                        break
-                    mu[y] = v
-                    used[v] = True
-                    queue.append(y)
-        if ok and all(mu[1:]):
-            lam = inverse(mu[1:])
-            if all(conjugate(gf, lam) == gt for gf, gt in pairs):
-                return lam
-    return None
-
-
-def block_translates(gens, start):
-    """Close the sorted point tuple `start` under the generators.
-
-    Returns (translates, None) with the translates sorted when no two of
-    them overlap without coinciding, else (None, (image, member)) for the
-    first translate found to overlap a member met before.  Translates are
-    taken depth first, last found first, each generator in turn.
-    """
-    seen = {start}
-    owner = {x: start for x in start}
-    queue = [start]
-    while queue:
-        b = queue.pop()
-        for g in gens:
-            image = tuple(sorted([g[x - 1] for x in b]))
-            if image in seen:
-                continue
-            for x in image:
-                if x in owner:
-                    return None, (image, owner[x])
-            seen.add(image)
-            for x in image:
-                owner[x] = image
-            queue.append(image)
-    return tuple(sorted(seen)), None
-
-
 def minimal_block(gens, d, x, y):
     """Minimal block containing x and y for a transitive group (sorted tuple).
 

@@ -503,15 +503,57 @@ class InvolutionPairSurvey:
         }
 
 
+def _walk_relabeling(pair, target, d):
+    """The relabeling read off the alternating walks from 1, or None when
+    it is not a bijection lam with conjugate(g, lam) == h for g, h of
+    pair, target.
+
+    A transitive pair of fixed-point-free involutions is one cycle that
+    alternates the two.  So lam sends the k-th point of the target's walk
+    from 1 over its first, second, first, ... involution to the k-th point
+    of the pair's walk from 1; for the canonical target that walk is
+    1, 2, ..., d.  Both checks stay, since a walk may repeat a point or
+    pass every point of a pair that is not conjugate to the target.
+    """
+    lam = [0] * d
+    x = y = 1
+    for k in range(d):
+        lam[y - 1] = x
+        x = pair[k % 2][x - 1]
+        y = target[k % 2][y - 1]
+    if 0 in lam or len(set(lam)) < d:
+        return None
+    lam = tuple(lam)
+    if any(kernels.conjugate(g, lam) != h for g, h in zip(pair, target)):
+        return None
+    return lam
+
+
+def _is_half_block(gens, half):
+    """True iff each generator maps the d/2 points `half` onto themselves
+    or onto their complement.
+
+    For a set of half the points this decides whether it is a block:
+    its translates are then itself and its complement, which never overlap.
+    """
+    inside = set(half)
+    for g in gens:
+        image = {g[x - 1] for x in half}
+        if image != inside and not image.isdisjoint(inside):
+            return False
+    return True
+
+
 def involution_pair_survey(
     d: int, bounds: SearchBounds | None = None
 ) -> InvolutionPairSurvey:
     """Check that every transitive involution pair looks like the canonical one.
 
     For each transitive pair of fixed-point-free involutions: the product
-    must be two d/2-cycles, some relabeling must carry the pair onto the
-    canonical pair, and the relabeled odd points must form a block of the
-    group the pair generates.  Above `bounds.max_degree` the first
+    must be two d/2-cycles, the relabeling read off the alternating walks
+    (`_walk_relabeling`) must carry the pair onto the canonical pair, and
+    the points it relabels as odd must form a block of the group the pair
+    generates (`_is_half_block`).  Above `bounds.max_degree` the first
     involution is fixed (`first_fixed`).
     """
     bounds = bounds or SearchBounds()
@@ -539,12 +581,12 @@ def involution_pair_survey(
             transitive_count += 1
             if kernels.cycle_lengths(kernels.compose(pi, qi)) != (half, half):
                 all_products = False
-            lam = kernels.pair_conjugator(pair, canon, d)
+            lam = _walk_relabeling(pair, canon, d)
             if lam is None:
                 all_conj = False
                 continue
-            block = tuple(sorted(lam[::2]))  # the images of 1, 3, ..., d-1
-            if kernels.block_translates(pair, block)[1] is not None:
+            # the points lam relabels as 1, 3, ..., d-1
+            if not _is_half_block(pair, lam[::2]):
                 all_blocks = False
 
     if first_fixed:

@@ -1391,7 +1391,8 @@ def realize_decomposable_search(
     indecomposable covering; the certificate of the returned witness has
     primitive=False and records a block.  Rows all of twos at even d >= 4
     get one fixed tuple of the canonical involution pair per parity of the
-    row count, so the witness does not depend on `seed`.  Other data within
+    row count and no other candidate, so the witness does not depend on
+    `seed` and a tuple that fell short would return None.  Other data within
     the oracle's default bounds get the first imprimitive witness of its
     exhaustive scan.  `classification` is as for `realize_indecomposable`.
     """
@@ -1423,11 +1424,9 @@ def realize_decomposable_search(
             gammas = [g1, g2] * (s // 2)
         else:
             gammas = [g1, g2] + [g1] * (s - 2)
-        res = _accept(
+        return _accept(
             data, gammas, None, "decomposable_search", seed, primitive=False
         )
-        if res is not None:
-            return res
 
     from .oracle import SearchBounds, find_imprimitive_witness
 

@@ -72,7 +72,7 @@ def _interleave(a: Sequence[int], b: Sequence[int], offset: int) -> tuple[int, .
 def sqrt(p: Permutation) -> Permutation | None:
     """A canonical square root, or None when p is not a square.
 
-    This is the first root of `iter_square_roots`: odd cycles take their
+    This is the first root of `iter_root_images`: odd cycles take their
     unique self-supported root; even cycles of each length are paired in
     order of minimal element and interleaved.
 
@@ -80,19 +80,8 @@ def sqrt(p: Permutation) -> Permutation | None:
     >>> str(sqrt(parse_permutation("(1 2)(3 4)", 4)))
     '(1 3 2 4)'
     """
-    return next(iter_square_roots(p), None)
-
-
-def iter_square_roots(p: Permutation) -> Iterator[Permutation]:
-    """Every permutation whose square is p, lazily, in a deterministic order.
-
-    The roots are those of `iter_root_images`, in its order.
-
-    >>> [str(r) for r in iter_square_roots(Permutation.from_cycles(4, [(1, 2), (3, 4)]))]
-    ['(1 3 2 4)', '(1 4 2 3)']
-    """
-    for images in iter_root_images(p.images):
-        yield Permutation(images)
+    root = next(iter_root_images(p.images), None)
+    return None if root is None else Permutation(root)
 
 
 def iter_root_images(p: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
@@ -159,7 +148,7 @@ def iter_root_images(p: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
 
 
 def all_square_roots(p: Permutation, cap: int | None = None) -> list[Permutation]:
-    """Every permutation whose square is p, in the order of `iter_square_roots`.
+    """Every permutation whose square is p, in the order of `iter_root_images`.
 
     Raises RootCapExceeded when more than cap roots exist.
 

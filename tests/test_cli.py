@@ -323,6 +323,32 @@ def test_realize_refuses_a_degree_above_the_witness_limit(monkeypatch):
     assert code == 5 and "engine reached" in err
 
 
+def test_realize_refuses_data_above_the_size_limit(monkeypatch):
+    # the limit is lowered as for the degree above; the refusal comes
+    # before the data is classified
+    def refuse(*args, **kwargs):
+        raise AssertionError("classified")
+
+    monkeypatch.setattr(cli, "MAX_REALIZE_SIZE", 12)
+    monkeypatch.setattr(cli, "classify", refuse)
+    code, out, err = run("realize", "d=4; [3,1],[3,1],[3,1],[3,1]", "--decomposable")
+    assert (code, out) == (6, "")
+    assert err == "error: degree times rows is 16, above the largest supported 12\n"
+    # the largest size allowed is classified
+    code, _, err = run("realize", "d=4; [3,1],[3,1],[3,1]")
+    assert code == 5 and "classified" in err
+
+
+def test_realize_size_limit_admits_the_row_count_check_and_refuses_past_it():
+    # 5000 rows of degree 4 are realized and verified in CI; one row past
+    # the real limit is refused before any work
+    assert 4 * 5000 <= cli.MAX_REALIZE_SIZE
+    rows = cli.MAX_REALIZE_SIZE // 4 + 1
+    code, out, err = run("realize", "d=4; " + ",".join(["[3,1]"] * rows))
+    assert (code, out) == (6, "")
+    assert err.startswith("error: degree times rows is ") and err.count("\n") == 1
+
+
 def test_realize_engine_failure_exits_5(monkeypatch):
     def no_pair(*args, **kwargs):
         raise realize.SearchExhausted("forced: no such pair", complete=True)

@@ -11,14 +11,11 @@ from hypothesis import strategies as st
 from rp2cover import kernels
 from rp2cover.groups import (
     GeneratedGroup,
-    NotABlockError,
-    block_system_from,
     conjugator,
     group_of,
     imprimitivity_block,
     is_primitive,
     is_transitive,
-    pair_conjugator,
 )
 from rp2cover.kernels import _uf_find
 from rp2cover.perm import Permutation, parse_permutation
@@ -56,19 +53,11 @@ def test_blocks_of_the_canonical_involution_pair():
     p, q = canonical_involution_pair(6)
     G = group_of(p, q)
     assert kernels.minimal_block(G.generator_images(), 6, 1, 3) == (1, 3, 5)
-    assert block_system_from(G, (1, 3, 5)) == ((1, 3, 5), (2, 4, 6))
     # the adjacent pair happens to be a block too; the deterministic scan
     # finds it first
     assert imprimitivity_block(G) == (1, 2)
     assert not is_primitive(G)
     assert len(brute_elements(G.generator_images(), 6)) == 6
-
-
-def test_block_system_rejects_non_blocks():
-    C = group_of(Permutation.from_cycles(4, [(1, 2, 3, 4)]))
-    with pytest.raises(NotABlockError):
-        block_system_from(C, (1, 2))
-    assert block_system_from(C, (1, 3)) == ((1, 3), (2, 4))
 
 
 def test_transitive_group_with_long_cycle_is_primitive():
@@ -225,6 +214,10 @@ def test_conjugator_on_matching_types():
                     assert conjugator(p, q) == old_conjugator(p, q)
 
 
+def _perm_of(draw, d):
+    return Permutation(tuple(draw(st.permutations(range(1, d + 1)))))
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_conjugator_matches_the_reference(data):
@@ -238,158 +231,3 @@ def test_conjugator_matches_the_reference(data):
 def test_conjugator_none_on_type_mismatch():
     p, q = Permutation.from_cycles(4, [(1, 2)]), Permutation.from_cycles(4, [(1, 2, 3)])
     assert conjugator(p, q) is None
-
-
-def test_pair_conjugator_round_trip():
-    rng = random.Random(41)
-    canon = canonical_involution_pair(8)
-    for _ in range(20):
-        lam = random_perm(8, rng)
-        moved = (canon[0].conjugate(lam), canon[1].conjugate(lam))
-        mu = pair_conjugator(moved, canon)
-        assert mu is not None
-        assert moved[0].conjugate(mu) == canon[0]
-        assert moved[1].conjugate(mu) == canon[1]
-
-
-def test_pair_conjugator_none_when_impossible():
-    canon = canonical_involution_pair(4)
-    other = (Permutation.from_cycles(4, [(1, 2)]), Permutation.from_cycles(4, [(3, 4)]))
-    assert pair_conjugator(other, canon) is None
-
-
-def _old_block_system_from(G, block):
-    """`block_system_from` before it called `kernels.block_translates`,
-    kept verbatim as the reference."""
-    if not is_transitive(G):
-        raise ValueError("group is not transitive")
-    d = G.degree
-    start = tuple(sorted(block))
-    if not start or any(not 1 <= x <= d for x in start):
-        raise ValueError(f"block must be a non-empty subset of 1..{d}")
-    seen = {start}
-    point_to_block = {x: start for x in start}
-    queue = [start]
-    while queue:
-        b = queue.pop()
-        for g in G.generator_images():
-            image = tuple(sorted(g[x - 1] for x in b))
-            if image in seen:
-                continue
-            for x in image:
-                if x in point_to_block:
-                    raise NotABlockError(
-                        f"translate {image} overlaps {point_to_block[x]}"
-                    )
-            seen.add(image)
-            for x in image:
-                point_to_block[x] = image
-            queue.append(image)
-    return tuple(sorted(seen))
-
-
-def _old_pair_conjugator(pair, target):
-    """`pair_conjugator` before it called `kernels.pair_conjugator`, kept
-    verbatim as the reference."""
-    a, b = pair
-    c, e = target
-    d = a.degree
-    if {b.degree, c.degree, e.degree} != {d}:
-        raise ValueError("degree mismatch")
-    gens_from = (a.images, b.images)
-    gens_to = (c.images, e.images)
-    for t in range(1, d + 1):
-        mu = [0] * (d + 1)
-        mu[1] = t
-        used = {t}
-        queue = [1]
-        ok = True
-        while queue and ok:
-            x = queue.pop()
-            for gf, gt in zip(gens_from, gens_to):
-                y = gf[x - 1]
-                v = gt[mu[x] - 1]
-                if mu[y]:
-                    if mu[y] != v:
-                        ok = False
-                        break
-                else:
-                    if v in used:
-                        ok = False
-                        break
-                    mu[y] = v
-                    used.add(v)
-                    queue.append(y)
-        if ok and all(mu[1:]):
-            lam = Permutation(tuple(mu[1:])).inverse()
-            if a.conjugate(lam) == c and b.conjugate(lam) == e:
-                return lam
-    return None
-
-
-def _outcome(fn, *args):
-    try:
-        return "returned", fn(*args)
-    except (ValueError, NotABlockError) as e:
-        return type(e), str(e)
-
-
-def _perm_of(draw, d):
-    return Permutation(tuple(draw(st.permutations(range(1, d + 1)))))
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_block_system_from_matches_the_reference(data):
-    draw = data.draw
-    d = draw(st.integers(1, 10))
-    if draw(st.booleans()):
-        # a group preserving consecutive blocks of a size dividing d, so
-        # that proper blocks occur
-        size = draw(st.sampled_from([b for b in range(1, d + 1) if d % b == 0]))
-        m = d // size
-        gens = []
-        for _ in range(draw(st.integers(1, 3))):
-            blocks = draw(st.permutations(range(m)))
-            inner = [draw(st.permutations(range(size))) for _ in range(m)]
-            gens.append(
-                Permutation(
-                    tuple(blocks[i] * size + inner[i][j] + 1 for i in range(m) for j in range(size))
-                )
-            )
-    else:
-        gens = [_perm_of(draw, d) for _ in range(draw(st.integers(1, 3)))]
-    G = group_of(*gens)
-    choice = draw(st.sampled_from(["minimal", "subset", "outside"]))
-    if choice == "minimal" and d > 1:
-        x, y = draw(st.lists(st.integers(1, d), min_size=2, max_size=2, unique=True))
-        block = kernels.minimal_block(G.generator_images(), d, x, y)
-    elif choice == "outside":
-        block = draw(st.lists(st.integers(0, d + 1), max_size=3))
-    else:
-        block = draw(st.lists(st.integers(1, d), min_size=1, max_size=d, unique=True))
-    assert _outcome(block_system_from, G, block) == _outcome(_old_block_system_from, G, block)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_pair_conjugator_matches_the_reference(data):
-    draw = data.draw
-    d = draw(st.integers(1, 10))
-    if draw(st.booleans()) and d >= 4 and d % 2 == 0:
-        pair = canonical_involution_pair(d)
-    else:
-        pair = (_perm_of(draw, d), _perm_of(draw, d))
-    kind = draw(st.sampled_from(["conjugate", "random", "other_degree"]))
-    if kind == "conjugate":
-        lam = _perm_of(draw, d)
-        target = (pair[0].conjugate(lam), pair[1].conjugate(lam))
-    elif kind == "random":
-        target = (_perm_of(draw, d), _perm_of(draw, d))
-    else:
-        target = (pair[0], _perm_of(draw, d + 1))
-    got = _outcome(pair_conjugator, pair, target)
-    assert got == _outcome(_old_pair_conjugator, pair, target)
-    if kind == "conjugate" and kernels.is_transitive([g.images for g in pair], d):
-        # a transitive pair always has a conjugator onto its conjugate
-        assert got[1] is not None

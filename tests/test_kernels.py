@@ -47,20 +47,6 @@ def test_alpha_extension_small_facts():
     assert kernels.alpha_extension(orbits, n, (1, 2)) == (True, False)
 
 
-def test_pair_conjugator_and_block_translates_small_facts():
-    # the canonical involution pair of degree 4 and its conjugate by (1 2)
-    p, q = (2, 1, 4, 3), (4, 3, 2, 1)
-    lam = (2, 1, 3, 4)
-    moved = (kernels.conjugate(p, lam), kernels.conjugate(q, lam))
-    got = kernels.pair_conjugator(moved, (p, q), 4)
-    assert [kernels.conjugate(g, got) for g in moved] == [p, q]
-    # an intransitive pair is not conjugate to a transitive one
-    assert kernels.pair_conjugator((p, p), (p, q), 4) is None
-    assert kernels.block_translates((p, q), (1, 3)) == (((1, 3), (2, 4)), None)
-    # the 4-cycle moves {1, 2} onto {2, 3}, which overlaps it
-    assert kernels.block_translates(((2, 3, 4, 1),), (1, 2)) == (None, ((2, 3), (1, 2)))
-
-
 def _alpha_extension_from_labels(labels, alpha, d):
     """`alpha_extension` as it was when it numbered the orbits of the
     component labels itself on every call, kept as the reference."""

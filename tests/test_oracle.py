@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 import re
 from collections import Counter, defaultdict
 
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from rp2cover import kernels, oracle
 from rp2cover.branch import is_admissible
-from rp2cover.groups import NotABlockError, block_system_from, group_of, is_primitive
+from rp2cover.groups import group_of, is_primitive, is_transitive
 from rp2cover.oracle import (
     BoundsExceededError,
     SearchBounds,
@@ -37,7 +38,7 @@ from rp2cover.realize import (
     verify_witness,
 )
 
-from helpers import admissible_data, all_images, data_of, partitions_of
+from helpers import admissible_data, all_images, data_of, partitions_of, random_perm
 
 
 # ---------------------------------------------------------------------------
@@ -702,6 +703,149 @@ def test_pair_survey_tests_transitivity_once_per_pair_on_image_tuples(monkeypatc
     assert calls["Permutation"] == 2
 
 
+class NotABlockError(ValueError):
+    """A set claimed to be a block has overlapping distinct translates."""
+
+
+def _old_block_system_from(G, block):
+    """The former `groups.block_system_from`: all translates of a block,
+    sorted, or NotABlockError when two of them overlap.  Kept verbatim as
+    the reference for the survey's block test."""
+    if not is_transitive(G):
+        raise ValueError("group is not transitive")
+    d = G.degree
+    start = tuple(sorted(block))
+    if not start or any(not 1 <= x <= d for x in start):
+        raise ValueError(f"block must be a non-empty subset of 1..{d}")
+    seen = {start}
+    point_to_block = {x: start for x in start}
+    queue = [start]
+    while queue:
+        b = queue.pop()
+        for g in G.generator_images():
+            image = tuple(sorted(g[x - 1] for x in b))
+            if image in seen:
+                continue
+            for x in image:
+                if x in point_to_block:
+                    raise NotABlockError(
+                        f"translate {image} overlaps {point_to_block[x]}"
+                    )
+            seen.add(image)
+            for x in image:
+                point_to_block[x] = image
+            queue.append(image)
+    return tuple(sorted(seen))
+
+
+def _old_pair_conjugator(pair, target):
+    """The former `groups.pair_conjugator`: the first lam, by lam^-1(1) =
+    1, 2, ..., d, that conjugates pair onto target elementwise, propagated
+    along both generators, or None.  Kept verbatim as the reference for the
+    survey's relabeling."""
+    a, b = pair
+    c, e = target
+    d = a.degree
+    if {b.degree, c.degree, e.degree} != {d}:
+        raise ValueError("degree mismatch")
+    gens_from = (a.images, b.images)
+    gens_to = (c.images, e.images)
+    for t in range(1, d + 1):
+        mu = [0] * (d + 1)
+        mu[1] = t
+        used = {t}
+        queue = [1]
+        ok = True
+        while queue and ok:
+            x = queue.pop()
+            for gf, gt in zip(gens_from, gens_to):
+                y = gf[x - 1]
+                v = gt[mu[x] - 1]
+                if mu[y]:
+                    if mu[y] != v:
+                        ok = False
+                        break
+                else:
+                    if v in used:
+                        ok = False
+                        break
+                    mu[y] = v
+                    used.add(v)
+                    queue.append(y)
+        if ok and all(mu[1:]):
+            lam = Permutation(tuple(mu[1:])).inverse()
+            if a.conjugate(lam) == c and b.conjugate(lam) == e:
+                return lam
+    return None
+
+
+@pytest.mark.parametrize("d", [4, 6, 8])
+def test_pair_survey_checks_agree_with_the_references(d):
+    # every ordered pair of fixed-point-free involutions, transitive or
+    # not, against the canonical pair, the canonical pair relabelled by
+    # (1 2), and an intransitive target
+    p, q = canonical_involution_pair(d)
+    swap = Permutation.from_cycles(d, [(1, 2)])
+    targets = ((p, q), (p.conjugate(swap), q.conjugate(swap)), (p, p))
+    found = Counter()
+    for pair in itertools.product(class_images(d, (2,) * (d // 2)), repeat=2):
+        transitive = kernels.is_transitive(pair, d)
+        perms = tuple(map(Permutation, pair))
+        for i, target in enumerate(targets):
+            lam = oracle._walk_relabeling(pair, tuple(g.images for g in target), d)
+            old = _old_pair_conjugator(perms, target)
+            assert lam == (None if old is None else old.images), (pair, i)
+            if lam is None:
+                continue
+            half = lam[::2]
+            try:
+                _old_block_system_from(group_of(*perms), half)
+                want = True
+            except NotABlockError:
+                want = False
+            assert oracle._is_half_block(pair, half) is want, (pair, i)
+            found[transitive, i, want] += 1
+    total = expected_transitive_pair_total(d)
+    # each transitive pair is relabelled onto both transitive targets and
+    # never onto the intransitive one.  The canonical target's odd points
+    # are a block; the relabelled target's are not, except at d = 4, where
+    # the pair generates the Klein four-group and any two points are a block
+    assert found == {(True, 0, True): total, (True, 1, d == 4): total}
+
+
+@pytest.mark.parametrize("d", [4, 5, 6])
+def test_pair_survey_relabeling_is_checked(d):
+    # involutions with fixed points, whose walks may repeat a point or
+    # visit every point without the pair being conjugate to the target:
+    # a relabeling is returned only when it is a bijection that conjugates
+    # the pair onto the target
+    invs = [p for p in all_images(d) if all(p[p[x] - 1] == x + 1 for x in range(d))]
+    targets = [tuple(g.images for g in canonical_involution_pair(d))] if d % 2 == 0 else []
+    outcomes = Counter()
+    for pair in itertools.product(invs, repeat=2):
+        for target in (pair, *targets):
+            lam = oracle._walk_relabeling(pair, target, d)
+            outcomes[lam is not None] += 1
+            if lam is not None:
+                assert sorted(lam) == list(range(1, d + 1))
+                assert all(kernels.conjugate(g, lam) == h for g, h in zip(pair, target))
+    assert outcomes[True] and outcomes[False]
+
+
+@pytest.mark.parametrize("d", [8, 40])
+def test_pair_survey_relabeling_round_trip(d):
+    # random conjugates of the canonical pair walk back onto it
+    rng = random.Random(41)
+    canon = tuple(g.images for g in canonical_involution_pair(d))
+    for _ in range(20):
+        lam = random_perm(d, rng).images
+        moved = tuple(kernels.conjugate(g, lam) for g in canon)
+        mu = oracle._walk_relabeling(moved, canon, d)
+        assert mu is not None
+        assert tuple(kernels.conjugate(g, mu) for g in moved) == canon
+        assert oracle._is_half_block(moved, mu[::2])
+
+
 def _survey_with(monkeypatch, attr, value, d=6):
     monkeypatch.setattr(oracle, attr, value)
     return involution_pair_survey(d).to_dict()
@@ -732,7 +876,7 @@ def test_pair_survey_flags_block_failure(monkeypatch):
     swap = Permutation.from_cycles(6, [(1, 2)])
     moved = (p.conjugate(swap), q.conjugate(swap))
     with pytest.raises(NotABlockError):
-        block_system_from(group_of(*moved), (1, 3, 5))
+        _old_block_system_from(group_of(*moved), (1, 3, 5))
     got = _survey_with(monkeypatch, "canonical_involution_pair", lambda d: moved)
     assert got == {**PAIR_SURVEYS[(6, 6)], **_ALL_HOLD, "blocks_all_valid": False}
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from rp2cover import cli, oracle
 from rp2cover import realize as realize_module
 from rp2cover.branch import BranchData, Partition, is_admissible
-from rp2cover.groups import block_system_from, imprimitivity_block
+from rp2cover.groups import imprimitivity_block
 from rp2cover.perm import Permutation, canonical_of_type, parse_permutation
 from rp2cover.realize import (
     Case,
@@ -39,6 +39,7 @@ from rp2cover.realize import (
 
 from helpers import admissible_data, data_of
 from test_acceptance import _mixed_instance
+from test_oracle import _old_block_system_from
 
 
 # ---------------------------------------------------------------------------
@@ -1302,7 +1303,7 @@ def test_decomposable_search_takes_the_parity_tuple(d, s):
     assert res.engine == "decomposable_search"
     assert not res.certificate.primitive
     assert res.certificate.witness_block is not None
-    blocks = block_system_from(res.witness.group(), _parity_block(d, s))
+    blocks = _old_block_system_from(res.witness.group(), _parity_block(d, s))
     assert len(blocks) == 2
     if d <= 20:
         g1, g2 = canonical_involution_pair(d)
@@ -1315,8 +1316,25 @@ def test_decomposable_search_takes_the_parity_tuple(d, s):
         assert res.witness == old.witness
 
 
+def test_decomposable_search_answers_all_twos_without_the_oracle(monkeypatch):
+    # the fixed tuple answers every admissible all-twos datum, so a tuple
+    # that fell short shows instead of being covered by the oracle's scan
+    def refuse(*args, **kwargs):
+        raise AssertionError("oracle reached")
+
+    monkeypatch.setattr(oracle, "find_imprimitive_witness", refuse)
+    answered = 0
+    for d in range(4, 65, 2):
+        for s in range(2, 9):
+            data = _all_twos_data(d, s)
+            if is_admissible(data).ok:
+                assert realize_decomposable_search(data).engine == "decomposable_search"
+                answered += 1
+    assert answered == 172
+
+
 def test_decomposable_search_odd_tuple_up_to_degree_256():
     for d in range(4, 257, 4):
         res = realize_decomposable_search(_all_twos_data(d, 3))
         assert res.engine == "decomposable_search", d
-        assert len(block_system_from(res.witness.group(), _parity_block(d, 3))) == 2
+        assert len(_old_block_system_from(res.witness.group(), _parity_block(d, 3))) == 2

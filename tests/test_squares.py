@@ -18,7 +18,7 @@ from rp2cover.squares import (
     _root_cycle_odd,
     all_square_roots,
     is_square,
-    iter_square_roots,
+    iter_root_images,
     sqrt,
     sqrt_odd_cycle,
 )
@@ -197,7 +197,7 @@ def test_root_order_is_unchanged(d):
         lam = random_perm(d, rng)
         for q in (p, p.conjugate(lam)):
             want = _old_all_square_roots(q)
-            assert list(iter_square_roots(q)) == want, parts
+            assert [Permutation(r) for r in iter_root_images(q.images)] == want, parts
             assert all_square_roots(q) == want
 
 
@@ -228,17 +228,18 @@ def test_oracle_roots_match_all_square_roots(d):
                     all_square_roots(q, cap=len(want) - 1)
 
 
-def test_iter_square_roots_is_lazy_and_not_recursive():
+def test_iter_root_images_is_lazy_and_not_recursive():
     # 3000 cycles of one length: far past the recursion limit for a
     # search that recurses once per cycle, and about 10^4000 roots
     d = 6000
     p = Permutation.from_cycles(d, [(x, x + 1) for x in range(1, d, 2)])
-    first = list(islice(iter_square_roots(p), 3))
+    first = list(islice(iter_root_images(p.images), 3))
     assert len(first) == 3
     assert len(set(first)) == 3
     for r in first:
-        assert r * r == p
-    assert next(iter_square_roots(Permutation.identity(d))).is_identity()
+        assert Permutation(r) * Permutation(r) == p
+    identity = tuple(range(1, d + 1))
+    assert next(iter_root_images(identity)) == identity
 
 
 def _old_sqrt(p: Permutation) -> Permutation | None:
