@@ -504,29 +504,37 @@ class InvolutionPairSurvey:
 
 
 def _walk_relabeling(pair, target, d):
-    """The relabeling read off the alternating walks from 1, or None when
-    it is not a bijection lam with conjugate(g, lam) == h for g, h of
-    pair, target.
+    """Walk pair's first, second, first, ... involution from 1 and read a
+    relabeling off the walk: `(closed_early, lam)`.
 
-    A transitive pair of fixed-point-free involutions is one cycle that
-    alternates the two.  So lam sends the k-th point of the target's walk
-    from 1 over its first, second, first, ... involution to the k-th point
-    of the pair's walk from 1; for the canonical target that walk is
-    1, 2, ..., d.  Both checks stay, since a walk may repeat a point or
-    pass every point of a pair that is not conjugate to the target.
+    `closed_early` is True when the walk returns to 1 before step d; the
+    walk stops there and lam is None.  Otherwise lam sends the k-th point
+    of the target's walk from 1 to the k-th point of the pair's walk; for
+    the canonical target that walk is 1, 2, ..., d.  lam is None unless it
+    is a bijection with conjugate(g, lam) == h for g, h of pair, target:
+    a walk may repeat a point or pass every point of a pair that is not
+    conjugate to the target.
+
+    A pair of fixed-point-free involutions alternates along cycles of even
+    length, and the walk first returns to 1 after the length of the cycle
+    through 1.  So its walk closes early exactly when the pair is
+    intransitive, and a transitive pair is one cycle through all d points.
     """
     lam = [0] * d
     x = y = 1
     for k in range(d):
         lam[y - 1] = x
         x = pair[k % 2][x - 1]
+        if x == 1 and k < d - 1:
+            return True, None
         y = target[k % 2][y - 1]
     if 0 in lam or len(set(lam)) < d:
-        return None
-    lam = tuple(lam)
-    if any(kernels.conjugate(g, lam) != h for g, h in zip(pair, target)):
-        return None
-    return lam
+        return False, None
+    # conjugate(g, lam) == h, point by point: g(lam(i)) == lam(h(i))
+    for g, h in zip(pair, target):
+        if [g[v - 1] for v in lam] != [lam[v - 1] for v in h]:
+            return False, None
+    return False, tuple(lam)
 
 
 def _is_half_block(gens, half):
@@ -549,12 +557,15 @@ def involution_pair_survey(
 ) -> InvolutionPairSurvey:
     """Check that every transitive involution pair looks like the canonical one.
 
-    For each transitive pair of fixed-point-free involutions: the product
-    must be two d/2-cycles, the relabeling read off the alternating walks
-    (`_walk_relabeling`) must carry the pair onto the canonical pair, and
-    the points it relabels as odd must form a block of the group the pair
-    generates (`_is_half_block`).  Above `bounds.max_degree` the first
-    involution is fixed (`first_fixed`).
+    One alternating walk from 1 (`_walk_relabeling`) decides each ordered
+    pair of fixed-point-free involutions: the pair is transitive exactly
+    when the walk does not return to 1 before step d, so an intransitive
+    pair costs only the length of its cycle through 1.  For each transitive
+    pair: the product must be two d/2-cycles, the relabeling read off the
+    walk must carry the pair onto the canonical pair, and the points it
+    relabels as odd must form a block of the group the pair generates
+    (`_is_half_block`).  Above `bounds.max_degree` the first involution is
+    fixed (`first_fixed`).
     """
     bounds = bounds or SearchBounds()
     if d < 4 or d % 2:
@@ -576,12 +587,12 @@ def involution_pair_survey(
     for pi in firsts:
         for qi in cls:
             pair = (pi, qi)
-            if not kernels.is_transitive(pair, d):
+            closed_early, lam = _walk_relabeling(pair, canon, d)
+            if closed_early:
                 continue
             transitive_count += 1
             if kernels.cycle_lengths(kernels.compose(pi, qi)) != (half, half):
                 all_products = False
-            lam = _walk_relabeling(pair, canon, d)
             if lam is None:
                 all_conj = False
                 continue

@@ -2,13 +2,18 @@
 
 Everything here is written for obviousness, not speed: full enumerations
 of symmetric groups, subset scans for blocks, and so on.  Library results
-are compared against these on small degrees.
+are compared against these on small degrees.  The characters of S_d give
+closed-form counts that the enumerations are checked against.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import sys
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -175,3 +180,59 @@ def stabilizer_is_maximal(G, x):
         for orbit in brute_orbits(stab, d)
         if orbit != (x,)
     )
+
+
+def class_size(d, parts):
+    """Number of elements of S_d with cycle type parts."""
+    return math.factorial(d) // math.prod(
+        k**m * math.factorial(m) for k, m in Counter(parts).items()
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _murnaghan_nakayama(beads, cycles):
+    """The character of the partition with beta-set `beads` at the cycle
+    type `cycles`: remove a rim hook of length cycles[0] in every way and
+    recurse.  On the abacus a rim hook of length r is a bead moved from b
+    down to the free position b - r, with sign (-1) ** (beads passed)."""
+    if not cycles:
+        return 1
+    r, rest = cycles[0], cycles[1:]
+    total = 0
+    for b in beads:
+        if b >= r and b - r not in beads:
+            passed = sum(1 for c in beads if b - r < c < b)
+            total += (-1) ** passed * _murnaghan_nakayama(beads - {b} | {b - r}, rest)
+    return total
+
+
+def character(lam, mu):
+    """chi^lam(mu): the irreducible character of S_d indexed by the
+    partition lam, at an element of cycle type mu, by the
+    Murnaghan-Nakayama rule."""
+    n = len(lam)
+    beads = frozenset(p + n - 1 - i for i, p in enumerate(lam))
+    return _murnaghan_nakayama(beads, tuple(mu))
+
+
+def relation_tuple_count(d, rows):
+    """Relation tuples with the first row pinned: the tuples
+    (gamma_2, ..., gamma_s, alpha) with gamma_i of cycle type rows[i-1]
+    and gamma_1 gamma_2 ... gamma_s alpha^2 = 1, for one fixed gamma_1 of
+    cycle type rows[0].
+
+    It is sum over chi of chi(c_1) prod_{i>=2} |C_i| chi(c_i) / chi(1).
+    Summing chi(x g) over g in a class C gives |C| chi(c) chi(x) / chi(1),
+    and every character of S_d is real, so an element h has
+    sum over chi of chi(h) square roots (Frobenius-Schur).
+    """
+    total = Fraction(0)
+    for lam in partitions_of(d):
+        term = Fraction(character(lam, rows[0]))
+        dim = character(lam, (1,) * d)
+        for parts in rows[1:]:
+            term *= Fraction(class_size(d, parts) * character(lam, parts), dim)
+        total += term
+    if total.denominator != 1:
+        raise ArithmeticError(f"non-integral relation count {total}")
+    return int(total)

@@ -38,7 +38,16 @@ from rp2cover.realize import (
     verify_witness,
 )
 
-from helpers import admissible_data, all_images, data_of, partitions_of, random_perm
+from helpers import (
+    admissible_data,
+    all_images,
+    character,
+    class_size,
+    data_of,
+    partitions_of,
+    random_perm,
+    relation_tuple_count,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +217,64 @@ def test_tuple_survey_consistency():
             + s.transitive_primitive
             == s.relation_pairs
         )
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_characters_are_orthonormal(d):
+    # the Murnaghan-Nakayama characters of S_d are the irreducible ones:
+    # orthonormal over the classes, chi(1) > 0, the trivial and sign
+    # characters among them
+    parts = partitions_of(d)
+    for lam in parts:
+        for nu in parts:
+            inner = sum(class_size(d, mu) * character(lam, mu) * character(nu, mu) for mu in parts)
+            assert inner == (math.factorial(d) if lam == nu else 0), (lam, nu)
+        assert character(lam, (1,) * d) > 0
+    for mu in parts:
+        assert character((d,), mu) == 1
+        assert character((1,) * d, mu) == (-1) ** (d - len(mu))
+
+
+# the tuple surveys whose counts tier-1 pins, with d <= 7: (data, first row
+# reduced, pinned relation_pairs or None where only other counts are pinned)
+_PINNED_SURVEYS = [
+    ("d=4; [2,2],[2,2]", True, 14),
+    ("d=4; [2,2],[2,2]", False, 42),
+    ("d=4; [2,2],[2,2],[2,2]", True, 34),
+    ("d=4; [2,2],[2,2],[2,2],[2,2]", True, 110),
+    ("d=6; [3,3],[3,1,1,1]", True, None),
+    # the tuple scans of the oracle-scan benchmark, as perfbench/pinned.json
+    # pins them
+    ("d=5; [3,2],[2,2,1],[2,1,1,1]", True, 312),
+    ("d=5; [5],[5]", False, 1536),
+    ("d=5; [4,1],[3,2],[2,2,1]", True, 576),
+    ("d=6; [3,3],[2,2,1,1],[2,2,1,1]", True, 4374),
+    ("d=6; [4,1,1],[3,3],[2,2,2]", True, 1536),
+    ("d=6; [6],[6]", True, 312),
+    ("d=6; [3,2,1],[3,2,1]", True, 312),
+]
+
+
+def _character_count(data, reduced):
+    rows = [r.parts for r in data.rows]
+    count = relation_tuple_count(data.degree, rows)
+    return count if reduced else count * class_size(data.degree, rows[0])
+
+
+@pytest.mark.parametrize("text, reduced, pinned", _PINNED_SURVEYS)
+def test_relation_pairs_match_the_character_count(text, reduced, pinned):
+    data = data_of(text)
+    got = tuple_survey(data, first_row_reduced=reduced).relation_pairs
+    assert got == _character_count(data, reduced)
+    if pinned is not None:
+        assert got == pinned
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_relation_pairs_match_the_character_count_on_small_data(d):
+    for data in _every_row_order(admissible_data([d], max_rows=3)):
+        got = tuple_survey(data).relation_pairs
+        assert got == _character_count(data, True), data.to_text()
 
 
 def test_found_witnesses_verify():
@@ -683,22 +750,30 @@ def test_pair_survey_dicts_are_unchanged(key):
 
 
 def test_pair_survey_tests_transitivity_once_per_pair_on_image_tuples(monkeypatch):
+    # the walk alone decides transitivity: one walk per pair, no orbit labels
     calls = Counter()
     is_transitive = kernels.is_transitive
+    walk = oracle._walk_relabeling
     post_init = Permutation.__post_init__
 
     def counted(gens, d):
         calls["is_transitive"] += 1
         return is_transitive(gens, d)
 
+    def walked(pair, target, d):
+        calls["walk"] += 1
+        return walk(pair, target, d)
+
     def built(self):
         calls["Permutation"] += 1
         post_init(self)
 
     monkeypatch.setattr(kernels, "is_transitive", counted)
+    monkeypatch.setattr(oracle, "_walk_relabeling", walked)
     monkeypatch.setattr(Permutation, "__post_init__", built)
     s = involution_pair_survey(6)
-    assert calls["is_transitive"] == s.scanned_pairs == 225
+    assert calls["is_transitive"] == 0
+    assert calls["walk"] == s.scanned_pairs == 225
     # only the canonical pair itself
     assert calls["Permutation"] == 2
 
@@ -792,7 +867,12 @@ def test_pair_survey_checks_agree_with_the_references(d):
         transitive = kernels.is_transitive(pair, d)
         perms = tuple(map(Permutation, pair))
         for i, target in enumerate(targets):
-            lam = oracle._walk_relabeling(pair, tuple(g.images for g in target), d)
+            closed_early, lam = oracle._walk_relabeling(
+                pair, tuple(g.images for g in target), d
+            )
+            # the walk closes early exactly on the intransitive pairs,
+            # whatever the target
+            assert closed_early is (not transitive), (pair, i)
             old = _old_pair_conjugator(perms, target)
             assert lam == (None if old is None else old.images), (pair, i)
             if lam is None:
@@ -824,7 +904,9 @@ def test_pair_survey_relabeling_is_checked(d):
     outcomes = Counter()
     for pair in itertools.product(invs, repeat=2):
         for target in (pair, *targets):
-            lam = oracle._walk_relabeling(pair, target, d)
+            closed_early, lam = oracle._walk_relabeling(pair, target, d)
+            # a walk back at 1 before step d repeats 1: no bijection
+            assert not (closed_early and lam is not None)
             outcomes[lam is not None] += 1
             if lam is not None:
                 assert sorted(lam) == list(range(1, d + 1))
@@ -840,7 +922,8 @@ def test_pair_survey_relabeling_round_trip(d):
     for _ in range(20):
         lam = random_perm(d, rng).images
         moved = tuple(kernels.conjugate(g, lam) for g in canon)
-        mu = oracle._walk_relabeling(moved, canon, d)
+        closed_early, mu = oracle._walk_relabeling(moved, canon, d)
+        assert not closed_early
         assert mu is not None
         assert tuple(kernels.conjugate(g, mu) for g in moved) == canon
         assert oracle._is_half_block(moved, mu[::2])
