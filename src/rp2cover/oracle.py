@@ -11,17 +11,18 @@ Conjugation-invariance of every property checked here means the first
 branching permutation can be pinned to the canonical representative g0 of
 its class without changing any yes/no answer.  A tuple survey goes one
 step further and enumerates the second row once per orbit of the
-centralizer of g0, weighting each representative by its orbit size (see
-`tuple_survey`).  `first_row_reduced=False` turns both reductions off: it
-enumerates entire classes, and is the reference the reductions are
-tested against.
+centralizer of g0, weighting each representative by its orbit size, and
+it counts the square roots of a tuple that the gammas alone settle
+instead of walking them (see `tuple_survey`).  `first_row_reduced=False`
+turns both first-row reductions off: it enumerates entire classes, and
+is the reference the reductions are tested against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import product as _cartesian
 from typing import Iterator
 
@@ -41,7 +42,12 @@ from .realize import (
 # all_square_roots is not called here either; like is_primitive above, it
 # stays importable from this module because perfbench/spans.py looks it up
 # here (WRAP_POINTS)
-from .squares import RootCapExceeded, _root_images, all_square_roots  # noqa: F401
+from .squares import (  # noqa: F401
+    RootCapExceeded,
+    _root_images,
+    all_square_roots,
+    iter_root_images,
+)
 
 
 @dataclass(frozen=True)
@@ -180,24 +186,61 @@ def _relation_pairs(
     the order of the candidates, the first row outermost; each gammas
     tuple is followed by every square root of its product, in the order of
     `all_square_roots`."""
-    rest = candidates[1:]
-    for g0 in candidates[0]:
-        for tail in _cartesian(*rest):
-            gammas = (g0, *tail)
-            prod = g0
-            for t in tail:
-                prod = kernels.compose(prod, t)
-            pinv = kernels.inverse(prod)
-            if not kernels.is_square_type(pinv):
-                continue
-            orbits, n = kernels.orbit_index(gammas, d)
-            try:
-                roots = _roots_of(pinv, root_cap)
-            except RootCapExceeded as e:
-                raise BoundsExceededError(str(e)) from None
+    for gammas, prod, _, orbits, n in _square_tuples(candidates, d):
+        roots = _capped_roots(kernels.inverse(prod), root_cap)
+        if n == 1:
+            # every alpha edge joins the one orbit to itself without a flip
+            for alpha in roots:
+                yield gammas, alpha, True, False
+        else:
             for alpha in roots:
                 transitive, orientable = kernels.alpha_extension(orbits, n, alpha)
                 yield gammas, alpha, transitive, orientable
+
+
+def _square_tuples(
+    candidates: list[tuple[tuple[int, ...], ...]], d: int
+) -> Iterator[
+    tuple[
+        tuple[tuple[int, ...], ...], tuple[int, ...], tuple[int, ...], tuple[int, ...] | None, int
+    ]
+]:
+    """Every gammas tuple of one candidate per row whose product is a
+    square, in the order of the candidates, the first row outermost:
+    (gammas, product, its cycle type, orbits, n).
+
+    Each choice of the rows before the last has its product and its
+    transitivity computed once, for all the tuples extending it.  When
+    those rows are transitive already, so is every such tuple: orbits is
+    then None and n is 1, and no orbit index is built.  Otherwise
+    (orbits, n) is `kernels.orbit_index(gammas, d)`.
+    """
+    last = candidates[-1]
+    for prefix in _cartesian(*candidates[:-1]):
+        p = reduce(kernels.compose, prefix) if prefix else kernels.identity(d)
+        connected = kernels.is_transitive(prefix, d)
+        for t in last:
+            prod = kernels.compose(p, t)
+            parts = kernels.cycle_lengths(prod)
+            # `kernels.is_square_type` on the cycle type: every even length
+            # comes in pairs
+            even = [k for k in parts if not k % 2]
+            if even[::2] != even[1::2]:
+                continue
+            gammas = (*prefix, t)
+            if connected:
+                yield gammas, prod, parts, None, 1
+            else:
+                orbits, n = kernels.orbit_index(gammas, d)
+                yield gammas, prod, parts, orbits, n
+
+
+def _capped_roots(p: tuple[int, ...], root_cap: int) -> tuple[tuple[int, ...], ...]:
+    """`_roots_of(p, root_cap)`, raising BoundsExceededError past the cap."""
+    try:
+        return _roots_of(p, root_cap)
+    except RootCapExceeded as e:
+        raise BoundsExceededError(str(e)) from None
 
 
 def _centralizer_orbits(
@@ -392,8 +435,8 @@ def tuple_survey(
     of its class, and with two or more rows gamma_2 runs over one element
     per orbit of the centralizer C(g0) on its class, acting by
     conjugation; that element's pairs count as many times as its orbit
-    has elements.  Every row after the second and every square root is
-    still enumerated in full.  This is exact: conjugating a whole pair by
+    has elements.  Every row after the second is still enumerated in
+    full.  This is exact: conjugating a whole pair by
     c in C(g0) keeps g0, maps the pairs of one gamma_2 bijectively onto
     those of its conjugate, and keeps every bucket.  For the same reason a
     gamma_2 with a connected nonorientable pair has such pairs across its
@@ -403,6 +446,17 @@ def tuple_survey(
     the root cap is exceeded, and BoundsExceededError raised, exactly when
     the full scan exceeds it.  `first_row_reduced=False` is the full
     enumeration of every class, the independent reference.
+
+    A gammas tuple is settled when <gammas> is transitive and d is prime
+    or `_Primitivity.seeds` is empty.  Then each alpha joins nothing and
+    flips nothing, so every pair of the tuple is connected and
+    nonorientable, and `_Primitivity` calls each primitive without looking
+    at alpha.  Its pairs all land in one bucket, and their number is the
+    number of square roots of its product, a class function: it is read
+    once per product type with `_roots_of` on `canonical_of_type`, under
+    the same root cap, so the cap refuses exactly what the walk of the
+    roots would.  `sample` still takes the first root of the tuple's own
+    product.  Every other tuple walks its roots one by one.
     """
     bounds = bounds or SearchBounds()
     _require_in_bounds(data, bounds)
@@ -411,26 +465,43 @@ def tuple_survey(
     if first_row_reduced and len(candidates) > 1:
         weight = _centralizer_orbits(candidates[0][0], candidates[1])
         candidates[1] = tuple(weight)
+    d = data.degree
     total = intrans = orient = imprim = prim = 0
     sample = None
-    is_primitive_pair = _Primitivity(data.degree)
-    for gammas, alpha, transitive, orientable in _relation_pairs(
-        candidates, data.degree, bounds.root_cap
-    ):
+    is_primitive_pair = _Primitivity(d)
+    # square roots per product type, read off the canonical element
+    root_counts: dict[tuple[int, ...], int] = {}
+    for gammas, prod, parts, orbits, n in _square_tuples(candidates, d):
         w = weight[gammas[1]] if weight else 1
-        total += w
-        if not transitive:
-            intrans += w
+        if n == 1 and (is_primitive_pair.prime or not is_primitive_pair.seeds(gammas)):
+            # settled: every root is connected, nonorientable and primitive
+            k = root_counts.get(parts)
+            if k is None:
+                k = root_counts[parts] = len(
+                    _capped_roots(canonical_of_type(d, parts).images, bounds.root_cap)
+                )
+            total += w * k
+            prim += w * k
+            if sample is None:
+                first_root = next(iter_root_images(kernels.inverse(prod)))
+                sample = _build_witness(d, gammas, first_root)
             continue
-        if orientable:
-            orient += w
-            continue
-        if sample is None:
-            sample = _build_witness(data.degree, gammas, alpha)
-        if is_primitive_pair(gammas, alpha):
-            prim += w
-        else:
-            imprim += w
+        for alpha in _capped_roots(kernels.inverse(prod), bounds.root_cap):
+            total += w
+            if n != 1:
+                transitive, orientable = kernels.alpha_extension(orbits, n, alpha)
+                if not transitive:
+                    intrans += w
+                    continue
+                if orientable:
+                    orient += w
+                    continue
+            if sample is None:
+                sample = _build_witness(d, gammas, alpha)
+            if is_primitive_pair(gammas, alpha):
+                prim += w
+            else:
+                imprim += w
     return TupleSurvey(
         degree=data.degree,
         rows=tuple(r.parts for r in data.rows),

@@ -90,6 +90,16 @@ def admissible_data(degrees, max_rows):
     return out
 
 
+def every_row_order(data_list):
+    """Each datum in every distinct order of its rows."""
+    seen = set()
+    for data in data_list:
+        for rows in itertools.permutations(data.rows):
+            if rows not in seen:
+                seen.add(rows)
+                yield type(data)(data.degree, rows)
+
+
 def data_of(text) -> BranchData:
     return parse_branch_data(text)
 

@@ -44,6 +44,7 @@ from helpers import (
     character,
     class_size,
     data_of,
+    every_row_order,
     partitions_of,
     random_perm,
     relation_tuple_count,
@@ -235,8 +236,8 @@ def test_characters_are_orthonormal(d):
         assert character((1,) * d, mu) == (-1) ** (d - len(mu))
 
 
-# the tuple surveys whose counts tier-1 pins, with d <= 7: (data, first row
-# reduced, pinned relation_pairs or None where only other counts are pinned)
+# the tuple surveys whose counts tier-1 pins: (data, first row reduced,
+# pinned relation_pairs or None where only other counts are pinned)
 _PINNED_SURVEYS = [
     ("d=4; [2,2],[2,2]", True, 14),
     ("d=4; [2,2],[2,2]", False, 42),
@@ -252,6 +253,9 @@ _PINNED_SURVEYS = [
     ("d=6; [4,1,1],[3,3],[2,2,2]", True, 1536),
     ("d=6; [6],[6]", True, 312),
     ("d=6; [3,2,1],[3,2,1]", True, 312),
+    # the raised-bound pins (RAISED_BOUND_SURVEYS)
+    ("d=8; [4,4],[4,4]", True, 4112),
+    ("d=10; [2,2,2,2,2],[2,2,2,2,2]", True, 22680),
 ]
 
 
@@ -264,7 +268,8 @@ def _character_count(data, reduced):
 @pytest.mark.parametrize("text, reduced, pinned", _PINNED_SURVEYS)
 def test_relation_pairs_match_the_character_count(text, reduced, pinned):
     data = data_of(text)
-    got = tuple_survey(data, first_row_reduced=reduced).relation_pairs
+    bounds = SearchBounds(max_degree=10)  # admits the raised-bound pins
+    got = tuple_survey(data, bounds, first_row_reduced=reduced).relation_pairs
     assert got == _character_count(data, reduced)
     if pinned is not None:
         assert got == pinned
@@ -272,7 +277,7 @@ def test_relation_pairs_match_the_character_count(text, reduced, pinned):
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_relation_pairs_match_the_character_count_on_small_data(d):
-    for data in _every_row_order(admissible_data([d], max_rows=3)):
+    for data in every_row_order(admissible_data([d], max_rows=3)):
         got = tuple_survey(data).relation_pairs
         assert got == _character_count(data, True), data.to_text()
 
@@ -563,15 +568,6 @@ def _full_tuple_survey(data, bounds=None, *, first_row_reduced=True):
     )
 
 
-def _every_row_order(data_list):
-    seen = set()
-    for data in data_list:
-        for rows in itertools.permutations(data.rows):
-            if rows not in seen:
-                seen.add(rows)
-                yield type(data)(data.degree, rows)
-
-
 # the tuple scans of the oracle-scan benchmark and the primitivity scans
 _SURVEY_SCANS = sorted(
     {(text, reduced, bounds) for text, reduced, bounds in DECISION_SCANS}
@@ -582,7 +578,7 @@ _SURVEY_SCANS = sorted(
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_reduced_survey_matches_the_full_scan_on_small_data(d):
-    for data in _every_row_order(admissible_data([d], max_rows=3)):
+    for data in every_row_order(admissible_data([d], max_rows=3)):
         want = _full_tuple_survey(data).to_dict()
         assert tuple_survey(data).to_dict() == want, data.to_text()
 
@@ -642,7 +638,7 @@ def test_reduced_survey_scales_to_the_unreduced_counts(d, max_rows):
         "transitive_imprimitive",
         "transitive_primitive",
     )
-    for data in _every_row_order(admissible_data([d], max_rows)):
+    for data in every_row_order(admissible_data([d], max_rows)):
         if data.rows_count < 2:
             continue
         red = tuple_survey(data).to_dict()
@@ -664,6 +660,28 @@ def test_reduced_survey_scans_one_second_row_per_centralizer_orbit(monkeypatch):
     s = tuple_survey(data_of("d=6; [3,3],[2,2,1,1],[2,2,1,1]"))
     assert s.relation_pairs == 4374
     assert calls["alpha_extension"] < s.relation_pairs / 4
+
+
+def test_survey_settles_connected_tuples_without_walking_their_roots(monkeypatch):
+    # every gamma_1 of `d=5; [5],[5]` is a 5-cycle, so each tuple is
+    # connected before gamma_2 is chosen, and d = 5 is prime: every tuple
+    # is settled by its product type's root count, with no orbit index and
+    # no per-root extension
+    calls = Counter()
+    for name in ("orbit_index", "alpha_extension"):
+        def counted(*args, _name=name, _fn=getattr(kernels, name)):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(kernels, name, counted)
+    s = tuple_survey(data_of("d=5; [5],[5]"), first_row_reduced=False)
+    assert s.relation_pairs == s.transitive_primitive == 1536
+    assert calls == Counter()
+    # an intransitive prefix still takes the per-root path
+    s = tuple_survey(data_of("d=6; [3,3],[2,2,1,1],[2,2,1,1]"))
+    assert s.relation_pairs == 4374
+    assert calls["orbit_index"] > 0
+    assert calls["alpha_extension"] > 0
 
 
 # ---------------------------------------------------------------------------
