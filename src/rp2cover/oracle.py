@@ -306,53 +306,161 @@ def exists_realization(
     return False
 
 
+def block_systems(gens, d: int) -> list[tuple[int, ...]]:
+    """Every nontrivial block system of the transitive group <gens>.
+
+    Each system is a tuple of d + 1 labels: entry x, for x in 1..d, is the
+    least point of x's block, and entry 0 is 0.  The systems whose block
+    through 1 is minimal come from closing the partition that joins 1 and
+    y, for each y in 2..d; the joins of systems found, the closures of the
+    union of two blocks through 1, are added until no new one appears.
+    This finds every system: a block B through 1 is the join of the
+    minimal blocks through 1 and y over the y in B.  The classes of a
+    closed partition of a transitive group all have one size dividing d,
+    so a closure stops at the first class of more than d/2 points: it is
+    the trivial system 1..d, which is left out.
+    """
+    half = d // 2
+
+    def closure(block):
+        parent = list(range(d + 1))
+        size = [1] * (d + 1)
+        pairs = [(1, y) for y in block if y != 1]
+        while pairs:
+            a, b = pairs.pop()
+            while parent[a] != a:
+                parent[a] = a = parent[parent[a]]
+            while parent[b] != b:
+                parent[b] = b = parent[parent[b]]
+            if a == b:
+                continue
+            if b < a:
+                a, b = b, a
+            parent[b] = a
+            size[a] += size[b]
+            if size[a] > half:
+                return None
+            for g in gens:
+                pairs.append((g[a - 1], g[b - 1]))
+        # every parent is at most its child, so one pass in increasing
+        # order points each point at the least point of its class
+        for x in range(1, d + 1):
+            parent[x] = parent[parent[x]]
+        return tuple(parent)
+
+    found = dict.fromkeys(filter(None, (closure((y,)) for y in range(2, d + 1))))
+    systems = list(found)
+    # a join found on the way is appended, and met with every earlier
+    # system in its turn
+    for i, labels in enumerate(systems):
+        block = {x for x in range(1, d + 1) if labels[x] == 1}
+        for other in systems[:i]:
+            joined = closure(block.union(x for x in range(1, d + 1) if other[x] == 1))
+            if joined and joined not in found:
+                found[joined] = None
+                systems.append(joined)
+    return systems
+
+
 class _Primitivity:
     """Is the transitive group G = <alpha, gammas> of a relation pair primitive?
 
-    A prime degree admits no block size but 1 and d.  Otherwise G is
-    primitive exactly when the minimal block through {1, y} is all of
-    1..d for every y in 2..d.  A block of G containing {1, y} contains the
-    minimal <gammas>-block through {1, y} (Dixon & Mortimer, *Permutation
-    Groups*, ch. 1), so the first time it is asked about a gammas tuple
-    the decision keeps only the seeds y whose <gammas>-block is not all of
-    1..d, and every square root of the tuple's product scans only those.
-    This holds when <gammas> is intransitive too: a <gammas>-class of more
-    than d/2 points lies in a class of G, whose classes all have one size
-    dividing d, so that G-block is all of 1..d.  There are no seeds when
-    the product has type [d-1, 1], which makes a transitive G
-    2-transitive, hence primitive, or when <gammas> is primitive.  One
-    instance serves one scan of degree d.
+    A prime degree admits no block size but 1 and d.  Otherwise the rows
+    before the last, the prefix, decide how the rest is done.
+
+    When the prefix generates a transitive group P, a block of G is a
+    block of its subgroup P, so the block systems of G are exactly those
+    of P that every later generator maps block to block.  `block_systems`
+    lists P's systems once per prefix; each gammas tuple keeps those its
+    last gamma maps block to block, and G is primitive exactly when alpha
+    maps none of the survivors block to block.  A tuple with no survivor
+    is primitive whatever alpha is.
+
+    Otherwise G is primitive exactly when the minimal block through
+    {1, y} is all of 1..d for every y in 2..d.  A block of G containing
+    {1, y} contains the minimal <gammas>-block through {1, y} (Dixon &
+    Mortimer, *Permutation Groups*, ch. 1), so the first time it is asked
+    about a gammas tuple the decision keeps only the seeds y whose
+    <gammas>-block is not all of 1..d, and every square root of the
+    tuple's product scans only those.  This holds when <gammas> is
+    intransitive too: a <gammas>-class of more than d/2 points lies in a
+    class of G, whose classes all have one size dividing d, so that
+    G-block is all of 1..d.  There are no seeds when the product has type
+    [d-1, 1], which makes a transitive G 2-transitive, hence primitive, or
+    when <gammas> is primitive.
+
+    One instance serves one scan of degree d.
     """
 
     def __init__(self, d: int):
         self.d = d
         self.prime = d > 1 and all(d % p for p in range(2, math.isqrt(d) + 1))
+        self._prefix: tuple[tuple[int, ...], ...] | None = None
+        # (labels, labels[1:], block count, a point besides 1 in 1's
+        # block) per system of a transitive prefix, or None
+        self._prefix_systems: list[tuple] | None = None
         self._gammas: tuple[tuple[int, ...], ...] | None = None
+        # the prefix systems the last gamma keeps, or None
+        self._systems: list[tuple] | None = None
         self._seeds: tuple[int, ...] = ()
 
+    @staticmethod
+    def _keeps(system, g: tuple[int, ...]) -> bool:
+        """Does g map each block of the system into one block?  First
+        test 1 and one other point of its block alone."""
+        labels, own, k, mate = system
+        return labels[g[0]] == labels[g[mate - 1]] and (
+            len(set(zip(own, map(labels.__getitem__, g)))) == k
+        )
+
+    def _refresh(self, gammas: tuple[tuple[int, ...], ...]) -> None:
+        self._gammas = gammas
+        d = self.d
+        prefix = gammas[:-1]
+        if prefix != self._prefix:
+            self._prefix = prefix
+            self._prefix_systems = None
+            if kernels.is_transitive(prefix, d):
+                self._prefix_systems = [
+                    (labels, labels[1:], len(set(labels)) - 1, labels.index(1, 2))
+                    for labels in block_systems(prefix, d)
+                ]
+        if self._prefix_systems is not None:
+            last = gammas[-1]
+            self._systems = [s for s in self._prefix_systems if self._keeps(s, last)]
+        else:
+            self._systems = None
+            self._seeds = self.seeds(gammas)
+
     def seeds(self, gammas: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
-        """The y in 2..d that each alpha must still scan for these gammas."""
+        """The y in 2..d that each alpha must scan for these gammas."""
+        d = self.d
+        if kernels.cycle_lengths(kernels.product_of(gammas, d)) == (d - 1, 1):
+            return ()
+        return tuple(
+            y for y in range(2, d + 1) if len(kernels.minimal_block(gammas, d, 1, y)) < d
+        )
+
+    def settled(self, gammas: tuple[tuple[int, ...], ...]) -> bool:
+        """Is every transitive pair with these gammas primitive, whatever
+        alpha is?"""
+        if self.prime:
+            return True
         if gammas != self._gammas:
-            self._gammas = gammas
-            d = self.d
-            if kernels.cycle_lengths(kernels.product_of(gammas, d)) == (d - 1, 1):
-                self._seeds = ()
-            else:
-                self._seeds = tuple(
-                    y
-                    for y in range(2, d + 1)
-                    if len(kernels.minimal_block(gammas, d, 1, y)) < d
-                )
-        return self._seeds
+            self._refresh(gammas)
+        return not (self._seeds if self._systems is None else self._systems)
 
     def __call__(self, gammas: tuple[tuple[int, ...], ...], alpha: tuple[int, ...]) -> bool:
         if self.prime:
             return True
+        if gammas != self._gammas:
+            self._refresh(gammas)
+        if self._systems is not None:
+            keeps = self._keeps
+            return not any(keeps(s, alpha) for s in self._systems)
         d = self.d
         gens = (alpha, *gammas)
-        return all(
-            len(kernels.minimal_block(gens, d, 1, y)) == d for y in self.seeds(gammas)
-        )
+        return all(len(kernels.minimal_block(gens, d, 1, y)) == d for y in self._seeds)
 
 
 def _first_witness(
@@ -447,9 +555,11 @@ def tuple_survey(
     the full scan exceeds it.  `first_row_reduced=False` is the full
     enumeration of every class, the independent reference.
 
-    A gammas tuple is settled when <gammas> is transitive and d is prime
-    or `_Primitivity.seeds` is empty.  Then each alpha joins nothing and
-    flips nothing, so every pair of the tuple is connected and
+    A gammas tuple is settled when <gammas> is transitive and
+    `_Primitivity.settled` holds: d is prime, or the rows before the last
+    are transitive and none of their block systems survives the last
+    gamma, or else the tuple leaves no seed.  Then each alpha joins
+    nothing and flips nothing, so every pair of the tuple is connected and
     nonorientable, and `_Primitivity` calls each primitive without looking
     at alpha.  Its pairs all land in one bucket, and their number is the
     number of square roots of its product, a class function: it is read
@@ -473,7 +583,7 @@ def tuple_survey(
     root_counts: dict[tuple[int, ...], int] = {}
     for gammas, prod, parts, orbits, n in _square_tuples(candidates, d):
         w = weight[gammas[1]] if weight else 1
-        if n == 1 and (is_primitive_pair.prime or not is_primitive_pair.seeds(gammas)):
+        if n == 1 and is_primitive_pair.settled(gammas):
             # settled: every root is connected, nonorientable and primitive
             k = root_counts.get(parts)
             if k is None:

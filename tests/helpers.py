@@ -148,6 +148,39 @@ def brute_minimal_block(elements_imgs, d, x, y):
     return tuple(best)
 
 
+def brute_block_systems(gens, d):
+    """Every partition of 1..d into equal blocks of 2..d-1 points that each
+    generator maps block to block, as a set of label tuples: entry x is the
+    least point of x's block, and entry 0 is 0.
+
+    Lists every such partition of 1..d, so only usable for small d.
+    """
+
+    def partitions(points, size):
+        if not points:
+            yield []
+            return
+        first, rest = points[0], points[1:]
+        for others in itertools.combinations(rest, size - 1):
+            left = [x for x in rest if x not in others]
+            for tail in partitions(left, size):
+                yield [(first, *others), *tail]
+
+    out = set()
+    for size in range(2, d):
+        if d % size:
+            continue
+        for blocks in partitions(list(range(1, d + 1)), size):
+            block_sets = {frozenset(b) for b in blocks}
+            if all(frozenset(g[x - 1] for x in b) in block_sets for g in gens for b in blocks):
+                labels = [0] * (d + 1)
+                for b in blocks:
+                    for x in b:
+                        labels[x] = b[0]
+                out.add(tuple(labels))
+    return out
+
+
 def brute_orbits(gens, d):
     """Orbit partition as a sorted tuple of sorted tuples."""
     reach = {x: {x} for x in range(1, d + 1)}

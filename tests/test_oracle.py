@@ -41,6 +41,7 @@ from rp2cover.realize import (
 from helpers import (
     admissible_data,
     all_images,
+    brute_block_systems,
     character,
     class_size,
     data_of,
@@ -256,6 +257,9 @@ _PINNED_SURVEYS = [
     # the raised-bound pins (RAISED_BOUND_SURVEYS)
     ("d=8; [4,4],[4,4]", True, 4112),
     ("d=10; [2,2,2,2,2],[2,2,2,2,2]", True, 22680),
+    ("d=9; [3,3,3],[3,3,3]", True, 10808),
+    ("d=8; [4,4],[2,2,2,2],[2,2,2,2]", True, 30500),
+    ("d=9; [9],[3,3,3]", True, 4976),
 ]
 
 
@@ -326,6 +330,8 @@ def _route(decide, gammas, d):
     """Which rule of `_Primitivity` settles pairs with these gammas."""
     if decide.prime:
         return "prime"
+    if kernels.is_transitive(gammas[:-1], d):
+        return "transitive_prefix"
     if kernels.cycle_lengths(kernels.product_of(gammas, d)) == (d - 1, 1):
         return "two_transitive"
     seeds = decide.seeds(gammas)
@@ -359,6 +365,8 @@ def test_primitivity_decision_matches_the_group():
             routes[route if route in ("prime", "two_transitive") else f"{route}:{want}"] += 1
     assert set(routes) == {
         "prime",
+        "transitive_prefix:True",
+        "transitive_prefix:False",
         "two_transitive",
         "gammas_primitive:True",
         "gammas_orbit_over_half:True",
@@ -371,15 +379,15 @@ def test_primitivity_decision_matches_the_group():
 
 
 @st.composite
-def _transitive_pairs(draw):
-    """Gammas and alpha of degree 6..9 generating a transitive group.
+def _transitive_pairs(draw, min_degree=6):
+    """Gammas and alpha of degree min_degree..9 generating a transitive group.
 
     Each permutation either is any permutation, or maps the blocks of a
     drawn block system onto each other, or maps every part of a drawn set
     partition onto itself, so the group and <gammas> range from primitive
     to imprimitive and from transitive to intransitive.
     """
-    d = draw(st.integers(6, 9))
+    d = draw(st.integers(min_degree, 9))
     size = draw(st.sampled_from([k for k in range(2, d) if d % k == 0] or [1]))
     points = draw(st.permutations(range(1, d + 1)))
     blocks = [points[i : i + size] for i in range(0, d, size)]
@@ -414,6 +422,73 @@ def test_primitivity_decision_matches_the_group_on_random_pairs(case):
     d, gammas, alpha = case
     want = is_primitive(group_of(Permutation(alpha), *map(Permutation, gammas)))
     assert oracle._Primitivity(d)(gammas, alpha) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(_transitive_pairs(min_degree=2))
+def test_block_systems_match_every_kept_partition(case):
+    d, gammas, alpha = case
+    gens = (alpha, *gammas)
+    got = oracle.block_systems(gens, d)
+    assert len(set(got)) == len(got)
+    assert set(got) == brute_block_systems(gens, d)
+    if d in (2, 3, 5, 7):
+        assert got == []
+
+
+@pytest.mark.parametrize(
+    "orders, count",
+    [((4,), 1), ((6,), 2), ((8,), 2), ((9,), 1), ((2, 2), 3), ((2, 4), 6), ((3, 3), 4), ((2, 2, 2), 14)],
+)
+def test_block_systems_of_regular_abelian_groups(orders, count):
+    # an abelian group acting on itself by translation: its block systems
+    # are the cosets of its subgroups, `count` of them proper and
+    # nontrivial, and most are joins of the minimal ones
+    points = list(itertools.product(*map(range, orders)))
+    index = {p: i + 1 for i, p in enumerate(points)}
+    gens = []
+    for axis in range(len(orders)):
+        step = [0] * len(orders)
+        step[axis] = 1
+        gens.append(
+            tuple(index[tuple((a + b) % m for a, b, m in zip(p, step, orders))] for p in points)
+        )
+    d = len(points)
+    got = oracle.block_systems(tuple(gens), d)
+    assert len(got) == len(set(got)) == count
+    assert set(got) == brute_block_systems(gens, d)
+
+
+def test_block_systems_are_computed_for_transitive_prefixes_only(monkeypatch):
+    systems = oracle.block_systems
+    calls = Counter()
+
+    def checked(gens, d):
+        assert kernels.is_transitive(gens, d), (gens, d)
+        calls[d] += 1
+        return systems(gens, d)
+
+    monkeypatch.setattr(oracle, "block_systems", checked)
+    for text, reduced, bounds in DECISION_SCANS:
+        data = data_of(text)
+        tuple_survey(data, bounds, first_row_reduced=reduced)
+        find_primitive_witness(data, bounds)
+        find_imprimitive_witness(data, bounds)
+    assert calls[6] > 0
+
+
+def test_primitivity_decision_drops_the_systems_the_last_gamma_breaks():
+    # <(1 2 3 4 5 6)> keeps two block systems; (1 2) keeps neither, and
+    # (1 4) keeps the one with blocks {1, 4}, {2, 5}, {3, 6}.  No relation
+    # pair shows the difference: an alpha that keeps a system keeps the
+    # product, and so the last gamma, in it.
+    cycle = Permutation.from_cycles(6, [(1, 2, 3, 4, 5, 6)]).images
+    still = Permutation.identity(6).images
+    decide = oracle._Primitivity(6)
+    broken = (cycle, Permutation.from_cycles(6, [(1, 2)]).images)
+    assert decide.settled(broken) and decide(broken, still)
+    kept = (cycle, Permutation.from_cycles(6, [(1, 4)]).images)
+    assert not decide.settled(kept) and not decide(kept, still)
 
 
 def test_primitivity_decision_follows_each_gammas_tuple():
@@ -485,9 +560,14 @@ def test_product_certificate_skips_the_block_scan(monkeypatch):
     assert calls["minimal_block"] == 0
 
 
-# Whole survey dicts at raised bounds, as the scan computed them when every
-# square root ran the full block scan; the counts and the sample witness
-# pin both the primitivity decision and the order of the roots.
+# Whole survey dicts at raised bounds: the first two as the scan computed
+# them when every square root ran the full block scan, the last three as
+# it computed them when every pair was decided by block scans over the
+# seeds of its gammas.  The counts and the sample witness pin both the
+# primitivity decision and the order of the roots.  The first row of
+# "d=9; [3,3,3],[3,3,3]" is intransitive, so its pairs still take the seed
+# scan; the d = 8 three-row survey and "d=9; [9],[3,3,3]" are decided by
+# the block systems of a transitive prefix.
 RAISED_BOUND_SURVEYS = {
     "d=10; [2,2,2,2,2],[2,2,2,2,2]": {
         "degree": 10,
@@ -517,6 +597,51 @@ RAISED_BOUND_SURVEYS = {
             "degree": 8,
             "gammas": ["(1 2 3 4)(5 6 7 8)", "(1 2 3 5)(4 6 7 8)"],
             "alpha": "(1 2 8 4 6 7 3 5)",
+        },
+    },
+    "d=9; [3,3,3],[3,3,3]": {
+        "degree": 9,
+        "rows": [[3, 3, 3], [3, 3, 3]],
+        "first_row_reduced": True,
+        "relation_pairs": 10808,
+        "intransitive": 2420,
+        "orientable_excluded": 0,
+        "transitive_imprimitive": 3042,
+        "transitive_primitive": 5346,
+        "sample": {
+            "degree": 9,
+            "gammas": ["(1 2 3)(4 5 6)(7 8 9)", "(1 2 3)(4 5 7)(6 8 9)"],
+            "alpha": "(1 4 2 9 3 7)(5 8 6)",
+        },
+    },
+    "d=8; [4,4],[2,2,2,2],[2,2,2,2]": {
+        "degree": 8,
+        "rows": [[4, 4], [2, 2, 2, 2], [2, 2, 2, 2]],
+        "first_row_reduced": True,
+        "relation_pairs": 30500,
+        "intransitive": 0,
+        "orientable_excluded": 164,
+        "transitive_imprimitive": 9856,
+        "transitive_primitive": 20480,
+        "sample": {
+            "degree": 8,
+            "gammas": ["(1 2 3 4)(5 6 7 8)", "(1 2)(3 4)(5 6)(7 8)", "(1 2)(3 6)(4 5)(7 8)"],
+            "alpha": "(1 3 4 8 5 7 2 6)",
+        },
+    },
+    "d=9; [9],[3,3,3]": {
+        "degree": 9,
+        "rows": [[9], [3, 3, 3]],
+        "first_row_reduced": True,
+        "relation_pairs": 4976,
+        "intransitive": 0,
+        "orientable_excluded": 0,
+        "transitive_imprimitive": 332,
+        "transitive_primitive": 4644,
+        "sample": {
+            "degree": 9,
+            "gammas": ["(1 2 3 4 5 6 7 8 9)", "(1 2 3)(4 5 6)(7 8 9)"],
+            "alpha": "(1 6 2 4 9 5 7 3 8)",
         },
     },
 }

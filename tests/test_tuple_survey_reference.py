@@ -1,18 +1,22 @@
 """The tuple survey against the survey it replaced.
 
-`tuple_survey` and `_relation_pairs` below are the earlier ones verbatim:
-every gammas tuple whose product is a square got an orbit index, and
-every square root of its product was walked and sorted into a bucket one
-at a time.  The survey now settles a tuple whose gammas are transitive,
-and whose roots are all primitive by the gammas alone, with one root
-count per product type, and it tests the transitivity of the rows before
-the last once for all the tuples extending them.  It must return the same
-dict, `sample` included, and refuse the same root caps.
+`tuple_survey`, `_relation_pairs` and `_Primitivity` below are the
+earlier ones verbatim: every gammas tuple whose product is a square got
+an orbit index, every square root of its product was walked and sorted
+into a bucket one at a time, and each pair's primitivity was decided by
+block scans over the seeds of its gammas.  The survey now settles a
+tuple whose gammas are transitive, and whose roots are all primitive by
+the gammas alone, with one root count per product type; it tests the
+transitivity of the rows before the last once for all the tuples
+extending them; and when those rows are transitive it decides
+primitivity from their block systems.  It must return the same dict,
+`sample` included, and refuse the same root caps.
 """
 
 from __future__ import annotations
 
 from itertools import product as _cartesian
+import math
 import re
 from typing import Iterator
 
@@ -27,7 +31,6 @@ from rp2cover.oracle import (
     TupleSurvey,
     _build_witness,
     _centralizer_orbits,
-    _Primitivity,
     _require_in_bounds,
     _roots_of,
     _row_candidates,
@@ -62,6 +65,55 @@ def _relation_pairs(
             for alpha in roots:
                 transitive, orientable = kernels.alpha_extension(orbits, n, alpha)
                 yield gammas, alpha, transitive, orientable
+
+
+class _Primitivity:
+    """Is the transitive group G = <alpha, gammas> of a relation pair primitive?
+
+    A prime degree admits no block size but 1 and d.  Otherwise G is
+    primitive exactly when the minimal block through {1, y} is all of
+    1..d for every y in 2..d.  A block of G containing {1, y} contains the
+    minimal <gammas>-block through {1, y} (Dixon & Mortimer, *Permutation
+    Groups*, ch. 1), so the first time it is asked about a gammas tuple
+    the decision keeps only the seeds y whose <gammas>-block is not all of
+    1..d, and every square root of the tuple's product scans only those.
+    This holds when <gammas> is intransitive too: a <gammas>-class of more
+    than d/2 points lies in a class of G, whose classes all have one size
+    dividing d, so that G-block is all of 1..d.  There are no seeds when
+    the product has type [d-1, 1], which makes a transitive G
+    2-transitive, hence primitive, or when <gammas> is primitive.  One
+    instance serves one scan of degree d.
+    """
+
+    def __init__(self, d: int):
+        self.d = d
+        self.prime = d > 1 and all(d % p for p in range(2, math.isqrt(d) + 1))
+        self._gammas: tuple[tuple[int, ...], ...] | None = None
+        self._seeds: tuple[int, ...] = ()
+
+    def seeds(self, gammas: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+        """The y in 2..d that each alpha must still scan for these gammas."""
+        if gammas != self._gammas:
+            self._gammas = gammas
+            d = self.d
+            if kernels.cycle_lengths(kernels.product_of(gammas, d)) == (d - 1, 1):
+                self._seeds = ()
+            else:
+                self._seeds = tuple(
+                    y
+                    for y in range(2, d + 1)
+                    if len(kernels.minimal_block(gammas, d, 1, y)) < d
+                )
+        return self._seeds
+
+    def __call__(self, gammas: tuple[tuple[int, ...], ...], alpha: tuple[int, ...]) -> bool:
+        if self.prime:
+            return True
+        d = self.d
+        gens = (alpha, *gammas)
+        return all(
+            len(kernels.minimal_block(gens, d, 1, y)) == d for y in self.seeds(gammas)
+        )
 
 
 def tuple_survey(
