@@ -23,7 +23,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from itertools import permutations as _permutations
 from itertools import product as _cartesian
+from operator import itemgetter
 from typing import Iterator
 
 from . import kernels
@@ -47,6 +49,8 @@ from .squares import (  # noqa: F401
     _root_images,
     all_square_roots,
     iter_root_images,
+    min_root_cycles,
+    root_count,
 )
 
 
@@ -90,7 +94,10 @@ def class_images(d: int, parts: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     Each cycle is anchored at the smallest point it moves, which makes the
     enumeration duplicate-free.  The points after the anchor are chosen one
     at a time, each from the points still free in increasing order, and
-    leave that pool by index.
+    leave that pool by index.  A 1-cycle or a 2-cycle is placed without a
+    further call.  The last cycle takes every point left, in the orders
+    `itertools.permutations` yields them: by position, lexicographically,
+    which is the order of the choices one point at a time.
 
     >>> len(class_images(4, (2, 2)))
     3
@@ -110,10 +117,29 @@ def class_images(d: int, parts: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
             return
         x = avail[0]
         rest = avail[1:]
+        if len(rem) == 1:
+            for tail in _permutations(rest):
+                prev = x
+                for y in tail:
+                    imgs[prev - 1] = y
+                    prev = y
+                imgs[prev - 1] = x
+                out.append(tuple(imgs))
+            return
         for i, length in enumerate(rem):
             if i and length == rem[i - 1]:
                 continue
-            grow(x, x, length - 1, rest, rem[:i] + rem[i + 1 :])
+            others = rem[:i] + rem[i + 1 :]
+            if length == 1:
+                imgs[x - 1] = x
+                rec(rest, others)
+            elif length == 2:
+                for j, y in enumerate(rest):
+                    imgs[x - 1] = y
+                    imgs[y - 1] = x
+                    rec(rest[:j] + rest[j + 1 :], others)
+            else:
+                grow(x, x, length - 1, rest, others)
 
     def grow(x: int, tail: int, k: int, pool: tuple[int, ...], rem: tuple[int, ...]) -> None:
         """Extend the cycle of x past `tail` by k points of `pool`."""
@@ -562,11 +588,17 @@ def tuple_survey(
     nothing and flips nothing, so every pair of the tuple is connected and
     nonorientable, and `_Primitivity` calls each primitive without looking
     at alpha.  Its pairs all land in one bucket, and their number is the
-    number of square roots of its product, a class function: it is read
-    once per product type with `_roots_of` on `canonical_of_type`, under
-    the same root cap, so the cap refuses exactly what the walk of the
-    roots would.  `sample` still takes the first root of the tuple's own
-    product.  Every other tuple walks its roots one by one.
+    number of square roots of its product, a class function:
+    `root_count`, once per product type.  `sample` still takes the first
+    root of the tuple's own product.
+
+    A tuple whose gammas leave n orbits is settled too when n - 1 >
+    d - `min_root_cycles` of its product: a root with c cycles joins at
+    most d - c orbits, and none has fewer cycles than that, so every pair
+    of the tuple is intransitive.  Every other tuple walks its roots one
+    by one.  The root cap is checked against `root_count` at the first
+    tuple of each product type, so it refuses exactly what the walk of
+    the roots would.
     """
     bounds = bounds or SearchBounds()
     _require_in_bounds(data, bounds)
@@ -579,22 +611,30 @@ def tuple_survey(
     total = intrans = orient = imprim = prim = 0
     sample = None
     is_primitive_pair = _Primitivity(d)
-    # square roots per product type, read off the canonical element
-    root_counts: dict[tuple[int, ...], int] = {}
+    # per product type: its number of square roots, and the fewest cycles
+    # one of them has
+    by_type: dict[tuple[int, ...], tuple[int, int]] = {}
     for gammas, prod, parts, orbits, n in _square_tuples(candidates, d):
         w = weight[gammas[1]] if weight else 1
+        if parts not in by_type:
+            k = root_count(parts)
+            if k > bounds.root_cap:
+                # as `_capped_roots` raises on the roots of this product
+                raise BoundsExceededError(f"more than {bounds.root_cap} square roots")
+            by_type[parts] = k, min_root_cycles(parts)
+        k, fewest = by_type[parts]
         if n == 1 and is_primitive_pair.settled(gammas):
             # settled: every root is connected, nonorientable and primitive
-            k = root_counts.get(parts)
-            if k is None:
-                k = root_counts[parts] = len(
-                    _capped_roots(canonical_of_type(d, parts).images, bounds.root_cap)
-                )
             total += w * k
             prim += w * k
             if sample is None:
                 first_root = next(iter_root_images(kernels.inverse(prod)))
                 sample = _build_witness(d, gammas, first_root)
+            continue
+        if n - 1 > d - fewest:
+            # a root with c cycles joins at most d - c of the n orbits
+            total += w * k
+            intrans += w * k
             continue
         for alpha in _capped_roots(kernels.inverse(prod), bounds.root_cap):
             total += w
@@ -701,21 +741,42 @@ def _walk_relabeling(pair, target, d):
     through 1.  So its walk closes early exactly when the pair is
     intransitive, and a transitive pair is one cycle through all d points.
     """
-    lam = [0] * d
+    p, q = pair
+    s, t = target
+    # lam[y] is the image of y; lam[0] stays 0, so lam also reads as a map
+    # of 0..d fixing 0
+    lam = [0] * (d + 1)
     x = y = 1
-    for k in range(d):
-        lam[y - 1] = x
-        x = pair[k % 2][x - 1]
-        if x == 1 and k < d - 1:
+    # a p step and a q step per turn, each of which may close the walk;
+    # then the last step, or the last two, of which only a p step may
+    for _ in range((d - 1) // 2):
+        lam[y] = x
+        x = p[x - 1]
+        if x == 1:
             return True, None
-        y = target[k % 2][y - 1]
-    if 0 in lam or len(set(lam)) < d:
+        y = s[y - 1]
+        lam[y] = x
+        x = q[x - 1]
+        if x == 1:
+            return True, None
+        y = t[y - 1]
+    lam[y] = x
+    if not d % 2:
+        x = p[x - 1]
+        if x == 1:
+            return True, None
+        lam[s[y - 1]] = x
+    # every entry lies in 0..d, so the d + 1 of them are distinct exactly
+    # when lam is a bijection of 1..d
+    if len(set(lam)) <= d:
         return False, None
-    # conjugate(g, lam) == h, point by point: g(lam(i)) == lam(h(i))
+    # conjugate(g, lam) == h, point by point: g(lam(i)) == lam(h(i)), with
+    # g and h, like lam, fixing 0
+    at_lam = itemgetter(*lam)
     for g, h in zip(pair, target):
-        if [g[v - 1] for v in lam] != [lam[v - 1] for v in h]:
+        if at_lam((0, *g)) != itemgetter(0, *h)(lam):
             return False, None
-    return False, tuple(lam)
+    return False, tuple(lam[1:])
 
 
 def _is_half_block(gens, half):
@@ -766,13 +827,15 @@ def involution_pair_survey(
     all_products = True
     all_blocks = True
     for pi in firsts:
+        # reads the product of pi and a partner, pi first, off the partner
+        then_partner = itemgetter(*[x - 1 for x in pi])
         for qi in cls:
             pair = (pi, qi)
             closed_early, lam = _walk_relabeling(pair, canon, d)
             if closed_early:
                 continue
             transitive_count += 1
-            if kernels.cycle_lengths(kernels.compose(pi, qi)) != (half, half):
+            if kernels.cycle_lengths(then_partner(qi)) != (half, half):
                 all_products = False
             if lam is None:
                 all_conj = False

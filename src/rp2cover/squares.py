@@ -10,6 +10,8 @@ odd-length ones may) yields every square root exactly once.
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from itertools import islice
 from typing import Iterator, Sequence
 
@@ -145,6 +147,52 @@ def iter_root_images(p: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
             prev = x
         if not enter(li, tail):
             yield tuple(images)
+
+
+def root_count(parts: Sequence[int]) -> int:
+    """The number of square roots of a permutation of cycle type parts.
+
+    It is a product over the cycle lengths r, with m the number of
+    r-cycles.  A root pairs some of them, 2j say, in (2j - 1)!! ways,
+    interleaves each pair in r ways, and gives each cycle left over its
+    own root, which only an odd cycle has.  So an odd r counts
+    sum over j of C(m, 2j) (2j - 1)!! r^j, and an even r counts
+    (m - 1)!! r^(m/2) when m is even and 0 when it is odd.
+
+    >>> root_count((1, 1, 1))
+    4
+    >>> root_count((2, 2)), root_count((2, 1, 1))
+    (2, 0)
+    """
+    total = 1
+    for r, m in Counter(parts).items():
+        if r % 2:
+            total *= sum(
+                math.comb(m, 2 * j) * _pairings(j) * r**j for j in range(m // 2 + 1)
+            )
+        elif m % 2:
+            return 0
+        else:
+            total *= _pairings(m // 2) * r ** (m // 2)
+    return total
+
+
+def _pairings(j: int) -> int:
+    """(2j - 1)!!: the ways to split 2j things into j pairs."""
+    return math.factorial(2 * j) // (2**j * math.factorial(j))
+
+
+def min_root_cycles(parts: Sequence[int]) -> int:
+    """The fewest cycles a square root of a square of cycle type parts has.
+
+    Each cycle of a root is one cycle of the square, or two of a common
+    length interleaved, so a root with the most pairs has, per length r
+    with m r-cycles, ceil(m / 2) of them.
+
+    >>> min_root_cycles((3, 1, 1, 1))
+    3
+    """
+    return sum((m + 1) // 2 for m in Counter(parts).values())
 
 
 def all_square_roots(p: Permutation, cap: int | None = None) -> list[Permutation]:

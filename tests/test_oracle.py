@@ -37,6 +37,7 @@ from rp2cover.realize import (
     classify,
     verify_witness,
 )
+from rp2cover.squares import iter_root_images, min_root_cycles
 
 from helpers import (
     admissible_data,
@@ -115,11 +116,26 @@ def _old_class_images(d, parts):
 
 @pytest.mark.parametrize(
     "d, parts",
-    [(d, parts) for d in range(1, 9) for parts in partitions_of(d)] + [(10, (2,) * 5)],
+    [(d, parts) for d in range(1, 9) for parts in partitions_of(d)]
+    # past d = 8: types that place 1-cycles and 2-cycles without a call and
+    # end on a last cycle of several lengths
+    + [
+        (sum(parts), parts)
+        for parts in [
+            (2,) * 5,
+            (3, 3, 2, 1),
+            (4, 3, 2, 1),
+            (3, 3, 2, 2),
+            (5, 5),
+            (2, 2, 2, 1, 1, 1, 1),
+            (10,),
+        ]
+    ],
 )
 def test_class_images_keeps_the_reference_order(d, parts):
-    # `tuple_survey`'s sample and the odd-degree witnesses depend on it
-    assert class_images(d, parts) == _old_class_images(d, parts)
+    # `tuple_survey`'s sample and the odd-degree witnesses depend on it.
+    # Uncached: the class of (10,) alone holds 9! image tuples
+    assert class_images.__wrapped__(d, parts) == _old_class_images(d, parts)
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +253,11 @@ def test_characters_are_orthonormal(d):
         assert character((1,) * d, mu) == (-1) ** (d - len(mu))
 
 
+# two transpositions of 1..12 leave at least 10 orbits, and a root of their
+# product has at least 5 cycles, so joins at most 7 orbits: the orbit bound
+# settles every tuple
+_TWO_TRANSPOSITIONS_12 = "d=12; " + ",".join(["[2" + ",1" * 10 + "]"] * 2)
+
 # the tuple surveys whose counts tier-1 pins: (data, first row reduced,
 # pinned relation_pairs or None where only other counts are pinned)
 _PINNED_SURVEYS = [
@@ -260,6 +281,7 @@ _PINNED_SURVEYS = [
     ("d=9; [3,3,3],[3,3,3]", True, 10808),
     ("d=8; [4,4],[2,2,2,2],[2,2,2,2]", True, 30500),
     ("d=9; [9],[3,3,3]", True, 4976),
+    (_TWO_TRANSPOSITIONS_12, True, 261312),
 ]
 
 
@@ -272,7 +294,7 @@ def _character_count(data, reduced):
 @pytest.mark.parametrize("text, reduced, pinned", _PINNED_SURVEYS)
 def test_relation_pairs_match_the_character_count(text, reduced, pinned):
     data = data_of(text)
-    bounds = SearchBounds(max_degree=10)  # admits the raised-bound pins
+    bounds = SearchBounds(max_degree=12)  # admits the raised-bound pins
     got = tuple_survey(data, bounds, first_row_reduced=reduced).relation_pairs
     assert got == _character_count(data, reduced)
     if pinned is not None:
@@ -567,7 +589,8 @@ def test_product_certificate_skips_the_block_scan(monkeypatch):
 # primitivity decision and the order of the roots.  The first row of
 # "d=9; [3,3,3],[3,3,3]" is intransitive, so its pairs still take the seed
 # scan; the d = 8 three-row survey and "d=9; [9],[3,3,3]" are decided by
-# the block systems of a transitive prefix.
+# the block systems of a transitive prefix.  The d = 12 dict is as the scan
+# computed it when it walked every root of every tuple.
 RAISED_BOUND_SURVEYS = {
     "d=10; [2,2,2,2,2],[2,2,2,2,2]": {
         "degree": 10,
@@ -644,13 +667,58 @@ RAISED_BOUND_SURVEYS = {
             "alpha": "(1 6 2 4 9 5 7 3 8)",
         },
     },
+    _TWO_TRANSPOSITIONS_12: {
+        "degree": 12,
+        "rows": [[2] + [1] * 10, [2] + [1] * 10],
+        "first_row_reduced": True,
+        "relation_pairs": 261312,
+        "intransitive": 261312,
+        "orientable_excluded": 0,
+        "transitive_imprimitive": 0,
+        "transitive_primitive": 0,
+        "sample": None,
+    },
 }
 
 
 @pytest.mark.parametrize("text", sorted(RAISED_BOUND_SURVEYS))
 def test_raised_bound_surveys_are_unchanged(text):
-    got = tuple_survey(data_of(text), SearchBounds(max_degree=10)).to_dict()
+    got = tuple_survey(data_of(text), SearchBounds(max_degree=12)).to_dict()
     assert got == RAISED_BOUND_SURVEYS[text]
+
+
+def test_orbit_bound_settles_tuples_without_their_roots(monkeypatch):
+    # no root of the d = 12 survey is enumerated, and its count comes from
+    # the class function, which the cap still bounds
+    def no_roots(*args):
+        raise AssertionError("a root was enumerated")
+
+    monkeypatch.setattr(oracle, "_capped_roots", no_roots)
+    monkeypatch.setattr(oracle, "iter_root_images", no_roots)
+    data = data_of(_TWO_TRANSPOSITIONS_12)
+    got = tuple_survey(data, SearchBounds(max_degree=12)).to_dict()
+    assert got == RAISED_BOUND_SURVEYS[_TWO_TRANSPOSITIONS_12]
+    # the identity of 1..12 has 140,152 roots, the most of any product here
+    with pytest.raises(BoundsExceededError, match="^more than 140151 square roots$"):
+        tuple_survey(data, SearchBounds(max_degree=12, root_cap=140151))
+    tuple_survey(data, SearchBounds(max_degree=12, root_cap=140152))
+
+
+@pytest.mark.parametrize("d", [4, 5, 6, 7])
+def test_orbit_bound_settles_only_intransitive_tuples(d):
+    # over every pair of row types, whether a relation pair exists or not:
+    # every root of a tuple the bound settles is intransitive, and the
+    # bound settles some tuple
+    settled = 0
+    for first, second in itertools.product(partitions_of(d), repeat=2):
+        candidates = [(canonical_of_type(d, first).images,), class_images(d, second)]
+        for _, prod, parts, orbits, n in oracle._square_tuples(candidates, d):
+            if n - 1 <= d - min_root_cycles(parts):
+                continue
+            settled += 1
+            for alpha in iter_root_images(kernels.inverse(prod)):
+                assert not kernels.alpha_extension(orbits, n, alpha)[0], (first, second)
+    assert settled
 
 
 # ---------------------------------------------------------------------------
@@ -1046,8 +1114,17 @@ def test_pair_survey_relabeling_is_checked(d):
     targets = [tuple(g.images for g in canonical_involution_pair(d))] if d % 2 == 0 else []
     outcomes = Counter()
     for pair in itertools.product(invs, repeat=2):
+        # with fixed points the walk may return to 1 after any number of
+        # steps, the last p step before step d included
+        x, returns = 1, set()
+        for k in range(d - 1):
+            x = pair[k % 2][x - 1]
+            if x == 1:
+                returns.add(k)
         for target in (pair, *targets):
             closed_early, lam = oracle._walk_relabeling(pair, target, d)
+            assert closed_early is bool(returns)
+            outcomes["returns at step d - 2", d - 2 in returns] += 1
             # a walk back at 1 before step d repeats 1: no bijection
             assert not (closed_early and lam is not None)
             outcomes[lam is not None] += 1
@@ -1055,6 +1132,7 @@ def test_pair_survey_relabeling_is_checked(d):
                 assert sorted(lam) == list(range(1, d + 1))
                 assert all(kernels.conjugate(g, lam) == h for g, h in zip(pair, target))
     assert outcomes[True] and outcomes[False]
+    assert outcomes["returns at step d - 2", True]
 
 
 @pytest.mark.parametrize("d", [8, 40])
@@ -1087,12 +1165,21 @@ def test_pair_survey_flags_conjugacy_failure(monkeypatch):
 
 
 def test_pair_survey_flags_product_failure(monkeypatch):
-    # the product of every pair read as its first involution, of type [2, 2, 2]
-    monkeypatch.setattr(kernels, "compose", lambda p, q: p)
+    # the product of every pair read as its first involution, of type
+    # [2, 2, 2].  The survey forms each product itself and reads its type
+    # with `kernels.cycle_lengths`, once per transitive pair
+    calls = Counter()
+
+    def first_involution_type(p, labels=False):
+        calls["cycle_lengths"] += 1
+        return (2, 2, 2)
+
+    monkeypatch.setattr(kernels, "cycle_lengths", first_involution_type)
     got = involution_pair_survey(6).to_dict()
     assert got == {
         **PAIR_SURVEYS[(6, 6)], **_ALL_HOLD, "products_all_two_half_cycles": False
     }
+    assert calls["cycle_lengths"] == got["transitive_pairs"]
 
 
 def test_pair_survey_flags_block_failure(monkeypatch):

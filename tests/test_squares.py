@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rp2cover import kernels
 from rp2cover.oracle import _roots_of
 from rp2cover.perm import Permutation, canonical_of_type
 from rp2cover.squares import (
@@ -19,6 +20,8 @@ from rp2cover.squares import (
     all_square_roots,
     is_square,
     iter_root_images,
+    min_root_cycles,
+    root_count,
     sqrt,
     sqrt_odd_cycle,
 )
@@ -104,6 +107,28 @@ def test_all_square_roots_matches_brute_force(d):
         assert {r.images for r in roots} == by_perm.get(p.images, set())
         for r in roots:
             assert r * r == p
+
+
+@pytest.mark.parametrize("d", range(1, 11))
+def test_root_count_matches_the_enumeration(d):
+    # the count and the fewest cycles of a root, per cycle type, against
+    # every root of the canonical element
+    for parts in partitions_of(d):
+        roots = list(iter_root_images(canonical_of_type(d, parts).images))
+        assert root_count(parts) == len(roots), parts
+        if roots:
+            fewest = min(len(kernels.cycle_lengths(r)) for r in roots)
+            assert min_root_cycles(parts) == fewest, parts
+
+
+def test_root_count_examples():
+    # the identity of 1..12 has the involutions as its roots
+    assert root_count((1,) * 12) == 140152
+    # two 3-cycles: each its own root, or the two interleaved in 3 ways
+    assert root_count((3, 3, 1)) == 1 + 3
+    # a lone 2-cycle has no root; four pair up in 3 ways, each pair in 2
+    assert root_count((4, 4, 2)) == 0
+    assert root_count((2, 2, 2, 2)) == 3 * 2**2
 
 
 def test_all_square_roots_examples():

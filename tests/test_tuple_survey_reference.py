@@ -207,7 +207,7 @@ def test_survey_matches_the_reference_on_benchmark_scans(text, reduced):
 
 @pytest.mark.parametrize("text", sorted(RAISED_BOUND_SURVEYS))
 def test_survey_matches_the_reference_at_raised_bounds(text):
-    data, bounds = data_of(text), SearchBounds(max_degree=10)
+    data, bounds = data_of(text), SearchBounds(max_degree=12)
     want = tuple_survey(data, bounds).to_dict()
     assert want == RAISED_BOUND_SURVEYS[text]
     assert oracle.tuple_survey(data, bounds).to_dict() == want
