@@ -9,13 +9,16 @@ cross-check everything the engine produces.
 
 Conjugation-invariance of every property checked here means the first
 branching permutation can be pinned to the canonical representative g0 of
-its class without changing any yes/no answer.  A tuple survey goes one
-step further and enumerates the second row once per orbit of the
-centralizer of g0, weighting each representative by its orbit size, and
-it counts the square roots of a tuple that the gammas alone settle
-instead of walking them (see `tuple_survey`).  `first_row_reduced=False`
-turns both first-row reductions off: it enumerates entire classes, and
-is the reference the reductions are tested against.
+its class without changing any yes/no answer.  Every scan, a tuple survey
+or a witness search, reads one walk (`_walk_pairs`), which goes one step
+further: it enumerates the second row once per orbit of the centralizer
+of g0, and it settles the square roots of a tuple that the gammas alone
+decide instead of walking them.  A survey weights each representative by
+its orbit size; a search stops at the first pair it wants, the one the
+full scan finds first.  `first_row_reduced=False` turns both first-row
+reductions off: it enumerates entire classes, and is the reference the
+reductions are tested against.  `iter_relation_pairs` is the plain
+stream of every pair, which no scan reads.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from functools import lru_cache, reduce
 from itertools import permutations as _permutations
 from itertools import product as _cartesian
 from operator import itemgetter
-from typing import Iterator
+from typing import Callable, Iterable, Iterator
 
 from . import kernels
 from .branch import BranchData, admissible_defect
@@ -225,7 +228,7 @@ def _relation_pairs(
 
 
 def _square_tuples(
-    candidates: list[tuple[tuple[int, ...], ...]], d: int
+    candidates: list[Iterable[tuple[int, ...]]], d: int
 ) -> Iterator[
     tuple[
         tuple[tuple[int, ...], ...], tuple[int, ...], tuple[int, ...], tuple[int, ...] | None, int
@@ -240,9 +243,19 @@ def _square_tuples(
     those rows are transitive already, so is every such tuple: orbits is
     then None and n is 1, and no orbit index is built.  Otherwise
     (orbits, n) is `kernels.orbit_index(gammas, d)`.
+
+    The second row is read only as the walk reaches each of its
+    candidates, so it may be a one-shot iterator when the first row has
+    one candidate: with two rows it is the last row, read once.
     """
-    last = candidates[-1]
-    for prefix in _cartesian(*candidates[:-1]):
+    *head, last = candidates
+    if len(head) < 2:
+        prefixes = _cartesian(*head)
+    else:
+        prefixes = (
+            (a, b, *tail) for a in head[0] for b in head[1] for tail in _cartesian(*head[2:])
+        )
+    for prefix in prefixes:
         p = reduce(kernels.compose, prefix) if prefix else kernels.identity(d)
         connected = kernels.is_transitive(prefix, d)
         for t in last:
@@ -270,24 +283,71 @@ def _capped_roots(p: tuple[int, ...], root_cap: int) -> tuple[tuple[int, ...], .
 
 
 def _centralizer_orbits(
-    g0: tuple[int, ...], cls: tuple[tuple[int, ...], ...]
-) -> dict[tuple[int, ...], int]:
+    g0: tuple[int, ...], cls: Iterable[tuple[int, ...]]
+) -> Iterator[tuple[tuple[int, ...], Callable[[], int]]]:
     """Orbits of the centralizer C(g0) of a canonical element, acting on the
-    conjugacy class `cls` by conjugation.
+    conjugacy class `cls` by conjugation, as a scan of `cls` reaches them.
 
-    Returns a dict from the first element of each orbit, in `cls` order,
-    to the orbit's size; dict order is `cls` order.  g0 has its cycles on
-    consecutive points (`canonical_of_type`), fixed points counting as
-    1-cycles, so C(g0) is generated by the rotation of each cycle and the
-    swap of each two consecutive cycles of one length.
+    Yields (g, size) for the first element g of each orbit, in `cls`
+    order; size() is the number of elements of g's orbit.  g0 has its
+    cycles on consecutive points (`canonical_of_type`), fixed points
+    counting as 1-cycles, so C(g0) is generated by the rotation of each
+    cycle and the swap of each two consecutive cycles of one length.
+    `ahead` holds the conjugates an orbit search found that the scan has
+    not reached yet: an element the scan meets outside it is the first of
+    its orbit, whose other elements all come later.  Each element leaves
+    the set when the scan reaches it.  The orbit of g is searched when
+    size is first called or when the scan moves past g, so a caller that
+    stops at g has not searched it, and one that stops at the first
+    element has not built the generators either.
     """
+    conjugators: list | None = None
+    ahead: set[tuple[int, ...]] = set()
+
+    def search(g: tuple[int, ...]) -> int:
+        nonlocal conjugators
+        if conjugators is None:
+            conjugators = _centralizer_conjugators(g0)
+        ahead.add(g)
+        queue = [g]
+        size = 0
+        while queue:
+            p = queue.pop()
+            size += 1
+            for read, relabel in conjugators:
+                q = itemgetter(*read(p))(relabel)
+                if q not in ahead:
+                    ahead.add(q)
+                    queue.append(q)
+        ahead.remove(g)
+        return size
+
+    for g in cls:
+        if g in ahead:
+            ahead.remove(g)
+            continue
+        found: list[int] = []
+
+        def size(g=g, found=found) -> int:
+            if not found:
+                found.append(search(g))
+            return found[0]
+
+        yield g, size
+        size()
+
+
+def _centralizer_conjugators(g0: tuple[int, ...]) -> list:
+    """Conjugation by each generator c of C(g0), as `kernels.conjugate(p, c)`
+    computes it: p read at the images of c, then relabelled by c^-1,
+    which takes a leading 0 so that a point indexes it."""
     d = len(g0)
 
-    def moving(pairs) -> tuple[int, ...]:
+    def moving(pairs) -> list[int]:
         images = list(range(1, d + 1))
         for x, y in pairs:
             images[x - 1] = y
-        return tuple(images)
+        return images
 
     cycles = kernels.cycles_of(g0)
     gens = [moving(zip(c, c[1:] + c[:1])) for c in cycles if len(c) > 1]
@@ -296,40 +356,7 @@ def _centralizer_orbits(
         for a, b in zip(cycles, cycles[1:])
         if len(a) == len(b)
     ]
-    index = {g: i for i, g in enumerate(cls)}
-    seen = [False] * len(cls)
-    sizes = {}
-    for i, g in enumerate(cls):
-        if seen[i]:
-            continue
-        seen[i] = True
-        queue = [g]
-        size = 0
-        while queue:
-            p = queue.pop()
-            size += 1
-            for c in gens:
-                j = index[kernels.conjugate(p, c)]
-                if not seen[j]:
-                    seen[j] = True
-                    queue.append(cls[j])
-        sizes[g] = size
-    return sizes
-
-
-def exists_realization(
-    data: BranchData,
-    bounds: SearchBounds | None = None,
-    *,
-    first_row_reduced: bool = True,
-) -> bool:
-    """Is there any connected witness with a nonorientable covering surface?"""
-    for _, _, transitive, orientable in iter_relation_pairs(
-        data, bounds, first_row_reduced=first_row_reduced
-    ):
-        if transitive and not orientable:
-            return True
-    return False
+    return [(itemgetter(*[y - 1 for y in c]), (0, *kernels.inverse(c))) for c in gens]
 
 
 def block_systems(gens, d: int) -> list[tuple[int, ...]]:
@@ -489,20 +516,149 @@ class _Primitivity:
         return all(len(kernels.minimal_block(gens, d, 1, y)) == d for y in self._seeds)
 
 
+# The bucket of a relation pair, in the order `TupleSurvey` lists them; the
+# last two hold the connected nonorientable pairs.
+_INTRANSITIVE, _ORIENTABLE, _IMPRIMITIVE, _PRIMITIVE = range(4)
+
+
+def _walk_pairs(
+    data: BranchData, bounds: SearchBounds | None, first_row_reduced: bool = True
+) -> Iterator[
+    tuple[Callable[[], int], tuple[tuple[int, ...], ...], tuple[int, ...] | None, int, int]
+]:
+    """Every relation pair of the datum in its bucket, the one scan that
+    `tuple_survey`, the witness searches and `exists_realization` read.
+
+    Yields events (w, gammas, alpha, bucket, k) in scan order.  A gammas
+    tuple whose buckets the gammas alone decide is settled: one event with
+    alpha None and k the number of square roots of its product.  Every
+    other tuple yields each square root alpha of its product, in the order
+    of `all_square_roots`, with k = 1.  Each event stands for w() pairs
+    per unit of k.  The bounds are checked when the walk starts.
+
+    A pair lands in exactly one bucket: disconnected covers first, then
+    connected-but-orientable ones (excluded, the base surface forces a
+    nonorientable cover or a decomposition through the orientation double
+    cover), then connected nonorientable ones split by primitivity.
+
+    With `first_row_reduced` gamma_1 is pinned to the canonical element g0
+    of its class, and with two or more rows gamma_2 runs over one element
+    per orbit of the centralizer C(g0) on its class, acting by
+    conjugation; w() is that element's orbit size, and 1 otherwise, asked
+    for only by a caller that needs it (see `_centralizer_orbits`).  Every
+    row after the second is still enumerated in full.  This is exact:
+    conjugating a whole pair by c in C(g0) keeps g0, maps the pairs of one
+    gamma_2 bijectively onto those of its conjugate, and keeps every
+    bucket.  For the same reason the gamma_2 with a pair in a given bucket
+    form whole orbits, so the first of them in class order is the first
+    element of its orbit, a representative: the first event in a bucket is
+    the pair the full scan finds first there.  Conjugate products also
+    have equally many square roots, so the root cap is exceeded, and
+    BoundsExceededError raised, exactly when the full scan exceeds it
+    before that pair.
+
+    A tuple is settled primitive when <gammas> is transitive and
+    `_Primitivity.settled` holds: d is prime, or the rows before the last
+    are transitive and none of their block systems survives the last
+    gamma, or else the tuple leaves no seed.  Then each alpha joins
+    nothing and flips nothing, so every pair of the tuple is connected and
+    nonorientable, and `_Primitivity` calls each primitive without looking
+    at alpha.  A tuple whose gammas leave n orbits is settled intransitive
+    when n - 1 > d - `min_root_cycles` of its product: a root with c
+    cycles joins at most d - c orbits, and none has fewer cycles than
+    that.  A settled tuple's count is `root_count`, a class function,
+    computed once per product type and held against the root cap there,
+    with the message `_capped_roots` gives when the walk of the roots
+    passes it; its first pair is the first root of its own product
+    (`_witness_of`).
+    """
+    bounds = bounds or SearchBounds()
+    _require_in_bounds(data, bounds)
+    d, cap = data.degree, bounds.root_cap
+    candidates = _row_candidates(data, first_row_reduced)
+    # the orbit size of the current gamma_2, or 1 without the reduction
+    weight: Callable[[], int] = lambda: 1
+    if first_row_reduced and len(candidates) > 1:
+
+        def representatives(cls):
+            # the orbit search runs as the scan reaches each orbit (see
+            # `_square_tuples`), and the pairs of a representative all come
+            # before the next one is drawn
+            nonlocal weight
+            for g, weight in _centralizer_orbits(candidates[0][0], cls):
+                yield g
+
+        candidates[1] = representatives(candidates[1])
+    is_primitive_pair = _Primitivity(d)
+    # per product type: its number of square roots, and the fewest cycles
+    # one of them has
+    roots: dict[tuple[int, ...], int] = {}
+    fewest: dict[tuple[int, ...], int] = {}
+    for gammas, prod, parts, orbits, n in _square_tuples(candidates, d):
+        if n == 1:
+            settled = _PRIMITIVE if is_primitive_pair.settled(gammas) else None
+        else:
+            if parts not in fewest:
+                fewest[parts] = min_root_cycles(parts)
+            settled = _INTRANSITIVE if n - 1 > d - fewest[parts] else None
+        if settled is not None:
+            if parts not in roots:
+                k = root_count(parts)
+                if k > cap:
+                    raise BoundsExceededError(f"more than {cap} square roots")
+                roots[parts] = k
+            yield weight, gammas, None, settled, roots[parts]
+            continue
+        for alpha in _capped_roots(kernels.inverse(prod), cap):
+            if n != 1:
+                transitive, orientable = kernels.alpha_extension(orbits, n, alpha)
+                if not transitive:
+                    yield weight, gammas, alpha, _INTRANSITIVE, 1
+                    continue
+                if orientable:
+                    yield weight, gammas, alpha, _ORIENTABLE, 1
+                    continue
+            if is_primitive_pair(gammas, alpha):
+                yield weight, gammas, alpha, _PRIMITIVE, 1
+            else:
+                yield weight, gammas, alpha, _IMPRIMITIVE, 1
+
+
+def _witness_of(
+    d: int, gammas: tuple[tuple[int, ...], ...], alpha: tuple[int, ...] | None
+) -> HurwitzWitness:
+    """The pair of a `_walk_pairs` event, for a settled tuple the first
+    square root of its product."""
+    if alpha is None:
+        alpha = next(iter_root_images(kernels.inverse(kernels.product_of(gammas, d))))
+    return _build_witness(d, gammas, alpha)
+
+
+def exists_realization(
+    data: BranchData,
+    bounds: SearchBounds | None = None,
+    *,
+    first_row_reduced: bool = True,
+) -> bool:
+    """Is there any connected witness with a nonorientable covering surface?"""
+    return any(
+        bucket > _ORIENTABLE
+        for _, _, _, bucket, _ in _walk_pairs(data, bounds, first_row_reduced)
+    )
+
+
 def _first_witness(
     data: BranchData, bounds: SearchBounds | None, primitive: bool
 ) -> tuple[HurwitzWitness | None, bool]:
     """First connected nonorientable witness of the scan whose group is
     primitive, or imprimitive, as asked, and whether the scan met any
     connected nonorientable pair at all."""
-    is_primitive_pair = _Primitivity(data.degree)
+    wanted = _PRIMITIVE if primitive else _IMPRIMITIVE
     connected = False
-    for gammas, alpha, transitive, orientable in iter_relation_pairs(data, bounds):
-        if not transitive or orientable:
-            continue
-        connected = True
-        if is_primitive_pair(gammas, alpha) == primitive:
-            return _build_witness(data.degree, gammas, alpha), True
+    for _, gammas, alpha, bucket, _ in _walk_pairs(data, bounds):
+        if bucket == wanted:
+            return _witness_of(data.degree, gammas, alpha), True
+        connected = connected or bucket > _ORIENTABLE
     return None, connected
 
 
@@ -560,103 +716,23 @@ def tuple_survey(
 ) -> TupleSurvey:
     """Count every relation pair by connectivity, orientation, primitivity.
 
-    A pair lands in exactly one bucket: disconnected covers first, then
-    connected-but-orientable ones (excluded, the base surface forces a
-    nonorientable cover or a decomposition through the orientation double
-    cover), then connected nonorientable ones split by primitivity.
-
-    With `first_row_reduced` gamma_1 is pinned to the canonical element g0
-    of its class, and with two or more rows gamma_2 runs over one element
-    per orbit of the centralizer C(g0) on its class, acting by
-    conjugation; that element's pairs count as many times as its orbit
-    has elements.  Every row after the second is still enumerated in
-    full.  This is exact: conjugating a whole pair by
-    c in C(g0) keeps g0, maps the pairs of one gamma_2 bijectively onto
-    those of its conjugate, and keeps every bucket.  For the same reason a
-    gamma_2 with a connected nonorientable pair has such pairs across its
-    whole orbit, so the first one in class order is the first element of
-    its orbit, a representative: `sample` is the pair the full scan finds
-    first.  Conjugate products also have equally many square roots, so
-    the root cap is exceeded, and BoundsExceededError raised, exactly when
-    the full scan exceeds it.  `first_row_reduced=False` is the full
-    enumeration of every class, the independent reference.
-
-    A gammas tuple is settled when <gammas> is transitive and
-    `_Primitivity.settled` holds: d is prime, or the rows before the last
-    are transitive and none of their block systems survives the last
-    gamma, or else the tuple leaves no seed.  Then each alpha joins
-    nothing and flips nothing, so every pair of the tuple is connected and
-    nonorientable, and `_Primitivity` calls each primitive without looking
-    at alpha.  Its pairs all land in one bucket, and their number is the
-    number of square roots of its product, a class function:
-    `root_count`, once per product type.  `sample` still takes the first
-    root of the tuple's own product.
-
-    A tuple whose gammas leave n orbits is settled too when n - 1 >
-    d - `min_root_cycles` of its product: a root with c cycles joins at
-    most d - c orbits, and none has fewer cycles than that, so every pair
-    of the tuple is intransitive.  Every other tuple walks its roots one
-    by one.  The root cap is checked against `root_count` at the first
-    tuple of each product type, so it refuses exactly what the walk of
-    the roots would.
+    The counts are `_walk_pairs`'s events, each adding w() * k pairs to its
+    bucket, and `sample` is the pair of the first connected nonorientable
+    event: the pair the full scan finds first.  `first_row_reduced=False`
+    is the full enumeration of every class, the independent reference.
     """
-    bounds = bounds or SearchBounds()
-    _require_in_bounds(data, bounds)
-    candidates = _row_candidates(data, first_row_reduced)
-    weight = None
-    if first_row_reduced and len(candidates) > 1:
-        weight = _centralizer_orbits(candidates[0][0], candidates[1])
-        candidates[1] = tuple(weight)
-    d = data.degree
-    total = intrans = orient = imprim = prim = 0
+    counts = [0] * 4
     sample = None
-    is_primitive_pair = _Primitivity(d)
-    # per product type: its number of square roots, and the fewest cycles
-    # one of them has
-    by_type: dict[tuple[int, ...], tuple[int, int]] = {}
-    for gammas, prod, parts, orbits, n in _square_tuples(candidates, d):
-        w = weight[gammas[1]] if weight else 1
-        if parts not in by_type:
-            k = root_count(parts)
-            if k > bounds.root_cap:
-                # as `_capped_roots` raises on the roots of this product
-                raise BoundsExceededError(f"more than {bounds.root_cap} square roots")
-            by_type[parts] = k, min_root_cycles(parts)
-        k, fewest = by_type[parts]
-        if n == 1 and is_primitive_pair.settled(gammas):
-            # settled: every root is connected, nonorientable and primitive
-            total += w * k
-            prim += w * k
-            if sample is None:
-                first_root = next(iter_root_images(kernels.inverse(prod)))
-                sample = _build_witness(d, gammas, first_root)
-            continue
-        if n - 1 > d - fewest:
-            # a root with c cycles joins at most d - c of the n orbits
-            total += w * k
-            intrans += w * k
-            continue
-        for alpha in _capped_roots(kernels.inverse(prod), bounds.root_cap):
-            total += w
-            if n != 1:
-                transitive, orientable = kernels.alpha_extension(orbits, n, alpha)
-                if not transitive:
-                    intrans += w
-                    continue
-                if orientable:
-                    orient += w
-                    continue
-            if sample is None:
-                sample = _build_witness(d, gammas, alpha)
-            if is_primitive_pair(gammas, alpha):
-                prim += w
-            else:
-                imprim += w
+    for w, gammas, alpha, bucket, k in _walk_pairs(data, bounds, first_row_reduced):
+        counts[bucket] += w() * k
+        if sample is None and bucket > _ORIENTABLE:
+            sample = _witness_of(data.degree, gammas, alpha)
+    intrans, orient, imprim, prim = counts
     return TupleSurvey(
         degree=data.degree,
         rows=tuple(r.parts for r in data.rows),
         first_row_reduced=first_row_reduced,
-        relation_pairs=total,
+        relation_pairs=sum(counts),
         intransitive=intrans,
         orientable_excluded=orient,
         transitive_imprimitive=imprim,

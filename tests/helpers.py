@@ -90,6 +90,22 @@ def admissible_data(degrees, max_rows):
     return out
 
 
+def admissible_multisets(d, max_rows, max_defect):
+    """Every admissible datum of degree d whose rows form a multiset of at
+    most max_rows nontrivial partitions, of total defect at most max_defect;
+    by row count, then in `combinations_with_replacement` order."""
+    from rp2cover.branch import is_admissible
+
+    rows = nontrivial_partitions(d)
+    for s in range(1, max_rows + 1):
+        for combo in itertools.combinations_with_replacement(rows, s):
+            data = BranchData(d, tuple(Partition(p) for p in combo))
+            if data.total_defect() > max_defect:
+                continue
+            if is_admissible(data).ok:
+                yield data
+
+
 def every_row_order(data_list):
     """Each datum in every distinct order of its rows."""
     seen = set()

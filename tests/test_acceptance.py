@@ -32,7 +32,13 @@ from rp2cover.perm import Permutation, canonical_of_type
 from rp2cover.realize import Verdict, classify, realize_indecomposable, verify_witness
 from rp2cover.squares import is_square, sqrt, sqrt_odd_cycle
 
-from helpers import brute_elements, data_of, nontrivial_partitions, stabilizer_is_maximal
+from helpers import (
+    admissible_multisets,
+    brute_elements,
+    data_of,
+    nontrivial_partitions,
+    stabilizer_is_maximal,
+)
 
 
 @contextmanager
@@ -72,17 +78,6 @@ def _ensure_registries():
         _register(data, res.witness, res.certificate.row_permutation_applied)
 
 
-def _admissible_multisets(d, max_rows, max_defect):
-    rows = nontrivial_partitions(d)
-    for s in range(1, max_rows + 1):
-        for combo in combinations_with_replacement(rows, s):
-            data = BranchData(d, tuple(Partition(p) for p in combo))
-            if data.total_defect() > max_defect:
-                continue
-            if is_admissible(data).ok:
-                yield data
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -91,7 +86,7 @@ def test_criterion_01_classification_matches_exhaustive_search():
     with criterion(1, "classification matches exhaustive search"):
         census = Counter()
         for d in (2, 4, 6):
-            for data in _admissible_multisets(d, max_rows=4, max_defect=2 * d):
+            for data in admissible_multisets(d, max_rows=4, max_defect=2 * d):
                 census[d] += 1
                 want = classify(data).verdict
                 assert want in (

@@ -125,13 +125,13 @@ def test_realize_json_witness_verifies():
 
 def test_realize_scans_odd_data_once(monkeypatch):
     scans = []
-    scan = oracle.iter_relation_pairs
+    scan = oracle._walk_pairs
 
     def counted(*args, **kwargs):
         scans.append(args)
         return scan(*args, **kwargs)
 
-    monkeypatch.setattr(oracle, "iter_relation_pairs", counted)
+    monkeypatch.setattr(oracle, "_walk_pairs", counted)
     code, out, _ = run("realize", "d=5; [5],[3,1,1]", "--format", "json")
     assert code == 0
     assert len(scans) == 1

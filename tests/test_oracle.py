@@ -196,16 +196,30 @@ def test_search_classification_tags_are_empty():
 @pytest.mark.parametrize("text", ["d=4; [2,2],[2,2]", "d=6; [2,2,2],[2,2,2]"])
 def test_only_decomposable_search_scans_once(text, monkeypatch):
     scans = []
-    scan = oracle.iter_relation_pairs
+    scan = oracle._walk_pairs
 
     def counted(*args, **kwargs):
         scans.append(args)
         return scan(*args, **kwargs)
 
-    monkeypatch.setattr(oracle, "iter_relation_pairs", counted)
+    monkeypatch.setattr(oracle, "_walk_pairs", counted)
     got = classify_by_search(data_of(text))
     assert got.verdict is Verdict.ONLY_DECOMPOSABLE
     assert len(scans) == 1
+
+
+def test_searches_never_read_the_plain_pair_stream(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("a search read _relation_pairs")
+
+    monkeypatch.setattr(oracle, "_relation_pairs", refused)
+    for text in ("d=4; [2,2],[2,2]", "d=5; [3,1,1],[2,2,1],[2,2,1]", "d=6; [3,2,1],[2,2,2]"):
+        data = data_of(text)
+        oracle.find_primitive_witness(data)
+        oracle.find_imprimitive_witness(data)
+        oracle.exists_realization(data)
+        oracle.exists_realization(data, first_row_reduced=False)
+        classify_by_search(data)
 
 
 # ---------------------------------------------------------------------------
@@ -812,14 +826,43 @@ def test_centralizer_orbits_partition_each_class(d):
         for second in partitions_of(d):
             cls = class_images(d, second)
             where = {g: i for i, g in enumerate(cls)}
-            sizes = oracle._centralizer_orbits(g0, cls)
-            assert sum(sizes.values()) == len(cls)
-            assert list(sizes) == sorted(sizes, key=where.get)
-            for rep, size in sizes.items():
+            orbits = [(rep, size()) for rep, size in oracle._centralizer_orbits(g0, cls)]
+            assert sum(size for _, size in orbits) == len(cls)
+            assert [where[rep] for rep, _ in orbits] == sorted(where[rep] for rep, _ in orbits)
+            for rep, size in orbits:
                 assert order % size == 0
                 orbit = {kernels.conjugate(rep, c) for c in cent}
                 assert len(orbit) == size
                 assert min(map(where.get, orbit)) == where[rep]
+
+
+def test_centralizer_orbits_are_found_as_the_scan_reaches_them(monkeypatch):
+    # a scan that stops at the first representative has read the class no
+    # further and searched no orbit, so it has not built the generators of
+    # C(g0) either; a size asked for searches that one orbit
+    d = 6
+    g0 = canonical_of_type(d, (2, 2, 1, 1)).images
+    cls = class_images(d, (2, 2, 1, 1))
+    read, built = [], []
+    conjugators = oracle._centralizer_conjugators
+
+    def reading():
+        for g in cls:
+            read.append(g)
+            yield g
+
+    def counted(g):
+        built.append(g)
+        return conjugators(g)
+
+    monkeypatch.setattr(oracle, "_centralizer_conjugators", counted)
+    orbits = oracle._centralizer_orbits(g0, reading())
+    rep, size = next(orbits)
+    assert rep == cls[0] and read == [cls[0]] and not built
+    assert size() == len({kernels.conjugate(rep, c) for c in _brute_centralizer(g0, d)})
+    assert read == [cls[0]] and len(built) == 1
+    rest = [(g, size()) for g, size in orbits]
+    assert len(rest) > 1 and len(built) == 1 and read == list(cls)
 
 
 @pytest.mark.parametrize("d, max_rows", [(2, 3), (3, 3), (4, 3), (5, 2)])

@@ -905,13 +905,13 @@ ODD_TEXTS = [data.to_text() for data in admissible_data([3, 5], 4)]
 def test_realize_small_odd_degree(text, monkeypatch):
     data = data_of(text)
     scans = []
-    scan = oracle.iter_relation_pairs
+    scan = oracle._walk_pairs
 
     def counted(*args, **kwargs):
         scans.append(args)
         return scan(*args, **kwargs)
 
-    monkeypatch.setattr(oracle, "iter_relation_pairs", counted)
+    monkeypatch.setattr(oracle, "_walk_pairs", counted)
     res = realize_indecomposable(data, seed=11)
     assert len(scans) == 1
     monkeypatch.undo()

@@ -1,16 +1,22 @@
-"""The tuple survey against the survey it replaced.
+"""The tuple survey and the witness searches against the scans they replaced.
 
-`tuple_survey`, `_relation_pairs` and `_Primitivity` below are the
-earlier ones verbatim: every gammas tuple whose product is a square got
-an orbit index, every square root of its product was walked and sorted
-into a bucket one at a time, and each pair's primitivity was decided by
-block scans over the seeds of its gammas.  The survey now settles a
-tuple whose gammas are transitive, and whose roots are all primitive by
-the gammas alone, with one root count per product type; it tests the
-transitivity of the rows before the last once for all the tuples
-extending them; and when those rows are transitive it decides
-primitivity from their block systems.  It must return the same dict,
-`sample` included, and refuse the same root caps.
+`tuple_survey`, `_relation_pairs`, `iter_relation_pairs`,
+`_centralizer_orbits`, `_Primitivity`, `exists_realization`,
+`_first_witness` and `classify_by_search` below are the earlier ones
+verbatim: every gammas tuple whose product is a square got an orbit
+index, every square root of its product was walked and sorted into a
+bucket one at a time, and each pair's primitivity was decided by block
+scans over the seeds of its gammas.  The centralizer orbits of the
+survey's second row were found by one pass over the whole class, and
+the witness searches and `exists_realization` walked every element of
+every class after the first row.  One walk now serves all of these: it
+scans the second row once per centralizer orbit as the scan reaches it,
+settles a tuple whose gammas alone decide its buckets with one root
+count per product type, tests the transitivity of the rows before the
+last once for all the tuples extending them, and when those rows are
+transitive decides primitivity from their block systems.  The survey
+must return the same dict, `sample` included, the searches the same
+witness and verdict, and all of them must refuse the same root caps.
 """
 
 from __future__ import annotations
@@ -23,18 +29,18 @@ from typing import Iterator
 import pytest
 
 from rp2cover import kernels, oracle
-from rp2cover.branch import BranchData
+from rp2cover.branch import BranchData, admissible_defect
 from rp2cover.oracle import (
     BoundsExceededError,
     RootCapExceeded,
     SearchBounds,
     TupleSurvey,
     _build_witness,
-    _centralizer_orbits,
     _require_in_bounds,
     _roots_of,
     _row_candidates,
 )
+from rp2cover.realize import Classification, HurwitzWitness, Verdict
 
 from helpers import admissible_data, data_of, every_row_order
 from test_oracle import RAISED_BOUND_SURVEYS
@@ -65,6 +71,89 @@ def _relation_pairs(
             for alpha in roots:
                 transitive, orientable = kernels.alpha_extension(orbits, n, alpha)
                 yield gammas, alpha, transitive, orientable
+
+
+def iter_relation_pairs(
+    data: BranchData,
+    bounds: SearchBounds | None = None,
+    *,
+    first_row_reduced: bool = True,
+) -> Iterator[tuple[tuple[tuple[int, ...], ...], tuple[int, ...], bool, bool]]:
+    """All (gammas, alpha) with matching row types and product alpha^-2.
+
+    Yields raw image tuples plus the two cheap flags: whether the group of
+    all the permutations together is transitive, and whether the cycles of
+    the gammas admit an orientation that alpha consistently reverses.
+    The bounds are checked when it is called.
+    """
+    bounds = bounds or SearchBounds()
+    _require_in_bounds(data, bounds)
+    return _relation_pairs(
+        _row_candidates(data, first_row_reduced), data.degree, bounds.root_cap
+    )
+
+
+def _centralizer_orbits(
+    g0: tuple[int, ...], cls: tuple[tuple[int, ...], ...]
+) -> dict[tuple[int, ...], int]:
+    """Orbits of the centralizer C(g0) of a canonical element, acting on the
+    conjugacy class `cls` by conjugation.
+
+    Returns a dict from the first element of each orbit, in `cls` order,
+    to the orbit's size; dict order is `cls` order.  g0 has its cycles on
+    consecutive points (`canonical_of_type`), fixed points counting as
+    1-cycles, so C(g0) is generated by the rotation of each cycle and the
+    swap of each two consecutive cycles of one length.
+    """
+    d = len(g0)
+
+    def moving(pairs) -> tuple[int, ...]:
+        images = list(range(1, d + 1))
+        for x, y in pairs:
+            images[x - 1] = y
+        return tuple(images)
+
+    cycles = kernels.cycles_of(g0)
+    gens = [moving(zip(c, c[1:] + c[:1])) for c in cycles if len(c) > 1]
+    gens += [
+        moving([*zip(a, b), *zip(b, a)])
+        for a, b in zip(cycles, cycles[1:])
+        if len(a) == len(b)
+    ]
+    index = {g: i for i, g in enumerate(cls)}
+    seen = [False] * len(cls)
+    sizes = {}
+    for i, g in enumerate(cls):
+        if seen[i]:
+            continue
+        seen[i] = True
+        queue = [g]
+        size = 0
+        while queue:
+            p = queue.pop()
+            size += 1
+            for c in gens:
+                j = index[kernels.conjugate(p, c)]
+                if not seen[j]:
+                    seen[j] = True
+                    queue.append(cls[j])
+        sizes[g] = size
+    return sizes
+
+
+def exists_realization(
+    data: BranchData,
+    bounds: SearchBounds | None = None,
+    *,
+    first_row_reduced: bool = True,
+) -> bool:
+    """Is there any connected witness with a nonorientable covering surface?"""
+    for _, _, transitive, orientable in iter_relation_pairs(
+        data, bounds, first_row_reduced=first_row_reduced
+    ):
+        if transitive and not orientable:
+            return True
+    return False
 
 
 class _Primitivity:
@@ -114,6 +203,46 @@ class _Primitivity:
         return all(
             len(kernels.minimal_block(gens, d, 1, y)) == d for y in self.seeds(gammas)
         )
+
+
+def _first_witness(
+    data: BranchData, bounds: SearchBounds | None, primitive: bool
+) -> tuple[HurwitzWitness | None, bool]:
+    """First connected nonorientable witness of the scan whose group is
+    primitive, or imprimitive, as asked, and whether the scan met any
+    connected nonorientable pair at all."""
+    is_primitive_pair = _Primitivity(data.degree)
+    connected = False
+    for gammas, alpha, transitive, orientable in iter_relation_pairs(data, bounds):
+        if not transitive or orientable:
+            continue
+        connected = True
+        if is_primitive_pair(gammas, alpha) == primitive:
+            return _build_witness(data.degree, gammas, alpha), True
+    return None, connected
+
+
+def classify_by_search(
+    data: BranchData, bounds: SearchBounds | None = None
+) -> Classification:
+    """Settle one branch datum by enumeration alone.
+
+    The case and reason tags of the closed-form rule are left unset; a
+    search can tell realizable from not, but not which structural clause
+    applied.  A realizable verdict carries the primitive witness found,
+    which `realize_indecomposable` returns as it is.
+    """
+    if not admissible_defect(data.total_defect(), data.degree):
+        return Classification(Verdict.NOT_ADMISSIBLE)
+    witness, connected = _first_witness(data, bounds, primitive=True)
+    if witness is not None:
+        return Classification(Verdict.INDECOMPOSABLE_REALIZABLE, witness=witness)
+    if connected:
+        return Classification(Verdict.ONLY_DECOMPOSABLE)
+    raise RuntimeError(
+        f"admissible data {data.to_text()} has no witness at all within "
+        "bounds; admissible data always has one, so this is a defect"
+    )
 
 
 def tuple_survey(
@@ -265,3 +394,71 @@ def test_survey_exceeds_the_root_cap_as_the_reference_does(text, cap):
             oracle.tuple_survey(data, bounds)
     else:
         assert oracle.tuple_survey(data, bounds).to_dict() == want
+
+
+def _witness_dict(witness):
+    return None if witness is None else witness.to_dict()
+
+
+def _outcome(search, data, bounds):
+    """What one search answers, as plain data, or the text of its refusal."""
+    try:
+        got = search(data, bounds)
+    except BoundsExceededError as e:
+        return "refused", str(e)
+    if isinstance(got, Classification):
+        return got.to_dict(), _witness_dict(got.witness)
+    if isinstance(got, HurwitzWitness):
+        return got.to_dict()
+    return got
+
+
+# (live search, its reference), each called as search(data, bounds)
+_SEARCHES = [
+    (oracle.find_primitive_witness, lambda data, bounds: _first_witness(data, bounds, True)[0]),
+    (oracle.find_imprimitive_witness, lambda data, bounds: _first_witness(data, bounds, False)[0]),
+    (oracle.exists_realization, exists_realization),
+    (oracle.classify_by_search, classify_by_search),
+]
+
+
+def _assert_searches_match(data, bounds=None):
+    for live, reference in _SEARCHES:
+        want = _outcome(reference, data, bounds)
+        assert _outcome(live, data, bounds) == want, (live.__name__, data.to_text())
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_searches_match_the_reference_on_small_data(d):
+    for data in every_row_order(admissible_data([d], max_rows=3)):
+        _assert_searches_match(data)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_unreduced_existence_matches_the_reference_on_small_data(d):
+    for data in every_row_order(admissible_data([d], max_rows=3)):
+        want = exists_realization(data, first_row_reduced=False)
+        assert oracle.exists_realization(data, first_row_reduced=False) == want, data.to_text()
+
+
+@pytest.mark.parametrize("text", sorted(RAISED_BOUND_SURVEYS))
+def test_searches_match_the_reference_at_raised_bounds(text):
+    _assert_searches_match(data_of(text), SearchBounds(max_degree=12))
+
+
+# a settled primitive tuple first, an orbit-bound tuple first, walked
+# tuples with one and with several orbits, and a three-row scan
+@pytest.mark.parametrize(
+    "text",
+    [
+        "d=5; [5],[5]",
+        "d=6; [2,1,1,1,1],[2,1,1,1,1],[2,2,2]",
+        "d=4; [2,2],[2,2]",
+        "d=5; [3,1,1],[2,2,1],[2,2,1]",
+        "d=6; [3,3],[2,2,1,1],[2,2,1,1]",
+    ],
+)
+def test_searches_exceed_the_root_cap_as_the_reference_does(text):
+    data = data_of(text)
+    for cap in range(1, 101):
+        _assert_searches_match(data, SearchBounds(root_cap=cap))
