@@ -116,15 +116,6 @@ def is_square_type(p):
     return even[::2] == even[1::2]
 
 
-def _uf_find(parent, x):
-    root = x
-    while parent[root] != root:
-        root = parent[root]
-    while parent[x] != root:
-        parent[x], x = root, parent[x]
-    return root
-
-
 def component_labels(gens, d):
     """Orbit labels for the group generated by gens.
 
@@ -240,24 +231,29 @@ def alpha_extension(orbits, n, alpha):
     return comps == 1, consistent
 
 
-def minimal_block(gens, d, x, y):
-    """Minimal block containing x and y for a transitive group (sorted tuple).
+def block_labels(gens, d, x, ys):
+    """Close the partition that joins x with every point of ys under gens.
 
-    Partition refinement: identify x with y, then, for every merge of two
-    classes, identify the images of their representatives under each
-    generator.  Merges always keep the smaller representative.
+    Returns d + 1 labels: entry z, for z in 1..d, is the least point of
+    z's class, and entry 0 is 0.  Partition refinement: identify x with
+    each y, then, for every merge of two classes, identify the images of
+    their representatives under each generator.  Merges always keep the
+    smaller representative, so every parent is at most its child and one
+    pass in increasing order labels every point.
 
-    The closed partition is a block system, whose classes all have one
-    size dividing d.  So once any class holds more than d/2 points the
-    answer is all of 1..d, and the refinement stops there.  For an
-    intransitive group the partition is still the least invariant one
-    identifying x with y, and all of 1..d then means that every transitive
-    group containing this one has all of 1..d as its block through x and y.
+    The closed partition of a transitive group is a block system, whose
+    classes all have one size dividing d.  So once any class holds more
+    than d/2 points the partition is the trivial system 1..d, and the
+    refinement stops there and returns None, for an intransitive group
+    too.
     """
     parent = list(range(d + 1))
     size = [1] * (d + 1)
     half = d // 2
-    pairs = [(x, y)]
+    # a loop, not a comprehension: cheaper for minimal_block's one seed
+    pairs = []
+    for y in ys:
+        pairs.append((x, y))
     while pairs:
         a, b = pairs.pop()
         while parent[a] != a:
@@ -271,8 +267,25 @@ def minimal_block(gens, d, x, y):
         parent[b] = a
         size[a] += size[b]
         if size[a] > half:
-            return tuple(range(1, d + 1))
+            return None
         for g in gens:
             pairs.append((g[a - 1], g[b - 1]))
-    rx = _uf_find(parent, x)
-    return tuple(z for z in range(1, d + 1) if _uf_find(parent, z) == rx)
+    for z in range(1, d + 1):
+        parent[z] = parent[parent[z]]
+    return tuple(parent)
+
+
+def minimal_block(gens, d, x, y):
+    """Minimal block containing x and y for a transitive group (sorted
+    tuple): x's class in `block_labels`, or all of 1..d.
+
+    For an intransitive group the partition is still the least invariant
+    one identifying x with y, and all of 1..d then means that every
+    transitive group containing this one has all of 1..d as its block
+    through x and y.
+    """
+    labels = block_labels(gens, d, x, (y,))
+    if labels is None:
+        return tuple(range(1, d + 1))
+    rx = labels[x]
+    return tuple(z for z in range(1, d + 1) if labels[z] == rx)

@@ -365,50 +365,23 @@ def block_systems(gens, d: int) -> list[tuple[int, ...]]:
     Each system is a tuple of d + 1 labels: entry x, for x in 1..d, is the
     least point of x's block, and entry 0 is 0.  The systems whose block
     through 1 is minimal come from closing the partition that joins 1 and
-    y, for each y in 2..d; the joins of systems found, the closures of the
-    union of two blocks through 1, are added until no new one appears.
-    This finds every system: a block B through 1 is the join of the
-    minimal blocks through 1 and y over the y in B.  The classes of a
-    closed partition of a transitive group all have one size dividing d,
-    so a closure stops at the first class of more than d/2 points: it is
-    the trivial system 1..d, which is left out.
+    y, for each y in 2..d (`kernels.block_labels`); the joins of systems
+    found, the closures of the union of two blocks through 1, are added
+    until no new one appears.  This finds every system: a block B through
+    1 is the join of the minimal blocks through 1 and y over the y in B.
+    A closure that meets the trivial system 1..d gives None, and is left
+    out.
     """
-    half = d // 2
-
-    def closure(block):
-        parent = list(range(d + 1))
-        size = [1] * (d + 1)
-        pairs = [(1, y) for y in block if y != 1]
-        while pairs:
-            a, b = pairs.pop()
-            while parent[a] != a:
-                parent[a] = a = parent[parent[a]]
-            while parent[b] != b:
-                parent[b] = b = parent[parent[b]]
-            if a == b:
-                continue
-            if b < a:
-                a, b = b, a
-            parent[b] = a
-            size[a] += size[b]
-            if size[a] > half:
-                return None
-            for g in gens:
-                pairs.append((g[a - 1], g[b - 1]))
-        # every parent is at most its child, so one pass in increasing
-        # order points each point at the least point of its class
-        for x in range(1, d + 1):
-            parent[x] = parent[parent[x]]
-        return tuple(parent)
-
-    found = dict.fromkeys(filter(None, (closure((y,)) for y in range(2, d + 1))))
+    found = dict.fromkeys(
+        filter(None, (kernels.block_labels(gens, d, 1, (y,)) for y in range(2, d + 1)))
+    )
     systems = list(found)
     # a join found on the way is appended, and met with every earlier
     # system in its turn
     for i, labels in enumerate(systems):
-        block = {x for x in range(1, d + 1) if labels[x] == 1}
         for other in systems[:i]:
-            joined = closure(block.union(x for x in range(1, d + 1) if other[x] == 1))
+            ys = [x for x in range(2, d + 1) if labels[x] == 1 or other[x] == 1]
+            joined = kernels.block_labels(gens, d, 1, ys)
             if joined and joined not in found:
                 found[joined] = None
                 systems.append(joined)
@@ -566,11 +539,11 @@ def _walk_pairs(
     at alpha.  A tuple whose gammas leave n orbits is settled intransitive
     when n - 1 > d - `min_root_cycles` of its product: a root with c
     cycles joins at most d - c orbits, and none has fewer cycles than
-    that.  A settled tuple's count is `root_count`, a class function,
-    computed once per product type and held against the root cap there,
-    with the message `_capped_roots` gives when the walk of the roots
-    passes it; its first pair is the first root of its own product
-    (`_witness_of`).
+    that.  The square roots of each product type are counted by
+    `root_count`, a class function, at the first tuple of that type, and
+    the count is held against the root cap there, before any root is
+    drawn.  A settled tuple's count is that number, and its first pair is
+    the first root of its own product (`_witness_of`).
     """
     bounds = bounds or SearchBounds()
     _require_in_bounds(data, bounds)
@@ -592,24 +565,22 @@ def _walk_pairs(
     is_primitive_pair = _Primitivity(d)
     # per product type: its number of square roots, and the fewest cycles
     # one of them has
-    roots: dict[tuple[int, ...], int] = {}
-    fewest: dict[tuple[int, ...], int] = {}
+    types: dict[tuple[int, ...], tuple[int, int]] = {}
     for gammas, prod, parts, orbits, n in _square_tuples(candidates, d):
+        record = types.get(parts)
+        if record is None:
+            record = types[parts] = root_count(parts), min_root_cycles(parts)
+            if record[0] > cap:
+                raise BoundsExceededError(f"more than {cap} square roots")
+        k, fewest = record
         if n == 1:
             settled = _PRIMITIVE if is_primitive_pair.settled(gammas) else None
         else:
-            if parts not in fewest:
-                fewest[parts] = min_root_cycles(parts)
-            settled = _INTRANSITIVE if n - 1 > d - fewest[parts] else None
+            settled = _INTRANSITIVE if n - 1 > d - fewest else None
         if settled is not None:
-            if parts not in roots:
-                k = root_count(parts)
-                if k > cap:
-                    raise BoundsExceededError(f"more than {cap} square roots")
-                roots[parts] = k
-            yield weight, gammas, None, settled, roots[parts]
+            yield weight, gammas, None, settled, k
             continue
-        for alpha in _capped_roots(kernels.inverse(prod), cap):
+        for alpha in _roots_of(kernels.inverse(prod), cap):
             if n != 1:
                 transitive, orientable = kernels.alpha_extension(orbits, n, alpha)
                 if not transitive:

@@ -197,6 +197,37 @@ def brute_block_systems(gens, d):
     return out
 
 
+def brute_closed_partition(gens, d, x, ys):
+    """The least partition of 1..d that joins x with every point of ys and
+    that each generator maps class to class, as labels: entry z is the
+    least point of z's class, and entry 0 is 0.
+
+    Merges the classes of g(u) and g(v) for every u, v of one class and
+    every generator g until nothing changes.
+    """
+    labels = list(range(d + 1))
+
+    def merge(u, v):
+        a, b = sorted((labels[u], labels[v]))
+        if a == b:
+            return False
+        for z in range(1, d + 1):
+            if labels[z] == b:
+                labels[z] = a
+        return True
+
+    for y in ys:
+        merge(x, y)
+    changed = True
+    while changed:
+        changed = False
+        for g in gens:
+            for u, v in itertools.combinations(range(1, d + 1), 2):
+                if labels[u] == labels[v] and merge(g[u - 1], g[v - 1]):
+                    changed = True
+    return tuple(labels)
+
+
 def brute_orbits(gens, d):
     """Orbit partition as a sorted tuple of sorted tuples."""
     reach = {x: {x} for x in range(1, d + 1)}
@@ -295,3 +326,45 @@ def relation_tuple_count(d, rows):
     if total.denominator != 1:
         raise ArithmeticError(f"non-integral relation count {total}")
     return int(total)
+
+
+@functools.lru_cache(maxsize=None)
+def pair_product_count(d, a, b, p):
+    """Pairs (x, y), x of cycle type a and y of type b, whose product xy is
+    one fixed z of cycle type p.
+
+    It is |A| |B| / d! times the sum over chi of
+    chi(a) chi(b) chi(p) / chi(1) (Frobenius), every character of S_d
+    being real.
+    """
+    total = Fraction(0)
+    for lam in partitions_of(d):
+        total += Fraction(
+            character(lam, a) * character(lam, b) * character(lam, p),
+            character(lam, (1,) * d),
+        )
+    total *= Fraction(class_size(d, a) * class_size(d, b), math.factorial(d))
+    if total.denominator != 1:
+        raise ArithmeticError(f"non-integral pair count {total}")
+    return int(total)
+
+
+def transitive_pair_count(d, a, b, p):
+    """The pairs of `pair_product_count` that generate a transitive group,
+    for a product of type [d] or [d-1, 1].
+
+    Every orbit is a union of cycles of the product.  So with a d-cycle as
+    product every pair is transitive.  With a [d-1, 1] product z a pair is
+    intransitive exactly when x and y both fix z's fixed point; on the
+    other d - 1 points they are then a pair of the types a and b less one
+    1-cycle each, with a (d-1)-cycle as product.
+    """
+    a, b, p = (tuple(sorted(t, reverse=True)) for t in (a, b, p))
+    count = pair_product_count(d, a, b, p)
+    if p == (d,):
+        return count
+    if p != (d - 1, 1):
+        raise ValueError(f"no transitive count for product type {list(p)}")
+    if a[-1] == 1 and b[-1] == 1:
+        count -= pair_product_count(d - 1, a[:-1], b[:-1], (d - 1,))
+    return count

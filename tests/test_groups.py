@@ -17,7 +17,6 @@ from rp2cover.groups import (
     is_primitive,
     is_transitive,
 )
-from rp2cover.kernels import _uf_find
 from rp2cover.perm import Permutation, parse_permutation
 from rp2cover.realize import canonical_involution_pair
 
@@ -85,6 +84,17 @@ def test_minimal_block_matches_subset_scan():
             got = kernels.minimal_block(G.generator_images(), d, 1, y)
             assert is_block_under(full, got)
             assert got == brute_minimal_block(full, d, 1, y)
+
+
+# The full-compression find the old refinement called; the package's
+# union-finds halve paths inline instead.
+def _uf_find(parent, x):
+    root = x
+    while parent[root] != root:
+        root = parent[root]
+    while parent[x] != root:
+        parent[x], x = root, parent[x]
+    return root
 
 
 def _old_minimal_block(gens, d, x, y):

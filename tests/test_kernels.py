@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -10,7 +11,14 @@ from hypothesis import strategies as st
 from rp2cover import kernels
 from rp2cover.perm import canonical_of_type
 
-from helpers import all_images, brute_orbits
+from helpers import (
+    all_images,
+    brute_block_systems,
+    brute_closed_partition,
+    brute_elements,
+    brute_minimal_block,
+    brute_orbits,
+)
 
 
 def random_images(d, rng):
@@ -205,3 +213,81 @@ def test_transitivity_from_the_first_generators_cycles_matches_the_orbit_count(c
     assert lengths == kernels.cycle_lengths(gens[0])
     assert labels == kernels.component_labels(gens[:1], d)
     assert kernels.is_transitive(gens[1:], d, labels) == (kernels.orbit_count(gens, d) == 1)
+
+
+def _random_group(d, rng):
+    """1-3 generators of degree d of one of three kinds: any permutations
+    (most often transitive), permutations that map the blocks of a system
+    of equal blocks onto each other (transitive or not), or permutations
+    that keep every part of a set partition (intransitive)."""
+    points = rng.sample(range(1, d + 1), d)
+    kind = rng.randrange(3)
+    if kind == 1:
+        size = rng.choice([b for b in range(1, d + 1) if d % b == 0])
+        parts = [points[i : i + size] for i in range(0, d, size)]
+    elif kind == 2:
+        cuts = sorted(rng.sample(range(1, d), rng.randint(1, d - 1)))
+        parts = [points[i:j] for i, j in zip([0, *cuts], [*cuts, d])]
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        if kind == 0:
+            gens.append(tuple(rng.sample(range(1, d + 1), d)))
+            continue
+        images = [0] * (d + 1)
+        # kind 1 moves block i onto block order[i]; kind 2 keeps each part
+        order = rng.sample(range(len(parts)), len(parts)) if kind == 1 else range(len(parts))
+        for part, j in zip(parts, order):
+            for u, v in zip(part, rng.sample(parts[j], len(part))):
+                images[u] = v
+        gens.append(tuple(images[1:]))
+    return gens
+
+
+def test_block_labels_match_the_brute_closure():
+    # None exactly when the closed partition has a class of more than d/2
+    # points, and the labels of that partition otherwise; for a transitive
+    # group that is the finest block system joining x with ys, and x's
+    # class the minimal block through x and y
+    rng = random.Random(27)
+    seen = Counter()
+    for d in range(2, 10):
+        for _ in range(60):
+            gens = _random_group(d, rng)
+            transitive = kernels.is_transitive(gens, d)
+            systems = brute_block_systems(gens, d) if transitive else None
+            elements = brute_elements(gens, d) if transitive and d <= 6 else None
+            x = rng.randint(1, d)
+            others = [y for y in range(1, d + 1) if y != x]
+            seeds = [(y,) for y in others]
+            seeds += [tuple(rng.sample(others, rng.randint(2, d - 1))) for _ in range(3) if d > 2]
+            # for each proper one-point closure the loop appends the union
+            # of x's class with each of the first two such classes before
+            # it, as the joins of `oracle.block_systems` take them
+            classes = []
+            for ys in seeds:
+                got = kernels.block_labels(gens, d, x, ys)
+                want = brute_closed_partition(gens, d, x, ys)
+                too_big = max(Counter(want[1:]).values()) > d // 2
+                assert (got is None) == too_big, (gens, x, ys)
+                if not too_big:
+                    assert got == want, (gens, x, ys)
+                seen[transitive, len(ys) > 1, got is None] += 1
+                if got is not None and len(ys) == 1:
+                    mates = {z for z in others if got[z] == got[x]}
+                    seeds += [tuple(sorted(mates | c)) for c in classes[:2]]
+                    classes.append(mates)
+                if not transitive:
+                    continue
+                joined = [s for s in systems if all(s[y] == s[x] for y in ys)]
+                if got is None:
+                    assert not joined, (gens, x, ys)
+                else:
+                    assert got == min(joined, key=lambda s: s.count(s[x])), (gens, x, ys)
+                if elements is not None and len(ys) == 1:
+                    block = brute_minimal_block(elements, d, x, ys[0])
+                    assert kernels.minimal_block(gens, d, x, ys[0]) == block
+                    if got is not None:
+                        assert block == tuple(z for z in range(1, d + 1) if got[z] == got[x])
+    # every kind of case occurs: transitive or not, one seed or several,
+    # a proper partition or None
+    assert len(seen) == 8, seen

@@ -718,6 +718,40 @@ def test_orbit_bound_settles_tuples_without_their_roots(monkeypatch):
     tuple_survey(data, SearchBounds(max_degree=12, root_cap=140152))
 
 
+def test_root_cap_refuses_before_any_root_is_drawn(monkeypatch):
+    # the first tuple (g0, g0) has the identity of 1..12 as its product,
+    # 140,152 roots and 6 orbits, so the orbit bound does not settle it;
+    # every scan refuses at its product type's count, drawing no root
+    def no_roots(*args):
+        raise AssertionError("a root was drawn")
+
+    monkeypatch.setattr(oracle, "iter_root_images", no_roots)
+    monkeypatch.setattr(oracle, "_roots_of", no_roots)
+    data = data_of("d=12; [2,2,2,2,2,2],[2,2,2,2,2,2]")
+    bounds = SearchBounds(max_degree=12, root_cap=100000)
+    for scan in (tuple_survey, find_primitive_witness, find_imprimitive_witness, exists_realization):
+        with pytest.raises(BoundsExceededError, match="^more than 100000 square roots$"):
+            scan(data, bounds)
+
+
+def test_scans_never_read_the_capped_roots(monkeypatch):
+    # only the plain pair stream reads `_capped_roots`; the walk holds
+    # each product type's count against the cap itself
+    def refused(*args):
+        raise AssertionError("a scan read _capped_roots")
+
+    monkeypatch.setattr(oracle, "_capped_roots", refused)
+    for data in every_row_order(admissible_data([2, 3, 4, 5], max_rows=3)):
+        tuple_survey(data)
+        tuple_survey(data, first_row_reduced=False)
+        find_primitive_witness(data)
+        find_imprimitive_witness(data)
+        exists_realization(data)
+        classify_by_search(data)
+    with pytest.raises(AssertionError, match="_capped_roots"):
+        list(iter_relation_pairs(data_of("d=4; [2,2],[2,2]")))
+
+
 @pytest.mark.parametrize("d", [4, 5, 6, 7])
 def test_orbit_bound_settles_only_intransitive_tuples(d):
     # over every pair of row types, whether a relation pair exists or not:

@@ -297,6 +297,64 @@ def test_goal_meeting_riemann_hurwitz_is_searched(monkeypatch, ta, tb, goal):
         assemble_pair(ta, tb, goal)
 
 
+@pytest.mark.parametrize("d", range(2, 7))
+def test_pair_counts_match_every_pair(d):
+    # every x of S_d, with y = x^-1 z for one z per product type
+    import rp2cover.kernels as kernels
+    from helpers import all_images, pair_product_count, partitions_of, transitive_pair_count
+
+    types = partitions_of(d)
+    for p in types:
+        z = canonical_of_type(d, p).images
+        every, transitive = Counter(), Counter()
+        for x in all_images(d):
+            y = kernels.compose(kernels.inverse(x), z)
+            key = kernels.cycle_lengths(x), kernels.cycle_lengths(y)
+            every[key] += 1
+            transitive[key] += kernels.is_transitive((x, y), d)
+        for a in types:
+            for b in types:
+                assert pair_product_count(d, a, b, p) == every[a, b], (a, b, p)
+                if p in ((d,), (d - 1, 1)):
+                    assert transitive_pair_count(d, a, b, p) == transitive[a, b], (a, b, p)
+
+
+@pytest.mark.parametrize("d", range(4, 11))
+def test_one_orbit_goal_refusals_match_the_pair_count(monkeypatch, d):
+    # a goal refused without a search has no transitive pair, and a goal of
+    # two involution types passed to the search has one
+    from helpers import partitions_of, transitive_pair_count
+
+    monkeypatch.setattr(realize_module, "_PairSearch", _no_pair_search)
+    types = partitions_of(d)
+    refused = searched = 0
+    for p in ((d,), (d - 1, 1)):
+        goal = PairGoal(orbit_count=1, product_type=p)
+        for ta in types:
+            for tb in types:
+                count = transitive_pair_count(d, ta, tb, p)
+                try:
+                    assemble_pair(ta, tb, goal)
+                except _NoSearch:
+                    searched += 1
+                    if max(ta) <= 2 and max(tb) <= 2:
+                        assert count > 0, (ta, tb, p)
+                except SearchExhausted as e:
+                    assert e.complete
+                    refused += 1
+                    assert count == 0, (ta, tb, p)
+    assert refused and searched
+
+
+def test_pair_count_of_the_stalled_d16_goal():
+    # the first goal of `d=16; [7,1^9],[7,5,1^4],[7,5,1^4]`, whose first row
+    # order stalls the pair search (ROADMAP 5(i))
+    from helpers import transitive_pair_count
+
+    ones = (1,) * 9
+    assert transitive_pair_count(16, (7, *ones), (7, 5, 1, 1, 1, 1), (15, 1)) == 150
+
+
 def _packs_reference(lengths: Counter, rem: Counter) -> bool:
     """The pair search's packing check as first written: expand both
     multisets and search every placement."""
