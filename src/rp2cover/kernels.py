@@ -241,11 +241,11 @@ def block_labels(gens, d, x, ys):
     smaller representative, so every parent is at most its child and one
     pass in increasing order labels every point.
 
-    The closed partition of a transitive group is a block system, whose
-    classes all have one size dividing d.  So once any class holds more
-    than d/2 points the partition is the trivial system 1..d, and the
-    refinement stops there and returns None, for an intransitive group
-    too.
+    The refinement stops and returns None once any class holds more than
+    d/2 points: for any group, None means the closed partition has such a
+    class.  The closed partition of a transitive group is a block system,
+    whose classes all have one size dividing d, so there None means the
+    trivial system 1..d.
     """
     parent = list(range(d + 1))
     size = [1] * (d + 1)

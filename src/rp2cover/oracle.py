@@ -564,19 +564,22 @@ def _walk_pairs(
         candidates[1] = representatives(candidates[1])
     is_primitive_pair = _Primitivity(d)
     # per product type: its number of square roots, and the fewest cycles
-    # one of them has
-    types: dict[tuple[int, ...], tuple[int, int]] = {}
+    # one of them has, counted only once a tuple of that type has more
+    # than one orbit
+    types: dict[tuple[int, ...], list] = {}
     for gammas, prod, parts, orbits, n in _square_tuples(candidates, d):
         record = types.get(parts)
         if record is None:
-            record = types[parts] = root_count(parts), min_root_cycles(parts)
+            record = types[parts] = [root_count(parts), None]
             if record[0] > cap:
                 raise BoundsExceededError(f"more than {cap} square roots")
-        k, fewest = record
+        k = record[0]
         if n == 1:
             settled = _PRIMITIVE if is_primitive_pair.settled(gammas) else None
         else:
-            settled = _INTRANSITIVE if n - 1 > d - fewest else None
+            if record[1] is None:
+                record[1] = min_root_cycles(parts)
+            settled = _INTRANSITIVE if n - 1 > d - record[1] else None
         if settled is not None:
             yield weight, gammas, None, settled, k
             continue

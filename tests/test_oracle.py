@@ -707,7 +707,7 @@ def test_orbit_bound_settles_tuples_without_their_roots(monkeypatch):
     def no_roots(*args):
         raise AssertionError("a root was enumerated")
 
-    monkeypatch.setattr(oracle, "_capped_roots", no_roots)
+    monkeypatch.setattr(oracle, "_roots_of", no_roots)
     monkeypatch.setattr(oracle, "iter_root_images", no_roots)
     data = data_of(_TWO_TRANSPOSITIONS_12)
     got = tuple_survey(data, SearchBounds(max_degree=12)).to_dict()
