@@ -884,8 +884,9 @@ def assemble_pair(
     or in a shuffled order drawn from `rng` when one is given.  Raises
     SearchExhausted with complete=True when no such pair exists,
     complete=False when `_DEFAULT_NODE_BUDGET` nodes ran out first.  A
-    goal that breaks Riemann-Hurwitz, or one that two involutions cannot
-    meet (`_involution_pair_can_meet`), is refused without a search.
+    goal that breaks Riemann-Hurwitz or the parity of the signs, or one
+    that two involutions cannot meet (`_involution_pair_can_meet`), is
+    refused without a search.
     """
     ta = tuple(sorted(type_a, reverse=True))
     tb = tuple(sorted(type_b, reverse=True))
@@ -900,12 +901,14 @@ def assemble_pair(
     else:
         nu_product = goal.product_defect
     # Riemann-Hurwitz summed over the orbits: k orbits need
-    # nu_a + nu_b + nu_product >= 2(d - k)
+    # nu_a + nu_b + nu_product >= 2(d - k); and the sign (-1)^nu is
+    # multiplicative, so nu_a + nu_b - nu_product must be even
     nu_a, nu_b = d - len(ta), d - len(tb)
     meets_rh = nu_a + nu_b + nu_product >= 2 * (d - goal.orbit_count)
+    meets_parity = (nu_a + nu_b - nu_product) % 2 == 0
 
     found = None
-    if meets_rh and (
+    if meets_rh and meets_parity and (
         max(ta) > 2
         or max(tb) > 2
         or _involution_pair_can_meet(goal, d, ta.count(1), tb.count(1))

@@ -6,6 +6,15 @@ root supported on its own points, and two cycles of a common length r can
 be interleaved into a 2r-cycle in r distinct ways.  Enumerating the ways
 of pairing up equal-length cycles (all even-length cycles must pair,
 odd-length ones may) yields every square root exactly once.
+
+`iter_root_images` is the one enumeration behind `sqrt`,
+`all_square_roots` and the oracle's scans.  It walks the permutation once,
+grouping its cycles by length, and reads the square test off those
+groups.  The roots come in a fixed order: lengths ascending, the first
+varying slowest, and within a length the pairings and offsets in turn.
+Each choice is written into one image list straight from the cycles.  The
+search keeps an explicit stack and yields each root as it completes, so
+a caller that stops early pays only for what it drew.
 """
 
 from __future__ import annotations
@@ -57,20 +66,6 @@ def sqrt_odd_cycle(cycle: Sequence[int], degree: int) -> Permutation:
     return Permutation.from_cycles(degree, [_root_cycle_odd(cycle)])
 
 
-def _interleave(a: Sequence[int], b: Sequence[int], offset: int) -> tuple[int, ...]:
-    """2r-cycle whose square is the pair of r-cycles a and b.
-
-    b enters shifted by offset; the r offsets give the r distinct roots
-    supported on these points.
-    """
-    r = len(a)
-    out = []
-    for i in range(r):
-        out.append(a[i])
-        out.append(b[(offset + i) % r])
-    return tuple(out)
-
-
 def sqrt(p: Permutation) -> Permutation | None:
     """A canonical square root, or None when p is not a square.
 
@@ -89,64 +84,120 @@ def sqrt(p: Permutation) -> Permutation | None:
 def iter_root_images(p: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     """Image tuples of every square root of the image tuple p, lazily.
 
-    Cycle lengths are taken in ascending order, the first varying slowest.
-    Within one length the first unplaced cycle either takes its own root
-    (odd lengths only) or pairs with a later cycle of that length, at each
-    interleaving offset in turn.  The search keeps its own stack, so the
-    number of cycles does not meet the recursion limit, and a caller that
-    stops early pays only for the roots it drew.  Each choice writes the
-    images of the points it places; a complete root places every point,
-    so what earlier branches wrote is always overwritten.
+    One walk of p finds its cycles, each from its least point, and groups
+    them by length; p is a square iff every even length has an even number
+    of cycles.  Cycle lengths are then taken in ascending order, the first
+    varying slowest.  Within one length the first unplaced cycle either
+    takes its own root (odd lengths only) or pairs with a later cycle of
+    that length, at each interleaving offset in turn.  A length held by one
+    odd cycle has a single choice, written once before the search, and an
+    odd cycle left alone at the end of its length takes its own root without
+    a stack frame; neither changes the order.  Each choice writes the images
+    of the points it places straight into one image list, and a complete
+    root places every point, so what earlier branches wrote is always
+    overwritten.  The search keeps its own stack, so the number of cycles
+    does not meet the recursion limit, and a caller that stops early pays
+    only for the roots it drew.
 
     >>> list(iter_root_images((2, 1, 4, 3)))
     [(3, 4, 2, 1), (4, 3, 1, 2)]
     """
-    if not kernels.is_square_type(p):
-        return
-    by_len: dict[int, list[tuple[int, ...]]] = {}
-    for c in kernels.cycles_of(p):
-        by_len.setdefault(len(c), []).append(c)
-    lengths = sorted(by_len)
+    # a fixed point is kept as its point, any other cycle as a list
+    q = [0, *p]
+    by_len: dict[int, list] = {}
+    for s in range(1, len(q)):
+        x = q[s]
+        if not x:
+            continue
+        if x == s:
+            n, cycle = 1, s
+        else:
+            cycle = [s]
+            while x != s:
+                cycle.append(x)
+                q[x], x = 0, q[x]
+            n = len(cycle)
+        by_len.setdefault(n, []).append(cycle)
     images = list(p)
-    # frame: [length index, indices of the cycles of that length still to
-    # place, next option to try]
-    stack: list[list] = []
-
-    def enter(li: int, remaining: tuple[int, ...]) -> bool:
-        """Push the next choice point; False when every cycle is placed."""
-        while not remaining:
-            li += 1
-            if li == len(lengths):
-                return False
-            remaining = tuple(range(len(by_len[lengths[li]])))
-        stack.append([li, remaining, 0])
-        return True
-
-    enter(0, tuple(range(len(by_len[lengths[0]]))))
+    lengths = []
+    for n, cycles in by_len.items():
+        if not n % 2 and len(cycles) % 2:
+            return
+        h = (n + 1) // 2
+        if len(cycles) > 1:
+            lengths.append(n)
+            if n > 1:
+                # the cycle a, a rotated by one, and a's own root: a_i maps
+                # to a_(i+h), since 2h = n + 1 (odd n only)
+                by_len[n] = [(a, a[1:] + a[:1], a[h:] + a[:h]) for a in cycles]
+        elif n > 1:
+            a = cycles[0]
+            for x, y in zip(a, a[h:] + a[:h]):
+                images[x - 1] = y
+    if not lengths:
+        yield tuple(images)
+        return
+    lengths.sort()
+    groups = [by_len[n] for n in lengths]
+    last = len(lengths) - 1
+    # frame: [next option, length index, cycles of that length still to place]
+    stack = [[0, 0, groups[0]]]
     while stack:
         frame = stack[-1]
-        li, remaining, option = frame
+        option, li, remaining = frame
         n = lengths[li]
-        group = by_len[n]
-        single = n % 2
-        first, rest = remaining[0], remaining[1:]
-        if option == single + len(rest) * n:
-            stack.pop()
-            continue
-        frame[2] = option + 1
-        if option < single:
-            cycle = _root_cycle_odd(group[first])
-            tail = rest
+        if n == 1:
+            a = remaining[0]
+            if not option:
+                images[a - 1] = a
+                tail = remaining[1:]
+            elif option == len(remaining):
+                stack.pop()
+                continue
+            else:
+                b = remaining[option]
+                images[a - 1] = b
+                images[b - 1] = a
+                tail = remaining[1:option] + remaining[option + 1 :]
         else:
-            j, offset = divmod(option - single, n)
-            cycle = _interleave(group[first], group[rest[j]], offset)
-            tail = rest[:j] + rest[j + 1 :]
-        prev = cycle[-1]
-        for x in cycle:
-            images[prev - 1] = x
-            prev = x
-        if not enter(li, tail):
-            yield tuple(images)
+            a, a1, half = remaining[0]
+            if option < n % 2:
+                for x, y in zip(a, half):
+                    images[x - 1] = y
+                tail = remaining[1:]
+            else:
+                # a_i maps to b_(i+offset), which maps to a_(i+1)
+                k, offset = divmod(option - n % 2, n)
+                k += 1
+                if k == len(remaining):
+                    stack.pop()
+                    continue
+                b = remaining[k][0]
+                b = b[offset:] + b[:offset]
+                for x, y in zip(a, b):
+                    images[x - 1] = y
+                for x, y in zip(b, a1):
+                    images[x - 1] = y
+                tail = remaining[1:k] + remaining[k + 1 :]
+        frame[0] = option + 1
+        while True:
+            if len(tail) > 1:
+                stack.append([0, li, tail])
+                break
+            if tail:
+                # a lone cycle is odd, and takes its own root
+                if n == 1:
+                    images[tail[0] - 1] = tail[0]
+                else:
+                    a, _, half = tail[0]
+                    for x, y in zip(a, half):
+                        images[x - 1] = y
+            if li == last:
+                yield tuple(images)
+                break
+            li += 1
+            tail = groups[li]
+            n = lengths[li]
 
 
 def root_count(parts: Sequence[int]) -> int:

@@ -285,6 +285,26 @@ def test_goal_breaking_riemann_hurwitz_is_refused_without_search(monkeypatch, ta
 @pytest.mark.parametrize(
     "ta, tb, goal",
     [
+        # nu_a + nu_b - nu_product = 8 + 8 - 9, odd; the search alone runs
+        # out of its node budget here and cannot say complete=True
+        ((9, 1), (9, 1), PairGoal(orbit_count=1, product_type=(10,))),
+        # 8 + 6 - 9 and 6 + 6 - 9
+        ((5, 5), (4, 4, 1, 1), PairGoal(orbit_count=1, product_type=(10,))),
+        ((5, 3, 1, 1), (5, 3, 1, 1), PairGoal(orbit_count=1, product_type=(10,))),
+        # 3 + 3 - 3, with Riemann-Hurwitz met: 3 + 3 + 3 >= 2(4 - 1)
+        ((4,), (4,), PairGoal(orbit_count=1, product_defect=3)),
+    ],
+)
+def test_goal_breaking_parity_is_refused_without_search(monkeypatch, ta, tb, goal):
+    monkeypatch.setattr(realize_module, "_PairSearch", _no_pair_search)
+    with pytest.raises(SearchExhausted) as info:
+        assemble_pair(ta, tb, goal)
+    assert info.value.complete
+
+
+@pytest.mark.parametrize(
+    "ta, tb, goal",
+    [
         # equality in Riemann-Hurwitz: 2 + 2 + 2 = 2(4 - 1)
         ((3, 1), (3, 1), PairGoal(orbit_count=1, product_defect=2)),
         # 2 + 1 + 5 = 2(6 - 2)
@@ -321,8 +341,8 @@ def test_pair_counts_match_every_pair(d):
 
 @pytest.mark.parametrize("d", range(4, 11))
 def test_one_orbit_goal_refusals_match_the_pair_count(monkeypatch, d):
-    # a goal refused without a search has no transitive pair, and a goal of
-    # two involution types passed to the search has one
+    # a goal refused without a search has no transitive pair, and every
+    # goal passed to the search has one
     from helpers import partitions_of, transitive_pair_count
 
     monkeypatch.setattr(realize_module, "_PairSearch", _no_pair_search)
@@ -337,8 +357,7 @@ def test_one_orbit_goal_refusals_match_the_pair_count(monkeypatch, d):
                     assemble_pair(ta, tb, goal)
                 except _NoSearch:
                     searched += 1
-                    if max(ta) <= 2 and max(tb) <= 2:
-                        assert count > 0, (ta, tb, p)
+                    assert count > 0, (ta, tb, p)
                 except SearchExhausted as e:
                     assert e.complete
                     refused += 1

@@ -15,7 +15,6 @@ from rp2cover.oracle import _roots_of
 from rp2cover.perm import Permutation, canonical_of_type
 from rp2cover.squares import (
     RootCapExceeded,
-    _interleave,
     _root_cycle_odd,
     all_square_roots,
     is_square,
@@ -161,6 +160,18 @@ def test_roots_of_identity_are_involutions_and_odd_regulars():
         assert set(r.cycle_type()) <= {1, 2}
 
 
+def _interleave(a, b, offset):
+    """The 2r-cycle whose square is the pair of r-cycles a and b, b shifted
+    by offset: the per-choice cycle builder of the earlier root
+    enumeration, kept for the references below."""
+    r = len(a)
+    out = []
+    for i in range(r):
+        out.append(a[i])
+        out.append(b[(offset + i) % r])
+    return tuple(out)
+
+
 def _old_all_square_roots(p, cap=None):
     """`all_square_roots` as it was before `iter_square_roots`, kept verbatim
     (but for its docstring) as the reference for the order of the roots."""
@@ -224,6 +235,18 @@ def test_root_order_is_unchanged(d):
             want = _old_all_square_roots(q)
             assert [Permutation(r) for r in iter_root_images(q.images)] == want, parts
             assert all_square_roots(q) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda d: st.permutations(range(1, d + 1))))
+def test_root_order_is_unchanged_on_random_squares(images):
+    # a permutation and its square, which always has roots: every root, in
+    # the reference's order, and as many as the closed form counts
+    p = Permutation(tuple(images))
+    for q in (p, p * p):
+        roots = list(iter_root_images(q.images))
+        assert roots == [r.images for r in _old_all_square_roots(q)], q
+        assert len(roots) == root_count(q.cycle_type()), q
 
 
 def test_root_cap_counts_like_the_old_enumeration():
