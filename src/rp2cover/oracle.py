@@ -18,14 +18,18 @@ its orbit size; a search stops at the first pair it wants, the one the
 full scan finds first.  `first_row_reduced=False` turns both first-row
 reductions off: it enumerates entire classes, and is the reference the
 reductions are tested against.  `iter_relation_pairs` is the plain
-stream of every pair, which no scan reads.
+stream of every pair, which no scan reads.  It takes its gammas tuples
+from the generator the walk reads (`_square_tuples`), the one place that
+derives a tuple's facts and holds the root cap: each product type's
+square-root count is checked at the first tuple of that type, before any
+root is drawn, for the walk and the plain stream alike.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import permutations as _permutations
 from itertools import product as _cartesian
 from operator import itemgetter
@@ -46,7 +50,8 @@ from .realize import (
 )
 # all_square_roots is not called here either; like is_primitive above, it
 # stays importable from this module because perfbench/spans.py looks it up
-# here (WRAP_POINTS)
+# here (WRAP_POINTS).  Nor is RootCapExceeded: the verbatim reference scans
+# in tests/test_tuple_survey_reference.py import it from here.
 from .squares import (  # noqa: F401
     RootCapExceeded,
     _root_images,
@@ -215,31 +220,59 @@ def _relation_pairs(
     the order of the candidates, the first row outermost; each gammas
     tuple is followed by every square root of its product, in the order of
     `all_square_roots`."""
-    for gammas, prod, _, orbits, n in _square_tuples(candidates, d):
-        roots = _capped_roots(kernels.inverse(prod), root_cap)
-        if n == 1:
-            # every alpha edge joins the one orbit to itself without a flip
-            for alpha in roots:
-                yield gammas, alpha, True, False
-        else:
-            for alpha in roots:
-                transitive, orientable = kernels.alpha_extension(orbits, n, alpha)
-                yield gammas, alpha, transitive, orientable
+    for gammas, prod, _, _, orbits, n, _ in _square_tuples(candidates, d, root_cap):
+        for alpha in _roots_of(kernels.inverse(prod), root_cap):
+            transitive, orientable = kernels.alpha_extension(orbits, n, alpha)
+            yield gammas, alpha, transitive, orientable
+
+
+class _Prefix:
+    """The rows before the last of a gammas tuple, shared by every tuple
+    that extends them: whether they generate a transitive group P, tested
+    once, and P's block systems, built when first asked for."""
+
+    def __init__(self, gens: tuple[tuple[int, ...], ...], d: int):
+        self.gens = gens
+        self.d = d
+        self.transitive = kernels.is_transitive(gens, d)
+
+    @cached_property
+    def systems(self) -> list[tuple]:
+        """(labels, labels[1:], block count, a point besides 1 in 1's
+        block) per system of a transitive P (`block_systems`)."""
+        return [
+            (labels, labels[1:], len(set(labels)) - 1, labels.index(1, 2))
+            for labels in block_systems(self.gens, self.d)
+        ]
 
 
 def _square_tuples(
-    candidates: list[Iterable[tuple[int, ...]]], d: int
+    candidates: list[Iterable[tuple[int, ...]]], d: int, root_cap: int
 ) -> Iterator[
     tuple[
-        tuple[tuple[int, ...], ...], tuple[int, ...], tuple[int, ...], tuple[int, ...] | None, int
+        tuple[tuple[int, ...], ...],
+        tuple[int, ...],
+        tuple[int, ...],
+        int,
+        tuple[int, ...] | None,
+        int,
+        _Prefix,
     ]
 ]:
     """Every gammas tuple of one candidate per row whose product is a
-    square, in the order of the candidates, the first row outermost:
-    (gammas, product, its cycle type, orbits, n).
+    square, in the order of the candidates, the first row outermost, with
+    the facts every scan reads off it: (gammas, product, its cycle type,
+    k, orbits, n, prefix).  No other place derives them.
 
-    Each choice of the rows before the last has its product and its
-    transitivity computed once, for all the tuples extending it.  When
+    k is the number of square roots of the product, `root_count` of its
+    cycle type, counted once per type.  It is held against root_cap at the
+    first tuple of each type, before any root is drawn, and
+    BoundsExceededError is raised there when it is larger; so one check
+    serves every stream.  A count of 0 is the square test: the tuples of
+    such a type are passed by.
+
+    prefix is the `_Prefix` of the rows before the last, built once for
+    all the tuples extending them, together with their product.  When
     those rows are transitive already, so is every such tuple: orbits is
     then None and n is 1, and no orbit index is built.  Otherwise
     (orbits, n) is `kernels.orbit_index(gammas, d)`.
@@ -255,31 +288,26 @@ def _square_tuples(
         prefixes = (
             (a, b, *tail) for a in head[0] for b in head[1] for tail in _cartesian(*head[2:])
         )
-    for prefix in prefixes:
-        p = reduce(kernels.compose, prefix) if prefix else kernels.identity(d)
-        connected = kernels.is_transitive(prefix, d)
+    counts: dict[tuple[int, ...], int] = {}
+    for gens in prefixes:
+        p = reduce(kernels.compose, gens) if gens else kernels.identity(d)
+        prefix = _Prefix(gens, d)
         for t in last:
             prod = kernels.compose(p, t)
             parts = kernels.cycle_lengths(prod)
-            # `kernels.is_square_type` on the cycle type: every even length
-            # comes in pairs
-            even = [k for k in parts if not k % 2]
-            if even[::2] != even[1::2]:
+            k = counts.get(parts)
+            if k is None:
+                k = counts[parts] = root_count(parts)
+                if k > root_cap:
+                    raise BoundsExceededError(f"more than {root_cap} square roots")
+            if not k:
                 continue
-            gammas = (*prefix, t)
-            if connected:
-                yield gammas, prod, parts, None, 1
+            gammas = (*gens, t)
+            if prefix.transitive:
+                yield gammas, prod, parts, k, None, 1, prefix
             else:
                 orbits, n = kernels.orbit_index(gammas, d)
-                yield gammas, prod, parts, orbits, n
-
-
-def _capped_roots(p: tuple[int, ...], root_cap: int) -> tuple[tuple[int, ...], ...]:
-    """`_roots_of(p, root_cap)`, raising BoundsExceededError past the cap."""
-    try:
-        return _roots_of(p, root_cap)
-    except RootCapExceeded as e:
-        raise BoundsExceededError(str(e)) from None
+                yield gammas, prod, parts, k, orbits, n, prefix
 
 
 def _centralizer_orbits(
@@ -388,105 +416,63 @@ def block_systems(gens, d: int) -> list[tuple[int, ...]]:
     return systems
 
 
-class _Primitivity:
-    """Is the transitive group G = <alpha, gammas> of a relation pair primitive?
+def _keeps(system: tuple, g: tuple[int, ...]) -> bool:
+    """Does g map each block of a `_Prefix.systems` entry into one block?
+    First test 1 and one other point of its block alone."""
+    labels, own, k, mate = system
+    return labels[g[0]] == labels[g[mate - 1]] and (
+        len(set(zip(own, map(labels.__getitem__, g)))) == k
+    )
 
-    A prime degree admits no block size but 1 and d.  Otherwise the rows
-    before the last, the prefix, decide how the rest is done.
+
+def _primitivity(
+    d: int, gammas: tuple[tuple[int, ...], ...], parts: tuple[int, ...], prefix: _Prefix
+) -> Callable[[tuple[int, ...]], bool] | None:
+    """Is the transitive group G = <alpha, gammas> of a relation pair of
+    composite degree d primitive?  Reads the facts `_square_tuples`
+    yields for the gammas: the product's cycle type and the record of the
+    rows before the last, the prefix.  Returns None when every such G is
+    primitive, whatever alpha is, and otherwise the test of alpha.  (A
+    prime degree admits no block size but 1 and d; the walk asks nothing
+    then.)
 
     When the prefix generates a transitive group P, a block of G is a
     block of its subgroup P, so the block systems of G are exactly those
-    of P that every later generator maps block to block.  `block_systems`
-    lists P's systems once per prefix; each gammas tuple keeps those its
-    last gamma maps block to block, and G is primitive exactly when alpha
-    maps none of the survivors block to block.  A tuple with no survivor
-    is primitive whatever alpha is.
+    of P that every later generator maps block to block.  The prefix
+    lists P's systems once; the gammas keep those their last gamma maps
+    block to block, and G is primitive exactly when alpha maps none of the
+    survivors block to block.  With no survivor G is primitive whatever
+    alpha is.
 
     Otherwise G is primitive exactly when the minimal block through
     {1, y} is all of 1..d for every y in 2..d.  A block of G containing
     {1, y} contains the minimal <gammas>-block through {1, y} (Dixon &
-    Mortimer, *Permutation Groups*, ch. 1), so the first time it is asked
-    about a gammas tuple the decision keeps only the seeds y whose
-    <gammas>-block is not all of 1..d, and every square root of the
-    tuple's product scans only those.  This holds when <gammas> is
-    intransitive too: a <gammas>-class of more than d/2 points lies in a
-    class of G, whose classes all have one size dividing d, so that
-    G-block is all of 1..d.  There are no seeds when the product has type
-    [d-1, 1], which makes a transitive G 2-transitive, hence primitive, or
-    when <gammas> is primitive.
-
-    One instance serves one scan of degree d.
+    Mortimer, *Permutation Groups*, ch. 1), so only the seeds y whose
+    <gammas>-block is not all of 1..d are kept, and the test of alpha
+    scans only those.  This holds when <gammas> is intransitive too: a
+    <gammas>-class of more than d/2 points lies in a class of G, whose
+    classes all have one size dividing d, so that G-block is all of 1..d.
+    There are no seeds when the product has type [d-1, 1], which makes a
+    transitive G 2-transitive, hence primitive, or when <gammas> is
+    primitive.
     """
+    if prefix.transitive:
+        last = gammas[-1]
+        systems = [s for s in prefix.systems if _keeps(s, last)]
+        if not systems:
+            return None
+        return lambda alpha: not any(_keeps(s, alpha) for s in systems)
+    if parts == (d - 1, 1):
+        return None
+    seeds = [y for y in range(2, d + 1) if len(kernels.minimal_block(gammas, d, 1, y)) < d]
+    if not seeds:
+        return None
 
-    def __init__(self, d: int):
-        self.d = d
-        self.prime = d > 1 and all(d % p for p in range(2, math.isqrt(d) + 1))
-        self._prefix: tuple[tuple[int, ...], ...] | None = None
-        # (labels, labels[1:], block count, a point besides 1 in 1's
-        # block) per system of a transitive prefix, or None
-        self._prefix_systems: list[tuple] | None = None
-        self._gammas: tuple[tuple[int, ...], ...] | None = None
-        # the prefix systems the last gamma keeps, or None
-        self._systems: list[tuple] | None = None
-        self._seeds: tuple[int, ...] = ()
-
-    @staticmethod
-    def _keeps(system, g: tuple[int, ...]) -> bool:
-        """Does g map each block of the system into one block?  First
-        test 1 and one other point of its block alone."""
-        labels, own, k, mate = system
-        return labels[g[0]] == labels[g[mate - 1]] and (
-            len(set(zip(own, map(labels.__getitem__, g)))) == k
-        )
-
-    def _refresh(self, gammas: tuple[tuple[int, ...], ...]) -> None:
-        self._gammas = gammas
-        d = self.d
-        prefix = gammas[:-1]
-        if prefix != self._prefix:
-            self._prefix = prefix
-            self._prefix_systems = None
-            if kernels.is_transitive(prefix, d):
-                self._prefix_systems = [
-                    (labels, labels[1:], len(set(labels)) - 1, labels.index(1, 2))
-                    for labels in block_systems(prefix, d)
-                ]
-        if self._prefix_systems is not None:
-            last = gammas[-1]
-            self._systems = [s for s in self._prefix_systems if self._keeps(s, last)]
-        else:
-            self._systems = None
-            self._seeds = self.seeds(gammas)
-
-    def seeds(self, gammas: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
-        """The y in 2..d that each alpha must scan for these gammas."""
-        d = self.d
-        if kernels.cycle_lengths(kernels.product_of(gammas, d)) == (d - 1, 1):
-            return ()
-        return tuple(
-            y for y in range(2, d + 1) if len(kernels.minimal_block(gammas, d, 1, y)) < d
-        )
-
-    def settled(self, gammas: tuple[tuple[int, ...], ...]) -> bool:
-        """Is every transitive pair with these gammas primitive, whatever
-        alpha is?"""
-        if self.prime:
-            return True
-        if gammas != self._gammas:
-            self._refresh(gammas)
-        return not (self._seeds if self._systems is None else self._systems)
-
-    def __call__(self, gammas: tuple[tuple[int, ...], ...], alpha: tuple[int, ...]) -> bool:
-        if self.prime:
-            return True
-        if gammas != self._gammas:
-            self._refresh(gammas)
-        if self._systems is not None:
-            keeps = self._keeps
-            return not any(keeps(s, alpha) for s in self._systems)
-        d = self.d
+    def scan(alpha: tuple[int, ...]) -> bool:
         gens = (alpha, *gammas)
-        return all(len(kernels.minimal_block(gens, d, 1, y)) == d for y in self._seeds)
+        return all(len(kernels.minimal_block(gens, d, 1, y)) == d for y in seeds)
+
+    return scan
 
 
 # The bucket of a relation pair, in the order `TupleSurvey` lists them; the
@@ -530,20 +516,18 @@ def _walk_pairs(
     BoundsExceededError raised, exactly when the full scan exceeds it
     before that pair.
 
-    A tuple is settled primitive when <gammas> is transitive and
-    `_Primitivity.settled` holds: d is prime, or the rows before the last
-    are transitive and none of their block systems survives the last
-    gamma, or else the tuple leaves no seed.  Then each alpha joins
-    nothing and flips nothing, so every pair of the tuple is connected and
-    nonorientable, and `_Primitivity` calls each primitive without looking
-    at alpha.  A tuple whose gammas leave n orbits is settled intransitive
-    when n - 1 > d - `min_root_cycles` of its product: a root with c
-    cycles joins at most d - c orbits, and none has fewer cycles than
-    that.  The square roots of each product type are counted by
-    `root_count`, a class function, at the first tuple of that type, and
-    the count is held against the root cap there, before any root is
-    drawn.  A settled tuple's count is that number, and its first pair is
-    the first root of its own product (`_witness_of`).
+    A tuple is settled primitive when <gammas> is transitive and every
+    pair of it is primitive whatever alpha is: d is prime, or
+    `_primitivity` returns None.  Then each alpha joins nothing and flips
+    nothing, so every pair of the tuple is connected and nonorientable.
+    A tuple whose gammas leave n orbits is settled intransitive when
+    n - 1 > d - `min_root_cycles` of its product: a root with c cycles
+    joins at most d - c orbits, and none has fewer cycles than that.  Any
+    other tuple asks `_primitivity` for its test of alpha at its first
+    connected nonorientable root.  A settled tuple's count is the number
+    of square roots `_square_tuples` gives, which has been held against
+    the root cap before any root is drawn, and its first pair is the first
+    root of its own product (`_witness_of`).
     """
     bounds = bounds or SearchBounds()
     _require_in_bounds(data, bounds)
@@ -562,27 +546,29 @@ def _walk_pairs(
                 yield g
 
         candidates[1] = representatives(candidates[1])
-    is_primitive_pair = _Primitivity(d)
-    # per product type: its number of square roots, and the fewest cycles
-    # one of them has, counted only once a tuple of that type has more
-    # than one orbit
-    types: dict[tuple[int, ...], list] = {}
-    for gammas, prod, parts, orbits, n in _square_tuples(candidates, d):
-        record = types.get(parts)
-        if record is None:
-            record = types[parts] = [root_count(parts), None]
-            if record[0] > cap:
-                raise BoundsExceededError(f"more than {cap} square roots")
-        k = record[0]
-        if n == 1:
-            settled = _PRIMITIVE if is_primitive_pair.settled(gammas) else None
+    # a prime degree admits no block size but 1 and d
+    prime = d > 1 and all(d % p for p in range(2, math.isqrt(d) + 1))
+    decide = (lambda *facts: None) if prime else _primitivity
+    # per product type: the fewest cycles one of its square roots has,
+    # counted only once a tuple of that type has more than one orbit
+    fewest: dict[tuple[int, ...], int] = {}
+    for gammas, prod, parts, k, orbits, n, prefix in _square_tuples(candidates, d, cap):
+        # a tuple of several orbits asks for its test only at its first
+        # connected nonorientable root, so one whose roots are all
+        # intransitive or orientable never pays for a seed scan
+        asked = n == 1
+        if asked:
+            test = decide(d, gammas, parts, prefix)
+            if test is None:
+                yield weight, gammas, None, _PRIMITIVE, k
+                continue
         else:
-            if record[1] is None:
-                record[1] = min_root_cycles(parts)
-            settled = _INTRANSITIVE if n - 1 > d - record[1] else None
-        if settled is not None:
-            yield weight, gammas, None, settled, k
-            continue
+            low = fewest.get(parts)
+            if low is None:
+                low = fewest[parts] = min_root_cycles(parts)
+            if n - 1 > d - low:
+                yield weight, gammas, None, _INTRANSITIVE, k
+                continue
         for alpha in _roots_of(kernels.inverse(prod), cap):
             if n != 1:
                 transitive, orientable = kernels.alpha_extension(orbits, n, alpha)
@@ -592,7 +578,10 @@ def _walk_pairs(
                 if orientable:
                     yield weight, gammas, alpha, _ORIENTABLE, 1
                     continue
-            if is_primitive_pair(gammas, alpha):
+                if not asked:
+                    asked = True
+                    test = decide(d, gammas, parts, prefix)
+            if test is None or test(alpha):
                 yield weight, gammas, alpha, _PRIMITIVE, 1
             else:
                 yield weight, gammas, alpha, _IMPRIMITIVE, 1

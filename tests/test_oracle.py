@@ -362,15 +362,54 @@ DECISION_SCANS = [
 ]
 
 
-def _route(decide, gammas, d):
-    """Which rule of `_Primitivity` settles pairs with these gammas."""
-    if decide.prime:
+def _is_prime(d):
+    return d > 1 and all(d % p for p in range(2, math.isqrt(d) + 1))
+
+
+def _test_of(d, gammas, prefix=None):
+    """`oracle._primitivity` on these gammas, with the facts the walk
+    derives for them, or None at a prime degree, where the walk asks
+    nothing: None when every transitive pair with these gammas is
+    primitive, otherwise the test of alpha.  `prefix` is the record of
+    the rows before the last, built here unless it is given."""
+    if _is_prime(d):
+        return None
+    parts = kernels.cycle_lengths(kernels.product_of(gammas, d))
+    return oracle._primitivity(d, gammas, parts, prefix or oracle._Prefix(gammas[:-1], d))
+
+
+def _decided_pairs(data, bounds=None, *, first_row_reduced=True):
+    """The pairs of `iter_relation_pairs`, in its order, each with the
+    oracle's primitivity decision: (gammas, alpha, transitive, orientable,
+    primitive), primitive None unless the pair is connected and
+    nonorientable.  Each tuple's decision reads the facts `_square_tuples`
+    yields for it, as the walk's does."""
+    bounds = bounds or SearchBounds()
+    oracle._require_in_bounds(data, bounds)
+    d = data.degree
+    prime = _is_prime(d)
+    candidates = oracle._row_candidates(data, first_row_reduced)
+    for gammas, prod, parts, _, orbits, n, prefix in oracle._square_tuples(
+        candidates, d, bounds.root_cap
+    ):
+        test = None if prime else oracle._primitivity(d, gammas, parts, prefix)
+        for alpha in iter_root_images(kernels.inverse(prod)):
+            transitive, orientable = kernels.alpha_extension(orbits, n, alpha)
+            primitive = None
+            if transitive and not orientable:
+                primitive = test is None or test(alpha)
+            yield gammas, alpha, transitive, orientable, primitive
+
+
+def _route(gammas, d):
+    """Which rule of `oracle._primitivity` settles pairs with these gammas."""
+    if _is_prime(d):
         return "prime"
     if kernels.is_transitive(gammas[:-1], d):
         return "transitive_prefix"
     if kernels.cycle_lengths(kernels.product_of(gammas, d)) == (d - 1, 1):
         return "two_transitive"
-    seeds = decide.seeds(gammas)
+    seeds = [y for y in range(2, d + 1) if len(kernels.minimal_block(gammas, d, 1, y)) < d]
     transitive = kernels.is_transitive(gammas, d)
     if not seeds:
         return "gammas_primitive" if transitive else "gammas_orbit_over_half"
@@ -386,16 +425,15 @@ def test_primitivity_decision_matches_the_group():
     for text, reduced, bounds in DECISION_SCANS:
         data = data_of(text)
         d = data.degree
-        decide = oracle._Primitivity(d)
-        for gammas, alpha, transitive, orientable in iter_relation_pairs(
+        for gammas, alpha, _, _, primitive in _decided_pairs(
             data, bounds, first_row_reduced=reduced
         ):
-            if not transitive or orientable:
+            if primitive is None:
                 continue
             w = _build_witness(d, gammas, alpha)
             want = is_primitive(w.group())
-            assert decide(gammas, alpha) == want, (text, w.to_dict())
-            route = _route(decide, gammas, d)
+            assert primitive == want, (text, w.to_dict())
+            route = _route(gammas, d)
             if route == "gammas_primitive":
                 assert is_primitive(group_of(*w.gammas)), (text, w.to_dict())
             routes[route if route in ("prime", "two_transitive") else f"{route}:{want}"] += 1
@@ -457,7 +495,8 @@ def _transitive_pairs(draw, min_degree=6):
 def test_primitivity_decision_matches_the_group_on_random_pairs(case):
     d, gammas, alpha = case
     want = is_primitive(group_of(Permutation(alpha), *map(Permutation, gammas)))
-    assert oracle._Primitivity(d)(gammas, alpha) == want
+    test = _test_of(d, gammas)
+    assert (test is None or test(alpha)) == want
 
 
 @settings(max_examples=300, deadline=None)
@@ -520,11 +559,13 @@ def test_primitivity_decision_drops_the_systems_the_last_gamma_breaks():
     # product, and so the last gamma, in it.
     cycle = Permutation.from_cycles(6, [(1, 2, 3, 4, 5, 6)]).images
     still = Permutation.identity(6).images
-    decide = oracle._Primitivity(6)
+    # one record of the rows before the last serves both tuples
+    prefix = oracle._Prefix((cycle,), 6)
     broken = (cycle, Permutation.from_cycles(6, [(1, 2)]).images)
-    assert decide.settled(broken) and decide(broken, still)
+    assert _test_of(6, broken, prefix) is None
     kept = (cycle, Permutation.from_cycles(6, [(1, 4)]).images)
-    assert not decide.settled(kept) and not decide(kept, still)
+    test = _test_of(6, kept, prefix)
+    assert test is not None and not test(still)
 
 
 def test_primitivity_decision_follows_each_gammas_tuple():
@@ -532,10 +573,57 @@ def test_primitivity_decision_follows_each_gammas_tuple():
     joined = Permutation.from_cycles(6, [(5, 6)]).images
     pair = tuple(g.images for g in canonical_involution_pair(6))
     still = Permutation.identity(6).images
-    decide = oracle._Primitivity(6)
-    assert decide(long_cycle, joined) and not decide(pair, still)
-    decide = oracle._Primitivity(6)
-    assert not decide(pair, still) and decide(long_cycle, joined)
+    # each tuple's test answers for its own gammas, in either order
+    cases = [(long_cycle, joined, True), (pair, still, False)]
+    for order in (cases, cases[::-1]):
+        tests = [(_test_of(6, gammas), alpha, want) for gammas, alpha, want in order]
+        for test, alpha, want in tests:
+            assert (test is None or test(alpha)) == want
+
+
+def test_walk_derives_each_tuple_fact_once(monkeypatch):
+    # a three-row scan in which some choices of the rows before the last
+    # are intransitive: each choice has its transitivity tested once, for
+    # the walk and the primitivity decision alike, and no product is
+    # formed again but for a settled tuple's witness
+    d = 6
+    data = data_of("d=6; [3,3],[2,2,1,1],[2,2,1,1]")
+    g0 = canonical_of_type(d, (3, 3)).images
+    heads = [(g0, g) for g, _ in oracle._centralizer_orbits(g0, class_images(d, (2, 2, 1, 1)))]
+    assert not all(kernels.is_transitive(head, d) for head in heads)
+    tested, products, settled = [], [], []
+    is_transitive, product_of, witness_of = (
+        kernels.is_transitive,
+        kernels.product_of,
+        oracle._witness_of,
+    )
+
+    def counted_transitive(gens, d, labels=None):
+        tested.append(tuple(gens))
+        return is_transitive(gens, d, labels)
+
+    def counted_product(perms, d):
+        products.append(tuple(perms))
+        return product_of(perms, d)
+
+    def counted_witness(d, gammas, alpha):
+        if alpha is None:
+            settled.append(gammas)
+        return witness_of(d, gammas, alpha)
+
+    monkeypatch.setattr(kernels, "is_transitive", counted_transitive)
+    monkeypatch.setattr(kernels, "product_of", counted_product)
+    monkeypatch.setattr(oracle, "_witness_of", counted_witness)
+    tuple_survey(data)
+    assert tested == heads
+    assert products == settled
+    del tested[:], products[:], settled[:]
+    # the first imprimitive pair comes from an intransitive choice, after
+    # a transitive one, so the search asks for seeds and stops there
+    witness = find_imprimitive_witness(data)
+    assert tested == heads[:2] and not is_transitive(tested[-1], d)
+    assert tuple(g.images for g in witness.gammas[:-1]) == tested[-1]
+    assert products == settled
 
 
 def _count_block_calls(monkeypatch):
@@ -571,9 +659,9 @@ def test_primitive_gammas_scan_their_blocks_once(monkeypatch):
     assert len(chosen) > 10
     calls = _count_block_calls(monkeypatch)
     for gammas in chosen:
-        decide = oracle._Primitivity(d)
         before = calls["minimal_block"]
-        assert all(decide(gammas, alpha) for alpha in alphas[gammas])
+        test = _test_of(d, gammas)
+        assert all(test is None or test(alpha) for alpha in alphas[gammas])
         assert calls["minimal_block"] - before <= d - 1
 
 
@@ -734,22 +822,47 @@ def test_root_cap_refuses_before_any_root_is_drawn(monkeypatch):
             scan(data, bounds)
 
 
-def test_scans_never_read_the_capped_roots(monkeypatch):
-    # only the plain pair stream reads `_capped_roots`; the walk holds
-    # each product type's count against the cap itself
-    def refused(*args):
-        raise AssertionError("a scan read _capped_roots")
+def _drained(pairs):
+    """The pairs a stream yields, in order, and the text of the refusal
+    that ends it, or None."""
+    seen = []
+    try:
+        for pair in pairs:
+            seen.append(pair)
+    except BoundsExceededError as e:
+        return seen, str(e)
+    return seen, None
 
-    monkeypatch.setattr(oracle, "_capped_roots", refused)
-    for data in every_row_order(admissible_data([2, 3, 4, 5], max_rows=3)):
-        tuple_survey(data)
-        tuple_survey(data, first_row_reduced=False)
-        find_primitive_witness(data)
-        find_imprimitive_witness(data)
-        exists_realization(data)
-        classify_by_search(data)
-    with pytest.raises(AssertionError, match="_capped_roots"):
-        list(iter_relation_pairs(data_of("d=4; [2,2],[2,2]")))
+
+# one-orbit tuples, tuples with several orbits, the CLI's root-cap
+# datum, and two three-row scans; every one refuses some caps and not
+# others, and the first refuses only after it has yielded pairs
+@pytest.mark.parametrize(
+    "text",
+    [
+        "d=5; [5],[5]",
+        "d=4; [2,2],[2,2]",
+        "d=6; [2,2,2],[2,2,2]",
+        "d=5; [3,1,1],[2,2,1],[2,2,1]",
+        "d=6; [3,3],[2,2,1,1],[2,2,1,1]",
+    ],
+)
+def test_relation_pairs_exceed_the_root_cap_as_the_reference_does(text):
+    # the plain stream refuses a product type by its count, at the first
+    # tuple of that type, where the reference refused while drawing its
+    # roots: the same pairs come first, and the refusal reads the same.
+    # (test_tuple_survey_reference imports this module, so its reference
+    # is imported here, once both are loaded.)
+    from test_tuple_survey_reference import iter_relation_pairs as reference
+
+    data = data_of(text)
+    refused = set()
+    for cap in range(1, 101):
+        bounds = SearchBounds(root_cap=cap)
+        want = _drained(reference(data, bounds))
+        assert _drained(iter_relation_pairs(data, bounds)) == want, cap
+        refused.add(want[1] is not None)
+    assert refused == {True, False}
 
 
 @pytest.mark.parametrize("d", [4, 5, 6, 7])
@@ -760,7 +873,8 @@ def test_orbit_bound_settles_only_intransitive_tuples(d):
     settled = 0
     for first, second in itertools.product(partitions_of(d), repeat=2):
         candidates = [(canonical_of_type(d, first).images,), class_images(d, second)]
-        for _, prod, parts, orbits, n in oracle._square_tuples(candidates, d):
+        tuples = oracle._square_tuples(candidates, d, SearchBounds().root_cap)
+        for _, prod, parts, _, orbits, n, _ in tuples:
             if n - 1 <= d - min_root_cycles(parts):
                 continue
             settled += 1
@@ -775,12 +889,12 @@ def test_orbit_bound_settles_only_intransitive_tuples(d):
 
 def _full_tuple_survey(data, bounds=None, *, first_row_reduced=True):
     """`tuple_survey` as it was before the second row was reduced to one
-    element per centralizer orbit, kept verbatim as the reference: every
-    element of every class after the first row is enumerated."""
+    element per centralizer orbit, kept as the reference: every element
+    of every class after the first row is enumerated, and every pair is
+    counted one at a time."""
     total = intrans = orient = imprim = prim = 0
     sample = None
-    is_primitive_pair = oracle._Primitivity(data.degree)
-    for gammas, alpha, transitive, orientable in iter_relation_pairs(
+    for gammas, alpha, transitive, orientable, primitive in _decided_pairs(
         data, bounds, first_row_reduced=first_row_reduced
     ):
         total += 1
@@ -792,7 +906,7 @@ def _full_tuple_survey(data, bounds=None, *, first_row_reduced=True):
             continue
         if sample is None:
             sample = _build_witness(data.degree, gammas, alpha)
-        if is_primitive_pair(gammas, alpha):
+        if primitive:
             prim += 1
         else:
             imprim += 1
