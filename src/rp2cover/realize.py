@@ -1388,57 +1388,49 @@ def realize_decomposable_search(
     *,
     classification: Classification | None = None,
 ) -> RealizationResult | None:
-    """Find a witness with imprimitive monodromy, or None if even that fails.
+    """Build a witness with imprimitive monodromy for only-decomposable
+    data, or return None.
 
     Only-decomposable branch data is still realizable, just never by an
     indecomposable covering; the certificate of the returned witness has
-    primitive=False and records a block.  Rows all of twos at even d >= 4
-    get one fixed tuple of the canonical involution pair per parity of the
-    row count and no other candidate, so the witness does not depend on
-    `seed` and a tuple that fell short would return None.  Other data within
-    the oracle's default bounds get the first imprimitive witness of its
-    exhaustive scan.  `classification` is as for `realize_indecomposable`.
+    primitive=False and records a block.  `classify` calls only all-twos
+    data at even d >= 4 only decomposable: at odd d the verdict comes from
+    the oracle, whose default bounds admit d = 3 and 5, prime degrees where
+    every transitive group is primitive.  So those rows get one fixed tuple
+    of the canonical involution pair per parity of the row count; the
+    witness does not depend on `seed`, and a tuple that fell short would
+    return None.  Inadmissible data and every other datum get None, even
+    one with an imprimitive witness: for that, call
+    `oracle.find_imprimitive_witness` and `verify_witness`.
+    `classification` is as for `realize_indecomposable`.
     """
+    d, s = data.degree, data.rows_count
+    if d < 4 or d % 2 or not data.all_rows_all_twos():
+        return None
     cls = classification if classification is not None else classify(data)
     if cls.verdict is Verdict.NOT_ADMISSIBLE:
         return None
-    d, s = data.degree, data.rows_count
 
-    if d >= 4 and d % 2 == 0 and data.all_rows_all_twos():
-        # g1, g2 is the canonical pair, so every tuple holding both is
-        # transitive, and nonorientable whatever alpha is.  The alpha taken
-        # is the inverse of the first root `iter_root_images` gives.
-        #
-        # Even s: the product (g1 g2)^(s/2) has cycles all of one length m,
-        # which ordered by least point alternate between odd and even
-        # points.  So the first root takes each cycle's own root when m is
-        # odd and otherwise joins the cycles in (odd, even) pairs; either
-        # way alpha preserves the blocks {odd points} and {even points}.
-        #
-        # Odd s, admissible only for d = 0 mod 4: the product g1 g2 g1 is a
-        # fixed-point-free involution, whose first root is
-        # (1 d-1 4 2)(3 8 6 5)(7 12 10 9)...  That root, g1 and g2 all
-        # preserve B = {x = 0, 1 mod 4} and its complement.  The tuple
-        # [g1] * s never answers: alpha^2 = g1, so <g1, alpha> = <alpha>
-        # has orbits of 4 points, intransitive for d > 4 and orientable at
-        # d = 4.
-        g1, g2 = (g.images for g in canonical_involution_pair(d))
-        if s % 2 == 0:
-            gammas = [g1, g2] * (s // 2)
-        else:
-            gammas = [g1, g2] + [g1] * (s - 2)
-        return _accept(
-            data, gammas, None, "decomposable_search", seed, primitive=False
-        )
-
-    from .oracle import SearchBounds, find_imprimitive_witness
-
-    bounds = SearchBounds()
-    if d <= bounds.max_degree and s <= bounds.max_rows:
-        w = find_imprimitive_witness(data, bounds)
-        if w is not None:
-            gammas = [g.images for g in w.gammas]
-            return _accept(
-                data, gammas, w.alpha.images, "exhaustive_scan", seed, primitive=False
-            )
-    return None
+    # g1, g2 is the canonical pair, so every tuple holding both is
+    # transitive, and nonorientable whatever alpha is.  The alpha taken
+    # is the inverse of the first root `iter_root_images` gives.
+    #
+    # Even s: the product (g1 g2)^(s/2) has cycles all of one length m,
+    # which ordered by least point alternate between odd and even
+    # points.  So the first root takes each cycle's own root when m is
+    # odd and otherwise joins the cycles in (odd, even) pairs; either
+    # way alpha preserves the blocks {odd points} and {even points}.
+    #
+    # Odd s, admissible only for d = 0 mod 4: the product g1 g2 g1 is a
+    # fixed-point-free involution, whose first root is
+    # (1 d-1 4 2)(3 8 6 5)(7 12 10 9)...  That root, g1 and g2 all
+    # preserve B = {x = 0, 1 mod 4} and its complement.  The tuple
+    # [g1] * s never answers: alpha^2 = g1, so <g1, alpha> = <alpha>
+    # has orbits of 4 points, intransitive for d > 4 and orientable at
+    # d = 4.
+    g1, g2 = (g.images for g in canonical_involution_pair(d))
+    if s % 2 == 0:
+        gammas = [g1, g2] * (s // 2)
+    else:
+        gammas = [g1, g2] + [g1] * (s - 2)
+    return _accept(data, gammas, None, "decomposable_search", seed, primitive=False)

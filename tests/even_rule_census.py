@@ -8,9 +8,11 @@ most `--max-rows` of them, with total defect at most 2d.  For each datum
 - `classify`'s verdict is realizable exactly when `find_primitive_witness`
   finds a witness, and only decomposable otherwise;
 - every primitive witness found passes `verify_witness` with `all_ok`;
-- an only-decomposable datum has a `find_imprimitive_witness` whose
-  certificate sets every flag but `primitive`: the datum is realizable,
-  only not by an indecomposable covering.
+- an only-decomposable datum has a `find_imprimitive_witness`, and a
+  closed-form witness from `realize_decomposable_search` (the path
+  `realize --decomposable` takes), whose certificates set every flag but
+  `primitive`: the datum is realizable, only not by an indecomposable
+  covering.
 
 The number of data up to each row count must match the census pinned in
 `CENSUS`, so a change to the generator shows.  A disagreement is reported
@@ -28,7 +30,7 @@ import time
 from collections import Counter
 
 from rp2cover.oracle import SearchBounds, find_imprimitive_witness, find_primitive_witness
-from rp2cover.realize import Verdict, classify, verify_witness
+from rp2cover.realize import Verdict, classify, realize_decomposable_search, verify_witness
 
 from helpers import admissible_multisets
 
@@ -55,14 +57,20 @@ def check(data, verdict: Verdict, bounds: SearchBounds) -> list[str]:
         return [f"verdict {verdict.value}"]
     if witness is not None:
         return [f"classified only decomposable, but has {witness.to_dict()}"]
-    imprimitive = find_imprimitive_witness(data, bounds)
-    if imprimitive is None:
-        return ["classified only decomposable, but no imprimitive witness exists"]
-    cert = verify_witness(data, imprimitive)
-    flags = {f: getattr(cert, f) for f in _FLAGS}
-    if flags != {**dict.fromkeys(_FLAGS, True), "primitive": False}:
-        return [f"imprimitive witness certificate: {flags}"]
-    return []
+    closed_form = realize_decomposable_search(data)
+    problems = []
+    for source, imprimitive in (
+        ("search", find_imprimitive_witness(data, bounds)),
+        ("closed-form", closed_form.witness if closed_form else None),
+    ):
+        if imprimitive is None:
+            problems.append(f"classified only decomposable, but no {source} imprimitive witness")
+            continue
+        cert = verify_witness(data, imprimitive)
+        flags = {f: getattr(cert, f) for f in _FLAGS}
+        if flags != {**dict.fromkeys(_FLAGS, True), "primitive": False}:
+            problems.append(f"{source} imprimitive witness certificate: {flags}")
+    return problems
 
 
 def main(argv: list[str] | None = None) -> int:

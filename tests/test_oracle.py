@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rp2cover import kernels, oracle
-from rp2cover.branch import is_admissible
+from rp2cover.branch import BranchData, Partition, is_admissible
 from rp2cover.groups import group_of, is_primitive, is_transitive
 from rp2cover.oracle import (
     BoundsExceededError,
@@ -185,6 +185,28 @@ def test_search_classification_matches_closed_form():
         want = classify(data).verdict
         got = classify_by_search(data).verdict
         assert got == want, data.to_text()
+
+
+def test_closed_form_matches_primitive_search_above_the_defect_filter():
+    # criterion 1 and the census script stop at total defect 2d; every
+    # admissible multiset of 2 to 4 rows from [8], [7,1] and [4,4] reaches
+    # past it
+    bounds = SearchBounds(max_degree=8, max_rows=4)
+    rows = [Partition((8,)), Partition((7, 1)), Partition((4, 4))]
+    checked = above = 0
+    for s in range(2, 5):
+        for combo in itertools.combinations_with_replacement(rows, s):
+            data = BranchData(8, combo)
+            if not is_admissible(data).ok:
+                continue
+            checked += 1
+            above += data.total_defect() > 16
+            witness = find_primitive_witness(data, bounds)
+            realizable = classify(data).verdict is Verdict.INDECOMPOSABLE_REALIZABLE
+            assert realizable == (witness is not None), data.to_text()
+            if witness is not None:
+                assert verify_witness(data, witness).all_ok, data.to_text()
+    assert (checked, above) == (19, 15)
 
 
 def test_search_classification_tags_are_empty():

@@ -1290,6 +1290,17 @@ def test_decomposable_search_declines_inadmissible():
     assert realize_decomposable_search(data_of("d=4; [2,2]")) is None
 
 
+@pytest.mark.parametrize("text", ["d=6; [3,3],[3,3]", "d=6; [3,3],[2,2,1,1],[2,2,1,1]"])
+def test_decomposable_search_declines_data_that_is_not_all_twos(text):
+    # the closed form is the only construction; an imprimitive witness of
+    # such data comes from the oracle, called directly
+    data = data_of(text)
+    assert realize_decomposable_search(data) is None
+    cert = verify_witness(data, oracle.find_imprimitive_witness(data))
+    assert cert.relation_ok and cert.row_types_ok
+    assert cert.transitive and cert.nonorientable and not cert.primitive
+
+
 def test_decomposable_search_draws_few_roots_of_an_identity_product(monkeypatch):
     # 20 all-twos rows of degree 20: the alternating tuple multiplies to
     # the identity, which has about 2.4e10 square roots
@@ -1394,8 +1405,23 @@ def test_decomposable_search_takes_the_parity_tuple(d, s):
 
 
 def test_decomposable_search_answers_all_twos_without_the_oracle(monkeypatch):
-    # the fixed tuple answers every admissible all-twos datum, so a tuple
-    # that fell short shows instead of being covered by the oracle's scan
+    # every datum `classify` calls only decomposable within the oracle's
+    # default bounds is all twos at even d >= 4, and the fixed tuple
+    # answers every admissible all-twos datum, so `realize --decomposable`
+    # needs no search
+    bounds = oracle.SearchBounds()
+    in_bounds = admissible_data(range(1, bounds.max_degree + 1), bounds.max_rows)
+    only_decomposable = [
+        data for data in in_bounds if classify(data).verdict is Verdict.ONLY_DECOMPOSABLE
+    ]
+    assert len(in_bounds) == 645
+    assert [data.to_text() for data in only_decomposable] == [
+        "d=4; [2,2],[2,2]",
+        "d=4; [2,2],[2,2],[2,2]",
+        "d=4; [2,2],[2,2],[2,2],[2,2]",
+        "d=6; [2,2,2],[2,2,2]",
+    ]
+
     def refuse(*args, **kwargs):
         raise AssertionError("oracle reached")
 

@@ -446,12 +446,15 @@ def test_searches_match_the_reference_at_raised_bounds(text):
     _assert_searches_match(data_of(text), SearchBounds(max_degree=12))
 
 
-# a settled primitive tuple first, an orbit-bound tuple first, walked
-# tuples with one and with several orbits, and a three-row scan
+# a settled primitive tuple first, an orbit-bound tuple first (its first
+# product, (1 2)(1 2), is the identity with 76 roots), a scan whose every
+# product is odd so that it has no relation pair, walked tuples with one
+# and with several orbits, and a three-row scan
 @pytest.mark.parametrize(
     "text",
     [
         "d=5; [5],[5]",
+        "d=6; [2,1,1,1,1],[2,1,1,1,1]",
         "d=6; [2,1,1,1,1],[2,1,1,1,1],[2,2,2]",
         "d=4; [2,2],[2,2]",
         "d=5; [3,1,1],[2,2,1],[2,2,1]",
