@@ -33,8 +33,7 @@ from .branch import (
 from .oracle import (
     BoundsExceededError,
     SearchBounds,
-    exists_primitive_realization,
-    exists_realization,
+    first_witness,
     involution_pair_survey,
     tuple_survey,
 )
@@ -195,9 +194,7 @@ def cmd_realize(args, out, err) -> int:
                 file=err,
             )
             return FORBIDDEN
-        result = realize_decomposable_search(
-            data, seed=args.seed, classification=cls
-        )
+        result = realize_decomposable_search(data, seed=args.seed)
         if result is None:
             print("error: no decomposable witness found", file=err)
             return ENGINE_FAILURE
@@ -264,12 +261,11 @@ def cmd_oracle(args, out, err) -> int:
         _emit(survey.to_dict(), args.format, out)
         return OK
     payload = _data_payload(data)
-    payload["exists_realization"] = exists_realization(
+    witness, connected = first_witness(
         data, bounds, first_row_reduced=not args.unreduced
     )
-    payload["exists_primitive_realization"] = exists_primitive_realization(
-        data, bounds
-    )
+    payload["exists_realization"] = connected
+    payload["exists_primitive_realization"] = witness is not None
     _emit(payload, args.format, out)
     return OK
 
@@ -365,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--decomposable",
         action="store_true",
-        help="for only-decomposable data, search for an imprimitive witness",
+        help="for only-decomposable data, build the closed-form imprimitive witness",
     )
     common(p)
     p.set_defaults(func=cmd_realize)

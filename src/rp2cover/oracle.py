@@ -610,37 +610,42 @@ def exists_realization(
     )
 
 
-def _first_witness(
-    data: BranchData, bounds: SearchBounds | None, primitive: bool
+def first_witness(
+    data: BranchData,
+    bounds: SearchBounds | None = None,
+    *,
+    primitive: bool = True,
+    first_row_reduced: bool = True,
 ) -> tuple[HurwitzWitness | None, bool]:
     """First connected nonorientable witness of the scan whose group is
     primitive, or imprimitive, as asked, and whether the scan met any
-    connected nonorientable pair at all."""
+    connected nonorientable pair at all.
+
+    Both answers come from one walk: a witness is itself a connected
+    nonorientable pair, and a walk that finds none runs to the end.  With
+    `first_row_reduced=False` the walk is the full enumeration of every
+    class, and it finds the same pair the reduced walk finds (see
+    `_walk_pairs`).
+    """
     wanted = _PRIMITIVE if primitive else _IMPRIMITIVE
     connected = False
-    for _, gammas, alpha, bucket, _ in _walk_pairs(data, bounds):
+    for _, gammas, alpha, bucket, _ in _walk_pairs(data, bounds, first_row_reduced):
         if bucket == wanted:
             return _witness_of(data.degree, gammas, alpha), True
         connected = connected or bucket > _ORIENTABLE
     return None, connected
 
 
-def exists_primitive_realization(
-    data: BranchData, bounds: SearchBounds | None = None
-) -> bool:
-    return find_primitive_witness(data, bounds) is not None
-
-
 def find_primitive_witness(
     data: BranchData, bounds: SearchBounds | None = None
 ) -> HurwitzWitness | None:
-    return _first_witness(data, bounds, primitive=True)[0]
+    return first_witness(data, bounds)[0]
 
 
 def find_imprimitive_witness(
     data: BranchData, bounds: SearchBounds | None = None
 ) -> HurwitzWitness | None:
-    return _first_witness(data, bounds, primitive=False)[0]
+    return first_witness(data, bounds, primitive=False)[0]
 
 
 @dataclass(frozen=True)
@@ -716,7 +721,7 @@ def classify_by_search(
     """
     if not admissible_defect(data.total_defect(), data.degree):
         return Classification(Verdict.NOT_ADMISSIBLE)
-    witness, connected = _first_witness(data, bounds, primitive=True)
+    witness, connected = first_witness(data, bounds)
     if witness is not None:
         return Classification(Verdict.INDECOMPOSABLE_REALIZABLE, witness=witness)
     if connected:

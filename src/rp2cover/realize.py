@@ -672,10 +672,7 @@ class _PairSearch:
             raise AssertionError("pi edge already present")
         lp = pi.closing_length(pu, v)
         if lp is not None:
-            if self.rem_pi is not None:
-                if self.rem_pi[lp] <= 0:
-                    return False
-            elif self.closed_pi + 1 > self.pi_target_cycles:
+            if self.rem_pi is not None and self.rem_pi[lp] <= 0:
                 return False
         elif self.rem_pi is not None:
             if pi.joined_length(pu, v) > max(self.rem_pi, default=0):
@@ -745,6 +742,12 @@ class _PairSearch:
         list.  The stack holds one frame per level, so u is its length; a
         frame is [candidate iterator or None, last target walked, journal
         length before the edge tried].
+
+        A level with no edge left is a complete pair: `_feasible` accepted
+        the last edge, so the orbits number the goal's and, for a defect
+        goal, the closed product cycles the target; and each cycle closed
+        took a length still available, so the closed cycles, d points in
+        all, leave no length over.
         """
         d, b = self.d, self.b
         stack: list[list] = []
@@ -752,10 +755,8 @@ class _PairSearch:
         while True:
             if entered:
                 if self.unset == 0:
-                    if self._check_complete():
-                        return True
-                    self._undo(stack[-1][2])
-                elif self.rng is None:
+                    return True
+                if self.rng is None:
                     u = len(stack) + 1
                     head = b.head_of[u]
                     room = max(self.rem_b, default=0) - b.len_of[head]
@@ -814,13 +815,6 @@ class _PairSearch:
         while v <= d:
             yield v
             v = nxt[v]
-
-    def _check_complete(self) -> bool:
-        if self.comps != self.goal.orbit_count or self.rem_b:
-            return False
-        if self.rem_pi is not None:
-            return not self.rem_pi
-        return self.closed_pi == self.pi_target_cycles
 
 
 def _fits(items: list[int], caps: tuple[int, ...]) -> bool:
@@ -1383,32 +1377,29 @@ def realize_indecomposable(
 
 
 def realize_decomposable_search(
-    data: BranchData,
-    seed: int = 0,
-    *,
-    classification: Classification | None = None,
+    data: BranchData, seed: int = 0
 ) -> RealizationResult | None:
-    """Build a witness with imprimitive monodromy for only-decomposable
-    data, or return None.
+    """Build the closed-form witness with imprimitive monodromy for
+    only-decomposable data, or return None.
 
-    Only-decomposable branch data is still realizable, just never by an
-    indecomposable covering; the certificate of the returned witness has
-    primitive=False and records a block.  `classify` calls only all-twos
-    data at even d >= 4 only decomposable: at odd d the verdict comes from
-    the oracle, whose default bounds admit d = 3 and 5, prime degrees where
-    every transitive group is primitive.  So those rows get one fixed tuple
-    of the canonical involution pair per parity of the row count; the
-    witness does not depend on `seed`, and a tuple that fell short would
-    return None.  Inadmissible data and every other datum get None, even
-    one with an imprimitive witness: for that, call
-    `oracle.find_imprimitive_witness` and `verify_witness`.
-    `classification` is as for `realize_indecomposable`.
+    No search runs; the name and the engine tag `decomposable_search` stay
+    because callers and outputs carry them.  Only-decomposable branch data is
+    still realizable, just never by an indecomposable covering; the
+    certificate of the returned witness has primitive=False and records a
+    block.  `classify` calls only all-twos data at even d >= 4 only
+    decomposable: at odd d the verdict comes from the oracle, whose default
+    bounds admit d = 3 and 5, prime degrees where every transitive group is
+    primitive.  So those rows get one fixed tuple of the canonical
+    involution pair per parity of the row count; the witness does not
+    depend on `seed`, and a tuple that fell short would return None.
+    Inadmissible data and every other datum get None, even one with an
+    imprimitive witness: for that, call `oracle.find_imprimitive_witness`
+    and `verify_witness`.
     """
     d, s = data.degree, data.rows_count
     if d < 4 or d % 2 or not data.all_rows_all_twos():
         return None
-    cls = classification if classification is not None else classify(data)
-    if cls.verdict is Verdict.NOT_ADMISSIBLE:
+    if not admissible_defect(data.total_defect(), d):
         return None
 
     # g1, g2 is the canonical pair, so every tuple holding both is

@@ -21,9 +21,9 @@ from rp2cover.cli import main
 from rp2cover.groups import group_of, is_primitive
 from rp2cover.oracle import (
     SearchBounds,
-    exists_primitive_realization,
     exists_realization,
     find_imprimitive_witness,
+    find_primitive_witness,
     involution_pair_survey,
     iter_relation_pairs,
     tuple_survey,
@@ -93,15 +93,11 @@ def test_criterion_01_classification_matches_exhaustive_search():
                     Verdict.INDECOMPOSABLE_REALIZABLE,
                     Verdict.ONLY_DECOMPOSABLE,
                 )
-                found = exists_primitive_realization(data)
-                assert found == (want is Verdict.INDECOMPOSABLE_REALIZABLE), (
+                w = find_primitive_witness(data)
+                assert (w is not None) == (want is Verdict.INDECOMPOSABLE_REALIZABLE), (
                     data.to_text()
                 )
-                if found:
-                    from rp2cover.oracle import find_primitive_witness
-
-                    w = find_primitive_witness(data)
-                    assert w is not None
+                if w is not None:
                     _register(data, w)
         assert census == {2: 2, 4: 29, 6: 340}
 

@@ -405,6 +405,63 @@ def test_oracle_existence_payload():
     assert rec["exists_primitive_realization"] is False
 
 
+# (data, flags, exit code): data with a primitive witness at two and at
+# three rows, data with only imprimitive ones, inadmissible data, and a
+# refusal at the first tuple, whose product, the identity of 1..6, has 76
+# square roots
+ORACLE_KEY_CASES = [
+    (text, flags, code)
+    for text, code in [
+        ("d=6; [3,2,1],[2,2,2]", 0),
+        ("d=6; [2,2,2],[2,2,2]", 0),
+        ("d=5; [3,1,1],[2,2,1],[2,2,1]", 0),
+        ("d=4; [2,2]", 0),
+    ]
+    for flags in [(), ("--unreduced",)]
+] + [
+    ("d=6; [2,2,2],[2,2,2]", ("--root-cap", "3"), 6),
+    ("d=6; [2,2,2],[2,2,2]", ("--root-cap", "3", "--unreduced"), 6),
+]
+
+
+@pytest.mark.parametrize("text,flags,code", ORACLE_KEY_CASES)
+def test_oracle_keys_are_the_library_answers(text, flags, code):
+    data = rp2cover.parse_branch_data(text)
+    bounds = oracle.SearchBounds(root_cap=3) if "--root-cap" in flags else None
+    reduced = "--unreduced" not in flags
+    got_code, out, err = run("oracle", text, *flags, "--format", "json")
+    assert got_code == code
+    if code == 6:
+        with pytest.raises(oracle.BoundsExceededError, match="^more than 3 square roots$"):
+            oracle.find_primitive_witness(data, bounds)
+        assert (out, err) == ("", "error: more than 3 square roots\n")
+        return
+    rec = json.loads(out)
+    assert rec["exists_realization"] is oracle.exists_realization(
+        data, bounds, first_row_reduced=reduced
+    )
+    assert rec["exists_primitive_realization"] is (
+        oracle.find_primitive_witness(data, bounds) is not None
+    )
+
+
+@pytest.mark.parametrize("flags", [(), ("--unreduced",)])
+@pytest.mark.parametrize("text", ["d=6; [3,2,1],[2,2,2]", "d=6; [2,2,2],[2,2,2]"])
+def test_oracle_answers_both_keys_from_one_walk(text, flags, monkeypatch):
+    walks = []
+    walk = oracle._walk_pairs
+
+    def counted(*args, **kwargs):
+        walks.append(args)
+        return walk(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "_walk_pairs", counted)
+    code, _, _ = run("oracle", text, *flags)
+    assert code == 0
+    assert len(walks) == 1
+    assert walks[0][2] is (not flags)
+
+
 def test_oracle_survey_payload():
     code, out, _ = run("oracle", "d=4; [2,2],[2,2]", "--survey", "--format", "json")
     assert code == 0

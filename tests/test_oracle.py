@@ -20,11 +20,11 @@ from rp2cover.oracle import (
     SearchBounds,
     class_images,
     classify_by_search,
-    exists_primitive_realization,
     exists_realization,
     expected_transitive_pair_total,
     find_imprimitive_witness,
     find_primitive_witness,
+    first_witness,
     involution_pair_survey,
     iter_relation_pairs,
     tuple_survey,
@@ -241,6 +241,7 @@ def test_searches_never_read_the_plain_pair_stream(monkeypatch):
         oracle.find_imprimitive_witness(data)
         oracle.exists_realization(data)
         oracle.exists_realization(data, first_row_reduced=False)
+        oracle.first_witness(data, first_row_reduced=False)
         classify_by_search(data)
 
 
@@ -361,9 +362,9 @@ def test_found_witnesses_verify():
 
 
 def test_primitive_existence_examples():
-    assert exists_primitive_realization(data_of("d=6; [3,2,1],[2,2,2]"))
-    assert not exists_primitive_realization(data_of("d=6; [2,2,2],[2,2,2]"))
-    assert not exists_primitive_realization(data_of("d=4; [2,2]"))
+    assert find_primitive_witness(data_of("d=6; [3,2,1],[2,2,2]")) is not None
+    assert find_primitive_witness(data_of("d=6; [2,2,2],[2,2,2]")) is None
+    assert find_primitive_witness(data_of("d=4; [2,2]")) is None
 
 
 # ---------------------------------------------------------------------------
@@ -839,7 +840,13 @@ def test_root_cap_refuses_before_any_root_is_drawn(monkeypatch):
     monkeypatch.setattr(oracle, "_roots_of", no_roots)
     data = data_of("d=12; [2,2,2,2,2,2],[2,2,2,2,2,2]")
     bounds = SearchBounds(max_degree=12, root_cap=100000)
-    for scan in (tuple_survey, find_primitive_witness, find_imprimitive_witness, exists_realization):
+    for scan in (
+        tuple_survey,
+        find_primitive_witness,
+        find_imprimitive_witness,
+        first_witness,
+        exists_realization,
+    ):
         with pytest.raises(BoundsExceededError, match="^more than 100000 square roots$"):
             scan(data, bounds)
 

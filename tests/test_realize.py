@@ -500,7 +500,8 @@ def test_pair_search_budget_is_counted_in_nodes():
 
 class _FullScanSearch(realize_module._PairSearch):
     """The pair search with its depth-first loop as it was before the
-    search skipped targets: every free target is tried at every level."""
+    search skipped targets: every free target is tried at every level, and
+    every leaf is checked complete as the search once checked it."""
 
     def _dfs(self) -> bool:
         d = self.d
@@ -542,6 +543,13 @@ class _FullScanSearch(realize_module._PairSearch):
                 )
             top[2] = len(self.journal)
             entered = self._apply(len(stack), v)
+
+    def _check_complete(self) -> bool:
+        if self.comps != self.goal.orbit_count or self.rem_b:
+            return False
+        if self.rem_pi is not None:
+            return not self.rem_pi
+        return self.closed_pi == self.pi_target_cycles
 
 
 @st.composite
