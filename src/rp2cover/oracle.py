@@ -28,6 +28,7 @@ root is drawn, for the walk and the plain stream alike.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from itertools import permutations as _permutations
@@ -94,10 +95,36 @@ def _require_in_bounds(data: BranchData, bounds: SearchBounds) -> None:
 # ---------------------------------------------------------------------------
 # conjugacy class enumeration
 
+# The largest class `class_images` enumerates.  An image tuple of degree d
+# takes about 8d + 56 bytes, so a class at the cap holds about 150 MB at
+# d = 12.  Every class of degree at most 10 lies below it (the largest,
+# [9,1], has 403,200 elements), and so does the pair survey's class of
+# [2^7] at degree 14 (135,135).
+MAX_CLASS_SIZE = 1_000_000
+
+
+def _require_class_within_cap(d: int, parts: tuple[int, ...]) -> None:
+    """Refuse a class larger than `MAX_CLASS_SIZE`, by its closed-form size
+    d!/z, where z is the product of k^m * m! over the part lengths k of
+    multiplicity m."""
+    z = 1
+    for k, m in Counter(parts).items():
+        z *= k**m * math.factorial(m)
+    size = math.factorial(d) // z
+    if size > MAX_CLASS_SIZE:
+        row = "[" + ",".join(map(str, sorted(parts, reverse=True))) + "]"
+        raise BoundsExceededError(
+            f"the class of {row} at degree {d} has {size} elements, "
+            f"more than the class-size cap {MAX_CLASS_SIZE}"
+        )
+
 
 @lru_cache(maxsize=None)
 def class_images(d: int, parts: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """Image tuples of every permutation of 1..d with the given cycle type.
+
+    A class larger than `MAX_CLASS_SIZE` is refused with
+    BoundsExceededError before any of it is built.
 
     Each cycle is anchored at the smallest point it moves, which makes the
     enumeration duplicate-free.  The points after the anchor are chosen one
@@ -114,6 +141,7 @@ def class_images(d: int, parts: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """
     if sum(parts) != d:
         raise ValueError("cycle type must partition the degree")
+    _require_class_within_cap(d, parts)
     out: list[tuple[int, ...]] = []
     # every point gets its image on the way down to each leaf, so nothing
     # is reset on the way back
@@ -486,7 +514,7 @@ def _walk_pairs(
     tuple[Callable[[], int], tuple[tuple[int, ...], ...], tuple[int, ...] | None, int, int]
 ]:
     """Every relation pair of the datum in its bucket, the one scan that
-    `tuple_survey`, the witness searches and `exists_realization` read.
+    `tuple_survey` and the witness searches read.
 
     Yields events (w, gammas, alpha, bucket, k) in scan order.  A gammas
     tuple whose buckets the gammas alone decide is settled: one event with
@@ -595,19 +623,6 @@ def _witness_of(
     if alpha is None:
         alpha = next(iter_root_images(kernels.inverse(kernels.product_of(gammas, d))))
     return _build_witness(d, gammas, alpha)
-
-
-def exists_realization(
-    data: BranchData,
-    bounds: SearchBounds | None = None,
-    *,
-    first_row_reduced: bool = True,
-) -> bool:
-    """Is there any connected witness with a nonorientable covering surface?"""
-    return any(
-        bucket > _ORIENTABLE
-        for _, _, _, bucket, _ in _walk_pairs(data, bounds, first_row_reduced)
-    )
 
 
 def first_witness(

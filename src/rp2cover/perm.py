@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from itertools import chain, islice
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from . import kernels
@@ -199,26 +201,83 @@ def parse_permutation(text: str, degree: int) -> Permutation:
     A point is a token of decimal digits (`str.isdecimal`); tokens are
     separated by spaces or commas.  A token is looked up in a table of the
     plain decimal texts of 1, 2, ..., which every call shares and extends
-    to min(degree, length of the text) points; only a token the table
-    lacks (a leading zero, a non-ASCII digit, 0 or a point past the table)
-    is read by `int`.  The whole text is read before any point is checked:
-    a set of the points finds a repeat, and a point from the table is at
-    least 1 and at most the table's end.  These checks prove the result a
-    bijection, so it is built without `Permutation`'s own check.  Only a
-    text that fails them is walked point by point, to name its first
-    out-of-range or repeated point; a malformed cycle anywhere in the text
-    is reported before either.  A point longer than
+    to min(degree, length of the text) points.
+
+    Two readers share this work.  The recognizer `_recognize` takes the
+    layout `format_cycles` writes, cycles side by side with nothing between
+    them, and reads all of its tokens at once: it declines any text that
+    has something between two cycles, an empty cycle, a token the table
+    lacks, a repeated or out-of-range point or a bad degree.  Every text it
+    declines goes to the scanner `_scan`, which walks it cycle by cycle and
+    is the only reader that reports a fault, so every message and position
+    is the scanner's whatever the layout.
+
+    The scanner reads a token the table lacks (a leading zero, a non-ASCII
+    digit, 0 or a point past the table) by `int`.  It reads the whole text
+    before it checks any point: a set of the points finds a repeat, and a
+    point from the table is at least 1 and at most the table's end.  Only a
+    text that fails these checks is walked point by point, to name its
+    first out-of-range or repeated point; a malformed cycle anywhere in the
+    text is reported before either.  A point longer than
     `sys.get_int_max_str_digits()` is reported as an integer too long, and
     a message quotes a long text by its first 80 characters, a long point
     or degree by its first 80 digits, and a degree too long for `str` by
     that limit.  A degree above `MAX_DEGREE` is refused before any image
     list is built.
 
+    Both readers' checks prove the result a bijection, so it is built
+    without `Permutation`'s own check.
+
     >>> parse_permutation("(1 2)(3 4)", 5).images
     (2, 1, 4, 3, 5)
     """
     s = text.strip()
     table = _point_table(min(degree, len(s)))
+    images = _recognize(s, table, degree)
+    if images is None:
+        images = _scan(text, s, table, degree)
+    p = object.__new__(Permutation)
+    p.__dict__["images"] = tuple(images[1:])
+    return p
+
+
+def _recognize(s: str, table: dict[str, int], degree: int) -> list[int] | None:
+    """The images of the stripped text `s` (the image of x at index x), or
+    None when `s` is not a faultless text in the layout `format_cycles`
+    writes.
+
+    `s` opens with "(" and closes with ")", and its pieces between ")(" are
+    as many as its "(" and as its ")", so no piece holds a parenthesis and
+    nothing stands between two cycles.  Each piece is one cycle's tokens.
+    """
+    if s[:1] != "(" or s[-1:] != ")" or not 1 <= degree <= MAX_DEGREE:
+        return None
+    pieces = s[1:-1].replace(",", " ").split(")(")
+    if not len(pieces) == s.count("(") == s.count(")"):
+        return None
+    cycles = list(map(str.split, pieces))
+    point = table.__getitem__
+    try:
+        firsts = list(map(point, map(itemgetter(0), cycles)))
+        lasts = list(map(point, map(itemgetter(-1), cycles)))
+        points = list(map(point, chain.from_iterable(cycles)))
+    except (IndexError, KeyError):  # an empty cycle, or a token the table lacks
+        return None
+    # a point from the table lies in 1..len(table)
+    if (len(table) > degree and max(points) > degree) or len(set(points)) < len(points):
+        return None
+    images = list(range(degree + 1))
+    # each point to the next in text order, then each cycle's last to its first
+    for x, y in zip(points, islice(points, 1, None)):
+        images[x] = y
+    for x, y in zip(lasts, firsts):
+        images[x] = y
+    return images
+
+
+def _scan(text: str, s: str, table: dict[str, int], degree: int) -> list[int]:
+    """The images of the stripped text `s`, read cycle by cycle (the image
+    of x at index x); the first fault of `text` is a ValueError."""
     point = table.__getitem__
     from_table = True  # every point was looked up in the table
     points = []  # each point, in text order
@@ -263,10 +322,7 @@ def parse_permutation(text: str, degree: int) -> Permutation:
     images = list(range(degree + 1))  # images[x] is the image of x
     for x, y in zip(points, nexts):
         images[x] = y
-    # a bijection by the checks above, so Permutation's own check is skipped
-    p = object.__new__(Permutation)
-    p.__dict__["images"] = tuple(images[1:])
-    return p
+    return images
 
 
 def _int_points(body: list[str], i: int, text: str) -> list[int]:

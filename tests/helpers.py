@@ -18,6 +18,7 @@ from fractions import Fraction
 import pytest
 
 from rp2cover.branch import BranchData, Partition, parse_branch_data
+from rp2cover.oracle import _ORIENTABLE, SearchBounds, _walk_pairs
 from rp2cover.perm import Permutation
 
 # int() refuses strings of more decimal digits than this (0: no limit).
@@ -368,3 +369,16 @@ def transitive_pair_count(d, a, b, p):
     if a[-1] == 1 and b[-1] == 1:
         count -= pair_product_count(d - 1, a[:-1], b[:-1], (d - 1,))
     return count
+
+
+def exists_realization(
+    data: BranchData,
+    bounds: SearchBounds | None = None,
+    *,
+    first_row_reduced: bool = True,
+) -> bool:
+    """Is there any connected witness with a nonorientable covering surface?"""
+    return any(
+        bucket > _ORIENTABLE
+        for _, _, _, bucket, _ in _walk_pairs(data, bounds, first_row_reduced)
+    )

@@ -21,7 +21,6 @@ from rp2cover.cli import main
 from rp2cover.groups import group_of, is_primitive
 from rp2cover.oracle import (
     SearchBounds,
-    exists_realization,
     find_imprimitive_witness,
     find_primitive_witness,
     involution_pair_survey,
@@ -36,6 +35,7 @@ from helpers import (
     admissible_multisets,
     brute_elements,
     data_of,
+    exists_realization,
     nontrivial_partitions,
     stabilizer_is_maximal,
 )

@@ -15,7 +15,7 @@ from rp2cover import cli, oracle, realize
 from rp2cover.cli import main
 from rp2cover.perm import parse_permutation
 
-from helpers import INT_DIGITS, needs_int_digit_limit
+from helpers import INT_DIGITS, exists_realization, needs_int_digit_limit
 
 
 def run(*argv):
@@ -437,7 +437,7 @@ def test_oracle_keys_are_the_library_answers(text, flags, code):
         assert (out, err) == ("", "error: more than 3 square roots\n")
         return
     rec = json.loads(out)
-    assert rec["exists_realization"] is oracle.exists_realization(
+    assert rec["exists_realization"] is exists_realization(
         data, bounds, first_row_reduced=reduced
     )
     assert rec["exists_primitive_realization"] is (
@@ -488,6 +488,35 @@ def test_oracle_pair_survey_payload():
     assert rec["transitive_pairs"] == 120
     assert rec["total_transitive_pairs"] == 120
     assert rec["all_conjugate_to_canonical"] is True
+
+
+def _no_class(*args):
+    raise AssertionError("a class was enumerated")
+
+
+def test_oracle_pair_survey_refuses_a_class_above_the_cap(monkeypatch):
+    oracle.class_images.cache_clear()
+    monkeypatch.setattr(oracle, "MAX_CLASS_SIZE", 14)
+    monkeypatch.setattr(oracle, "_permutations", _no_class)
+    code, out, err = run("oracle", "--pair-survey", "6")
+    assert (code, out) == (6, "")
+    assert err == (
+        "error: the class of [2,2,2] at degree 6 has 15 elements, "
+        "more than the class-size cap 14\n"
+    )
+
+
+def test_oracle_refuses_a_class_above_the_cap_before_building_it(monkeypatch):
+    # [11,1] at degree 12 holds 43,545,600 permutations; every bound the
+    # command takes admits it
+    monkeypatch.setattr(oracle, "_permutations", _no_class)
+    for flags in ((), ("--survey",), ("--unreduced",)):
+        code, out, err = run("oracle", "d=12; [11,1],[11,1]", "--max-degree", "12", *flags)
+        assert (code, out) == (6, ""), flags
+        assert err == (
+            "error: the class of [11,1] at degree 12 has 43545600 elements, "
+            f"more than the class-size cap {oracle.MAX_CLASS_SIZE}\n"
+        ), flags
 
 
 def test_oracle_bounds_flags_open_degrees():

@@ -20,7 +20,6 @@ from rp2cover.oracle import (
     SearchBounds,
     class_images,
     classify_by_search,
-    exists_realization,
     expected_transitive_pair_total,
     find_imprimitive_witness,
     find_primitive_witness,
@@ -47,6 +46,7 @@ from helpers import (
     class_size,
     data_of,
     every_row_order,
+    exists_realization,
     partitions_of,
     random_perm,
     relation_tuple_count,
@@ -74,6 +74,41 @@ def test_class_images_examples():
     assert len(class_images(4, (2, 2))) == 3
     assert len(class_images(5, (3, 1, 1))) == 20
     assert class_images(3, (1, 1, 1)) == ((1, 2, 3),)
+
+
+def _no_class(*args):
+    raise AssertionError("a class was enumerated")
+
+
+def test_class_images_refuses_a_class_above_the_cap_before_building_it(monkeypatch):
+    oracle.class_images.cache_clear()
+    monkeypatch.setattr(oracle, "MAX_CLASS_SIZE", 19)
+    monkeypatch.setattr(oracle, "_permutations", _no_class)
+    message = "^the class of \\[3,1,1\\] at degree 5 has 20 elements, more than the class-size cap 19$"
+    with pytest.raises(BoundsExceededError, match=message):
+        class_images(5, (3, 1, 1))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 7])
+def test_class_size_cap_reads_the_size_of_the_class(d, monkeypatch):
+    # a cap admits a class exactly as large as itself, and refuses one larger
+    sizes = {tuple(parts): len(class_images(d, tuple(parts))) for parts in partitions_of(d)}
+    for parts, size in sizes.items():
+        monkeypatch.setattr(oracle, "MAX_CLASS_SIZE", size)
+        oracle._require_class_within_cap(d, parts)
+        monkeypatch.setattr(oracle, "MAX_CLASS_SIZE", size - 1)
+        with pytest.raises(BoundsExceededError, match=f" has {size} elements"):
+            oracle._require_class_within_cap(d, parts)
+
+
+def test_class_size_cap_admits_the_largest_classes_the_scans_build():
+    # [9,1] is the largest class of degree 10 and [2^7] the pair survey's
+    # class at degree 14; [11,1] at degree 12 would hold 43,545,600 tuples
+    for d, parts in ((10, (9, 1)), (14, (2,) * 7)):
+        oracle._require_class_within_cap(d, parts)
+    assert class_size(10, (9, 1)) == max(class_size(10, p) for p in partitions_of(10))
+    with pytest.raises(BoundsExceededError, match=" has 43545600 elements"):
+        oracle._require_class_within_cap(12, (11, 1))
 
 
 def _old_class_images(d, parts):
@@ -239,8 +274,8 @@ def test_searches_never_read_the_plain_pair_stream(monkeypatch):
         data = data_of(text)
         oracle.find_primitive_witness(data)
         oracle.find_imprimitive_witness(data)
-        oracle.exists_realization(data)
-        oracle.exists_realization(data, first_row_reduced=False)
+        exists_realization(data)
+        exists_realization(data, first_row_reduced=False)
         oracle.first_witness(data, first_row_reduced=False)
         classify_by_search(data)
 

@@ -42,6 +42,7 @@ from rp2cover.oracle import (
 )
 from rp2cover.realize import Classification, HurwitzWitness, Verdict
 
+import helpers
 from helpers import admissible_data, data_of, every_row_order
 from test_oracle import RAISED_BOUND_SURVEYS
 
@@ -417,7 +418,7 @@ def _outcome(search, data, bounds):
 _SEARCHES = [
     (oracle.find_primitive_witness, lambda data, bounds: _first_witness(data, bounds, True)[0]),
     (oracle.find_imprimitive_witness, lambda data, bounds: _first_witness(data, bounds, False)[0]),
-    (oracle.exists_realization, exists_realization),
+    (helpers.exists_realization, exists_realization),
     (oracle.classify_by_search, classify_by_search),
 ]
 
@@ -438,7 +439,7 @@ def test_searches_match_the_reference_on_small_data(d):
 def test_unreduced_existence_matches_the_reference_on_small_data(d):
     for data in every_row_order(admissible_data([d], max_rows=3)):
         want = exists_realization(data, first_row_reduced=False)
-        assert oracle.exists_realization(data, first_row_reduced=False) == want, data.to_text()
+        assert helpers.exists_realization(data, first_row_reduced=False) == want, data.to_text()
 
 
 @pytest.mark.parametrize("text", sorted(RAISED_BOUND_SURVEYS))
