@@ -17,10 +17,11 @@ primitive.
 a primitive group.  `realize_indecomposable` builds one constructively by
 folding rows together two at a time, steering each intermediate product
 toward a prescribed cycle type or orbit count with `assemble_pair`, and
-finally extracting alpha as an inverse square root of the total product;
-for odd degree it takes the witness the oracle found while classifying.
-`verify_witness` re-checks every claimed property from scratch and returns
-a certificate.
+finally taking alpha as the inverse of the first square root of the total
+product (`iter_root_images` order); for odd degree it takes the witness the
+oracle found while classifying.  `verify_witness` re-checks every claimed
+property from scratch and returns a certificate; it is the only judge of
+transitivity and nonorientability.
 """
 
 from __future__ import annotations
@@ -1201,25 +1202,6 @@ def _fold_chain(
     return gammas[::-1], [step for *_, step in frames]
 
 
-def _alpha_for_product(
-    gammas: Sequence[tuple[int, ...]], d: int
-) -> tuple[int, ...] | None:
-    """Pick alpha with alpha^-2 = the product of the gammas making the
-    witness work, if possible; all are image tuples.
-
-    The first square root usually suffices; if the resulting extension is
-    orientable or intransitive the later roots are drawn one at a time, so
-    an identity product does not enumerate every involution.
-    """
-    orbits, n = kernels.orbit_index(gammas, d)
-    for root in iter_root_images(kernels.product_of(gammas, d)):
-        alpha = kernels.inverse(root)
-        transitive, orientable = kernels.alpha_extension(orbits, n, alpha)
-        if transitive and not orientable:
-            return alpha
-    return None
-
-
 def _accept(
     data: BranchData,
     gammas: Sequence[tuple[int, ...]],
@@ -1234,15 +1216,20 @@ def _accept(
     """Verify a candidate witness, given by image tuples, and wrap it, or
     None if it falls short.
 
-    With alpha None, alpha is extracted from the product of the gammas.
-    gamma_i must carry the cycle type of row order[i] (row i by default).
-    The certificate must show the relation, the row types, a transitive
-    group and a nonorientable surface, and primitivity exactly as asked.
+    With alpha None, alpha is the inverse of the first square root of the
+    product of the gammas (`iter_root_images` order), and None is returned
+    when the product has no root.  No other root is tried: every engine
+    that passes None hands over transitive gammas, and then alpha can
+    neither disconnect the surface nor orient it.  gamma_i must carry the
+    cycle type of row order[i] (row i by default).  The certificate must
+    show the relation, the row types, a transitive group and a
+    nonorientable surface, and primitivity exactly as asked.
     """
     if alpha is None:
-        alpha = _alpha_for_product(gammas, data.degree)
-        if alpha is None:
+        root = next(iter_root_images(kernels.product_of(gammas, data.degree)), None)
+        if root is None:
             return None
+        alpha = kernels.inverse(root)
     witness = _build_witness(data.degree, gammas, alpha)
     if order is None:
         order = range(data.rows_count)
@@ -1339,7 +1326,7 @@ def realize_indecomposable(
     d = data.degree
     result: RealizationResult | None = None
     if d == 2:
-        result = _accept(data, [(2, 1)] * data.rows_count, (1, 2), "degree_two", seed)
+        result = _accept(data, [(2, 1)] * data.rows_count, None, "degree_two", seed)
     elif d % 2 == 1:
         w = cls.witness
         if w is not None:

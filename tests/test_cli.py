@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 import os
@@ -360,6 +361,41 @@ def test_realize_engine_failure_exits_5(monkeypatch):
     assert err.startswith(
         "error: fold chain stalled on d=6; [3,2,1],[2,2,2]: no feasible goal sequence; "
     )
+    assert err.count("\n") == 1
+
+
+def test_realize_fold_attempt_cap_exits_5(monkeypatch):
+    # one node per search cuts every search, so the chain spends its
+    # attempt budget, one attempt per fold here, on both row orders
+    monkeypatch.setattr(realize, "_DEFAULT_NODE_BUDGET", 1)
+    monkeypatch.setattr(realize, "_FOLD_ATTEMPT_CAP", 0)
+    code, out, err = run("realize", "d=6; [3,2,1],[2,2,2],[3,3]")
+    assert (code, out) == (5, "")
+    assert err.startswith(
+        "error: fold chain stalled on d=6; [3,2,1],[2,2,2],[3,3]: "
+        "fold goal attempt budget spent; "
+    )
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("d=6; [3,2,1],[2,2,2],[3,3]",), "error: no witness produced for "),
+        (("d=4; [2,2],[2,2]", "--decomposable"), "error: no decomposable witness found"),
+    ],
+)
+def test_realize_witness_the_verifier_rejects_exits_5(monkeypatch, argv, message):
+    # an engine whose witness fails verification produced nothing
+    verify = realize.verify_witness
+
+    def broken_relation(*args, **kwargs):
+        return dataclasses.replace(verify(*args, **kwargs), relation_ok=False)
+
+    monkeypatch.setattr(realize, "verify_witness", broken_relation)
+    code, out, err = run("realize", *argv)
+    assert (code, out) == (5, "")
+    assert err.startswith(message)
     assert err.count("\n") == 1
 
 

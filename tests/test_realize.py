@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rp2cover import cli, oracle
+from rp2cover import cli, kernels, oracle
 from rp2cover import realize as realize_module
 from rp2cover.branch import BranchData, Partition, is_admissible
 from rp2cover.groups import imprimitivity_block
@@ -38,7 +38,7 @@ from rp2cover.realize import (
 )
 
 from helpers import admissible_data, data_of
-from test_acceptance import _mixed_instance
+from test_acceptance import _mixed_instance, criterion_05_instances
 from test_oracle import _old_block_system_from
 
 
@@ -1102,6 +1102,31 @@ def test_realize_more_rows_than_the_fold_retry_allowance():
     assert json.loads(out.getvalue())["certificate"]["all_ok"]
 
 
+@pytest.mark.parametrize("cap, calls", [(0, 4), (1, 6), (2, 8)])
+def test_fold_attempt_cap_stalls_the_chain(monkeypatch, cap, calls):
+    # with one node per search every search that is not refused is cut, so
+    # each goal is retried until the cap stops the chain: per row order,
+    # one attempt for each of the two folds plus `_FOLD_ATTEMPT_CAP` more
+    text = "d=6; [3,2,1],[2,2,2],[3,3]"
+    assemble = realize_module.assemble_pair
+    attempts = []
+
+    def counted(*args, **kwargs):
+        attempts.append(args)
+        return assemble(*args, **kwargs)
+
+    monkeypatch.setattr(realize_module, "_DEFAULT_NODE_BUDGET", 1)
+    monkeypatch.setattr(realize_module, "_FOLD_ATTEMPT_CAP", cap)
+    monkeypatch.setattr(realize_module, "assemble_pair", counted)
+    assert len(realize_module._row_orders(data_of(text))) == 2
+    with pytest.raises(EngineDefect) as info:
+        realize_indecomposable(data_of(text))
+    assert str(info.value).startswith(
+        f"fold chain stalled on {text}: fold goal attempt budget spent; "
+    )
+    assert len(attempts) == calls
+
+
 def _stack_depth() -> int:
     frame, depth = sys._getframe(1), 0
     while frame is not None:
@@ -1449,3 +1474,40 @@ def test_decomposable_search_odd_tuple_up_to_degree_256():
         res = realize_decomposable_search(_all_twos_data(d, 3))
         assert res.engine == "decomposable_search", d
         assert len(_old_block_system_from(res.witness.group(), _parity_block(d, 3))) == 2
+
+
+# ---------------------------------------------------------------------------
+# the alpha rule
+
+
+def test_engines_hand_over_transitive_gammas(monkeypatch):
+    # `_accept` takes alpha from the first square root of the product alone,
+    # which is right only when the gammas are transitive already: then alpha
+    # can neither disconnect the surface nor orient it.  For the two chain
+    # engines the product is also a [d-1, 1] cycle, which has one root.
+    accept = realize_module._accept
+    handed = []
+
+    def recorded(data, gammas, alpha, engine, *args, **kwargs):
+        if alpha is None:
+            handed.append((engine, data.degree, list(gammas)))
+        return accept(data, gammas, alpha, engine, *args, **kwargs)
+
+    monkeypatch.setattr(realize_module, "_accept", recorded)
+    for i, data in enumerate(criterion_05_instances()):
+        realize_indecomposable(data, seed=i)
+    for d in range(4, 65, 2):
+        for s in range(2, 9):
+            data = _all_twos_data(d, s)
+            if not is_admissible(data).ok:
+                continue
+            if d >= 6 and classify(data).verdict is Verdict.INDECOMPOSABLE_REALIZABLE:
+                realize_indecomposable(data)
+            assert realize_decomposable_search(data) is not None
+    for engine, d, gammas in handed:
+        assert kernels.is_transitive(gammas, d), (engine, d)
+        if engine in ("fold_chain", "all_twos_chain"):
+            assert kernels.cycle_lengths(kernels.product_of(gammas, d)) == (d - 1, 1)
+    engines = Counter(engine for engine, _, _ in handed)
+    assert engines["fold_chain"] == 54 and engines["all_twos_chain"] == 142
+    assert engines["decomposable_search"] == 172
