@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -104,8 +104,18 @@ class Permutation:
         return kernels.cycles_of(self.images)
 
     def cycle_type(self) -> tuple[int, ...]:
-        """Cycle lengths in non-increasing order (a partition of the degree)."""
-        return kernels.cycle_lengths(self.images)
+        """Cycle lengths in non-increasing order (a partition of the degree).
+
+        A permutation `parse_permutation` returned carries the lengths of
+        the cycles its text wrote; its type is those lengths and one 1 for
+        each point the text left out, read without a walk over the images.
+        Every other permutation walks its images on each call.
+        """
+        lengths = self.__dict__.get("_lengths")
+        if lengths is None:
+            return kernels.cycle_lengths(self.images)
+        fixed = repeat(1, self.degree - sum(lengths))
+        return tuple(sorted(chain(lengths, fixed), reverse=True))
 
     def defect(self) -> int:
         """Degree minus number of cycles; additive over cycles as sum of
@@ -226,25 +236,31 @@ def parse_permutation(text: str, degree: int) -> Permutation:
     list is built.
 
     Both readers' checks prove the result a bijection, so it is built
-    without `Permutation`'s own check.
+    without `Permutation`'s own check.  They also prove the cycles read
+    disjoint, so the result keeps their lengths, in text order, and
+    `Permutation.cycle_type` answers from them.
 
     >>> parse_permutation("(1 2)(3 4)", 5).images
     (2, 1, 4, 3, 5)
     """
     s = text.strip()
     table = _point_table(min(degree, len(s)))
-    images = _recognize(s, table, degree)
-    if images is None:
-        images = _scan(text, s, table, degree)
+    read = _recognize(s, table, degree)
+    if read is None:
+        read = _scan(text, s, table, degree)
+    images, lengths = read
     p = object.__new__(Permutation)
     p.__dict__["images"] = tuple(images[1:])
+    p.__dict__["_lengths"] = lengths
     return p
 
 
-def _recognize(s: str, table: dict[str, int], degree: int) -> list[int] | None:
-    """The images of the stripped text `s` (the image of x at index x), or
-    None when `s` is not a faultless text in the layout `format_cycles`
-    writes.
+def _recognize(
+    s: str, table: dict[str, int], degree: int
+) -> tuple[list[int], tuple[int, ...]] | None:
+    """The images of the stripped text `s` (the image of x at index x) and
+    the lengths of its cycles, or None when `s` is not a faultless text in
+    the layout `format_cycles` writes.
 
     `s` opens with "(" and closes with ")", and its pieces between ")(" are
     as many as its "(" and as its ")", so no piece holds a parenthesis and
@@ -272,16 +288,20 @@ def _recognize(s: str, table: dict[str, int], degree: int) -> list[int] | None:
         images[x] = y
     for x, y in zip(lasts, firsts):
         images[x] = y
-    return images
+    return images, tuple(map(len, cycles))
 
 
-def _scan(text: str, s: str, table: dict[str, int], degree: int) -> list[int]:
+def _scan(
+    text: str, s: str, table: dict[str, int], degree: int
+) -> tuple[list[int], tuple[int, ...]]:
     """The images of the stripped text `s`, read cycle by cycle (the image
-    of x at index x); the first fault of `text` is a ValueError."""
+    of x at index x), and the lengths of its cycles; the first fault of
+    `text` is a ValueError."""
     point = table.__getitem__
     from_table = True  # every point was looked up in the table
     points = []  # each point, in text order
     nexts = []  # the point after it in its cycle
+    lengths = []  # the length of each cycle, in text order
     i = 0
     n = 0 if s == "()" else len(s)
     while i < n:
@@ -302,6 +322,7 @@ def _scan(text: str, s: str, table: dict[str, int], degree: int) -> list[int]:
             cycle = _int_points(body, i, text)
             from_table = False
         points += cycle
+        lengths.append(len(cycle))
         nexts += cycle[1:]
         nexts.append(cycle[0])
         i = j + 1
@@ -322,7 +343,7 @@ def _scan(text: str, s: str, table: dict[str, int], degree: int) -> list[int]:
     images = list(range(degree + 1))  # images[x] is the image of x
     for x, y in zip(points, nexts):
         images[x] = y
-    return images
+    return images, tuple(lengths)
 
 
 def _int_points(body: list[str], i: int, text: str) -> list[int]:

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from itertools import accumulate
+from operator import eq, indexOf
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import kernels
@@ -264,16 +265,22 @@ def verify_witness(
 
     With `row_map` given, gamma_i must have the cycle type of row
     row_map[i]; otherwise a greedy matching of cycle types is attempted and
-    recorded.  All group-theoretic properties are recomputed; nothing from
-    the construction is trusted.
+    recorded.  Each gamma's type is its `cycle_type()`: for a witness read
+    from text, the lengths of the cycles its reader read.  All
+    group-theoretic properties are recomputed; nothing from the
+    construction is trusted.
+
+    The product of the gammas, computed for the relation check, settles
+    transitivity of <gamma> when its type is [d-1, 1]: it lies in
+    <gamma>, so <gamma> is transitive exactly when some gamma moves the
+    product's fixed point into its long cycle.  Any other product leaves
+    transitivity to a union-find over the generator edges.
     """
     d = data.degree
     if witness.degree != d or len(witness.gammas) != data.rows_count:
         raise ValueError("witness shape does not match branch data")
     gamma_imgs = [g.images for g in witness.gammas]
-    # one walk over gamma_1 gives its cycle type and the cycle of each point
-    first_type, first_cycles = kernels.cycle_lengths(gamma_imgs[0], labels=True)
-    types = [first_type, *map(kernels.cycle_lengths, gamma_imgs[1:])]
+    types = [g.cycle_type() for g in witness.gammas]
     if row_map is None:
         row_map = _match_rows(data, types)
         row_types_ok = row_map is not None
@@ -289,12 +296,22 @@ def verify_witness(
 
     # gamma_1 ... gamma_s = alpha^-2  <=>  alpha^2 * product = 1
     prod = kernels.product_of(gamma_imgs, d)
+    long_cycle = kernels.cycle_lengths(prod) == (d - 1, 1)
     alpha_imgs = witness.alpha.images
     relation_ok = [prod[alpha_imgs[y - 1] - 1] for y in alpha_imgs] == list(range(1, d + 1))
 
+    if long_cycle:
+        # every orbit of <gamma> is a union of the product's two cycles (at
+        # d = 2, of its two fixed points), so one orbit exactly when some
+        # gamma moves the fixed point f
+        f = indexOf(map(eq, prod, range(1, d + 1)), True) + 1
+        gamma_transitive = any(g[f - 1] != f for g in gamma_imgs)
+    else:
+        first_cycles = kernels.cycle_lengths(gamma_imgs[0], labels=True)[1]
+        gamma_transitive = kernels.is_transitive(gamma_imgs[1:], d, first_cycles)
     # With <gamma> transitive, alpha joins nothing and cannot flip a sheet
     # against itself: alpha_extension would answer (True, False).
-    if kernels.is_transitive(gamma_imgs[1:], d, first_cycles):
+    if gamma_transitive:
         transitive, orientable = True, False
     else:
         orbits, n = kernels.orbit_index(gamma_imgs, d)
@@ -308,7 +325,7 @@ def verify_witness(
     primitive = False
     primitive_by = None
     if transitive:
-        if kernels.cycle_lengths(prod) == (d - 1, 1):
+        if long_cycle:
             primitive, primitive_by = True, "two_transitive"
         else:
             block = imprimitivity_block(witness.group())

@@ -464,6 +464,57 @@ def test_parse_permutation_matches_the_old_reader_on_long_texts(case):
     if got[0] == "ok":
         p, want = parse_permutation(text, d), Permutation(got[1])
         assert p == want and hash(p) == hash(want)
+        assert p.cycle_type() == kernels.cycle_lengths(want.images)
+
+
+@st.composite
+def _accepted_texts(draw):
+    """Texts of degree up to 64 that a reader accepts, with the permutation
+    they name: `format_cycles` output, or its cycles with some 1-cycles
+    written out, each rotated, in any order, joined with commas or spaces
+    and perhaps with spaces between cycles.  Returns (text, permutation,
+    table size to start from)."""
+    rng = draw(st.randoms(use_true_random=False))
+    d = draw(st.integers(1, 64))
+    p = random_perm(d, rng) if draw(st.integers(0, 7)) else Permutation.identity(d)
+    table = rng.choice([0, 5, d // 2, d + 1, 700])
+    if draw(st.booleans()):
+        return format_cycles(p), p, table
+    cycles = [c for c in p.cycles() if len(c) > 1 or rng.random() < 0.3]
+    rng.shuffle(cycles)
+    sep = rng.choice([" ", ",", " , ", "  "])
+    gap = rng.choice(["", "", " ", "  "])  # a space between cycles goes to the scanner
+    rotated = (c[k:] + c[:k] for c in cycles for k in [rng.randrange(len(c))])
+    text = gap.join("(" + sep.join(map(str, c)) + ")" for c in rotated)
+    return text or "()", p, table
+
+
+@settings(max_examples=400, deadline=None)
+@given(_accepted_texts())
+@example(("()", Permutation.identity(1), 0))
+@example(("()", Permutation.identity(5), 700))
+@example(("(5)", Permutation.identity(5), 0))
+@example(("(2)(1)", Permutation.identity(3), 700))
+@example(("(3 1) (5)(2,4)", Permutation.from_cycles(6, [(1, 3), (2, 4)]), 0))
+@example(("(4 1 2)", Permutation.from_cycles(4, [(1, 2, 4)]), 2))
+def test_parse_permutation_stores_the_type_a_walk_finds(case):
+    text, p, table = case
+    perm_module._POINTS.clear()
+    perm_module._point_table(table)
+    got = parse_permutation(text, p.degree)
+    assert got.images == p.images
+    assert got.cycle_type() == kernels.cycle_lengths(p.images)
+    # the stored lengths leave equality, hash and repr to the images alone
+    assert got == p and hash(got) == hash(p) and repr(got) == repr(p)
+
+
+def test_only_parsed_permutations_store_a_type():
+    # the engines keep their permutations, so a stored type would cost memory
+    p = parse_permutation("(1 2 3)", 5)
+    built = [p * p, p.inverse(), p.conjugate(p), Permutation(p.images)]
+    assert all("_lengths" not in vars(q) for q in built)
+    assert [q.cycle_type() for q in built] == [(3, 1, 1)] * 4
+    assert all("_lengths" not in vars(q) for q in built)
 
 
 def test_parse_permutation_reads_format_cycles_text_without_the_scanner(monkeypatch):

@@ -5,7 +5,8 @@ verifier before it worked on raw image tuples: it read each gamma's cycles
 twice, built validated `Permutation`s for the relation check and labelled
 every orbit of <gamma> even when <gamma> was transitive.  Random witnesses
 with d <= 12 and the mutations the shortcuts could get wrong must give the
-same certificate dict.
+same certificate dict, whether the witness is given as built or read back
+from its text, whose reader stores each gamma's cycle type.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from rp2cover import kernels
 from rp2cover import realize as realize_module
 from rp2cover.branch import BranchData, Partition
 from rp2cover.groups import imprimitivity_block
-from rp2cover.perm import Permutation
+from rp2cover.perm import Permutation, format_cycles
 from rp2cover.realize import Certificate, HurwitzWitness, realize_indecomposable, verify_witness
 
 from helpers import data_of
@@ -89,7 +90,15 @@ def _old_match_rows(data, witness):
     return tuple(out)
 
 
-KINDS = ("random", "relation", "broken_relation", "wrong_row", "intransitive_joined", "orientable")
+KINDS = (
+    "random",
+    "relation",
+    "broken_relation",
+    "wrong_row",
+    "intransitive_joined",
+    "orientable",
+    "fixed_point",
+)
 
 
 def _perm_on(draw, points):
@@ -114,6 +123,22 @@ def _two_cycles(draw, d, k):
     return tuple(images)
 
 
+def _fixing(draw, d, f):
+    """A permutation of 1..d that fixes f."""
+    m = _perm_on(draw, [x for x in range(1, d + 1) if x != f])
+    m[f] = f
+    return tuple(m[x] for x in range(1, d + 1))
+
+
+def _long_cycle_fixing(draw, d, f):
+    """A (d-1)-cycle on every point but f."""
+    ring = draw(st.permutations([x for x in range(1, d + 1) if x != f]))
+    images = list(range(1, d + 1))
+    for x, y in zip(ring, ring[1:] + ring[:1]):
+        images[x - 1] = y
+    return tuple(images)
+
+
 def _nontrivial(parts, d):
     """Parts as a branch-data row; the identity's type becomes [2, 1^(d-2)]."""
     return Partition.of(parts if parts[0] > 1 else (2,) + (1,) * (d - 2))
@@ -133,6 +158,14 @@ def _cases(draw):
     if kind in ("intransitive_joined", "orientable"):
         # <gamma> has the two halves as its orbits
         gammas = [_two_cycles(draw, d, k)] + [_split_perm(draw, d, k) for _ in range(s - 1)]
+    elif kind == "fixed_point":
+        # every gamma fixes f and the product is a (d-1)-cycle on the rest,
+        # so <gamma> has the orbits {f} and the rest; an alpha that keeps
+        # the relation fixes f too, so only a broken relation can join f
+        f = draw(st.integers(1, d))
+        gammas = [_fixing(draw, d, f) for _ in range(s - 1)]
+        rest = kernels.product_of(gammas, d)
+        gammas.append(kernels.compose(kernels.inverse(rest), _long_cycle_fixing(draw, d, f)))
     else:
         gammas = [draw(perm) for _ in range(s)]
     alpha = draw(perm)
@@ -192,6 +225,24 @@ def test_verify_matches_the_old_verifier(case):
         assert got.transitive and not kernels.is_transitive(gammas, data.degree)
     elif kind == "orientable":
         assert got.transitive and not got.nonorientable
+    elif kind == "fixed_point":
+        d = data.degree
+        assert kernels.cycle_lengths(kernels.product_of(gammas, d)) == (d - 1, 1)
+        assert not kernels.is_transitive(gammas, d)
+        # at d = 2 the product is the identity, whose square root (1 2)
+        # keeps the relation and joins the two points
+        assert d == 2 or not got.transitive or not got.relation_ok
+
+
+@settings(max_examples=400, deadline=None)
+@given(_cases())
+def test_verify_of_a_witness_read_from_text_matches_the_old_verifier(case):
+    # the types the readers store meet the old verifier's walk of the
+    # witness as built
+    kind, data, w, row_map = case
+    read = HurwitzWitness.from_dict(w.to_dict())
+    got = verify_witness(data, read, row_map=row_map)
+    assert got.to_dict() == _old_verify_witness(data, w, row_map=row_map).to_dict()
 
 
 def _refuse(*args, **kwargs):
@@ -215,3 +266,53 @@ def test_transitive_witness_builds_no_orbit_labels_and_no_permutation(monkeypatc
     got = verify_witness(data, w).to_dict()
     assert got == want
     assert got["primitive_by"] == primitive_by
+
+
+def _counting(monkeypatch, name):
+    """Replace kernels.`name` with a wrapper that records each call's first
+    argument; return that record."""
+    calls = []
+    f = getattr(kernels, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args[0])
+        return f(*args, **kwargs)
+
+    monkeypatch.setattr(realize_module.kernels, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "text", ["d=6; [4,1,1],[3,3],[2,2,2]", "d=12; [5,4,2,1],[7,3,1,1],[2,2,2,2,1,1,1,1]"]
+)
+def test_witness_read_from_text_with_a_long_cycle_product_walks_only_the_product(monkeypatch, text):
+    data = data_of(text)
+    built = realize_indecomposable(data, seed=0).witness
+    rec = built.to_dict()
+    alpha = list(built.alpha.images)
+    alpha[0], alpha[1] = alpha[1], alpha[0]  # still a permutation, now breaking the relation
+    corrupt = dict(rec, alpha=format_cycles(Permutation(tuple(alpha))))
+    want = [_old_verify_witness(data, HurwitzWitness.from_dict(r)).to_dict() for r in (rec, corrupt)]
+    assert [c["relation_ok"] for c in want] == [True, False]
+    for r, w in zip((rec, corrupt), want):
+        read = HurwitzWitness.from_dict(r)
+        prod = kernels.product_of([g.images for g in read.gammas], data.degree)
+        union_finds = _counting(monkeypatch, "is_transitive")
+        walks = _counting(monkeypatch, "cycle_lengths")
+        assert verify_witness(data, read).to_dict() == w
+        assert w["primitive_by"] == "two_transitive"
+        assert union_finds == [] and walks == [prod]
+        monkeypatch.undo()
+    # nor does the verifier store a type on the engine's own permutations
+    verify_witness(data, built)
+    assert all("_lengths" not in vars(g) for g in built.gammas)
+
+
+def test_involution_pair_witness_keeps_the_union_find(monkeypatch):
+    # its product is two 2-cycles, not [d-1, 1]
+    data = data_of("d=4; [2,2],[2,2]")
+    w = HurwitzWitness.from_dict({"degree": 4, "gammas": ["(1 2)(3 4)", "(2 3)(4 1)"], "alpha": "(1 2 3 4)"})
+    union_finds = _counting(monkeypatch, "is_transitive")
+    assert verify_witness(data, w).to_dict() == _old_verify_witness(data, w).to_dict()
+    # the block scan runs union-finds of its own after this one
+    assert union_finds[0] == [w.gammas[1].images]
