@@ -7,8 +7,6 @@ points numbered 1..d.  Composition is left-to-right: x^(pq) = (x^p)^q.
 
 from __future__ import annotations
 
-from operator import neg
-
 BACKEND = "python"
 
 
@@ -72,15 +70,12 @@ def cycles_of(p):
     return tuple(out)
 
 
-def cycle_lengths(p, labels=False):
+def cycle_lengths(p):
     """Cycle lengths in non-increasing order, 1-cycles included.
 
     Walks each cycle once from its least point on a copy of the images,
     writing minus that point over every point it passes (the walk never
-    returns to a smaller start); no cycle tuple is built.  With `labels`
-    the result is (lengths, labels), the labels being those of
-    `component_labels((p,), d)`: entry i is the least point of the cycle
-    through point i+1.
+    returns to a smaller start); no cycle tuple is built.
     """
     q = [0, *p]
     out = []
@@ -95,8 +90,6 @@ def cycle_lengths(p, labels=False):
             n += 1
         out.append(n)
     out.sort(reverse=True)
-    if labels:
-        return tuple(out), tuple(map(neg, q[1:]))
     return tuple(out)
 
 
@@ -146,26 +139,13 @@ def orbit_count(gens, d):
     return len(set(labels))
 
 
-def is_transitive(gens, d, labels=None):
+def is_transitive(gens, d):
     """One orbit: union-find over the generator edges that stops as soon as
-    every point is in one class.
-
-    `labels`, in the form `component_labels` returns, are the orbits of
-    generators left out of gens, such as the cycles of one generator from
-    `cycle_lengths(g, labels=True)`.  The union-find starts from those
-    classes, so the points of one class are never joined again.
-    """
+    d - 1 joins have made every point one class."""
     if d < 2:
         return d == 1
-    if labels is None:
-        parent = list(range(d + 1))
-        joins = d - 1
-    else:
-        # each class hangs from its least point
-        parent = [0, *labels]
-        joins = len(set(labels)) - 1
-        if not joins:
-            return True
+    parent = list(range(d + 1))
+    joins = d - 1
     for g in gens:
         for x, y in enumerate(g, 1):
             while parent[x] != x:

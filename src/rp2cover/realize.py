@@ -307,8 +307,7 @@ def verify_witness(
         f = indexOf(map(eq, prod, range(1, d + 1)), True) + 1
         gamma_transitive = any(g[f - 1] != f for g in gamma_imgs)
     else:
-        first_cycles = kernels.cycle_lengths(gamma_imgs[0], labels=True)[1]
-        gamma_transitive = kernels.is_transitive(gamma_imgs[1:], d, first_cycles)
+        gamma_transitive = kernels.is_transitive(gamma_imgs, d)
     # With <gamma> transitive, alpha joins nothing and cannot flip a sheet
     # against itself: alpha_extension would answer (True, False).
     if gamma_transitive:

@@ -656,9 +656,9 @@ def test_walk_derives_each_tuple_fact_once(monkeypatch):
         oracle._witness_of,
     )
 
-    def counted_transitive(gens, d, labels=None):
+    def counted_transitive(gens, d):
         tested.append(tuple(gens))
-        return is_transitive(gens, d, labels)
+        return is_transitive(gens, d)
 
     def counted_product(perms, d):
         products.append(tuple(perms))
@@ -1425,7 +1425,7 @@ def test_pair_survey_flags_product_failure(monkeypatch):
     # with `kernels.cycle_lengths`, once per transitive pair
     calls = Counter()
 
-    def first_involution_type(p, labels=False):
+    def first_involution_type(p):
         calls["cycle_lengths"] += 1
         return (2, 2, 2)
 

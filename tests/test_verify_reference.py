@@ -20,7 +20,13 @@ from rp2cover import realize as realize_module
 from rp2cover.branch import BranchData, Partition
 from rp2cover.groups import imprimitivity_block
 from rp2cover.perm import Permutation, format_cycles
-from rp2cover.realize import Certificate, HurwitzWitness, realize_indecomposable, verify_witness
+from rp2cover.realize import (
+    Certificate,
+    HurwitzWitness,
+    realize_decomposable_search,
+    realize_indecomposable,
+    verify_witness,
+)
 
 from helpers import data_of
 
@@ -315,4 +321,23 @@ def test_involution_pair_witness_keeps_the_union_find(monkeypatch):
     union_finds = _counting(monkeypatch, "is_transitive")
     assert verify_witness(data, w).to_dict() == _old_verify_witness(data, w).to_dict()
     # the block scan runs union-finds of its own after this one
-    assert union_finds[0] == [w.gammas[1].images]
+    assert union_finds[0] == [g.images for g in w.gammas]
+
+
+@pytest.mark.parametrize("d", [256, 512])
+def test_two_row_all_twos_witness_at_the_benchmark_degrees(monkeypatch, d):
+    # the imprimitive witnesses `verify-mix` stores: the product has two
+    # cycles of length d/2, so the union-find over every gamma decides
+    # transitivity and the block scan finds the odd points
+    twos = ",".join(["2"] * (d // 2))
+    data = data_of(f"d={d}; [{twos}],[{twos}]")
+    built = realize_decomposable_search(data).witness
+    read = HurwitzWitness.from_dict(built.to_dict())
+    want = _old_verify_witness(data, built).to_dict()
+    assert want["primitive_by"] == "block_scan"
+    assert want["witness_block"] == list(range(1, d, 2))
+    assert verify_witness(data, built).to_dict() == want
+    prod = kernels.product_of([g.images for g in read.gammas], d)
+    walks = _counting(monkeypatch, "cycle_lengths")
+    assert verify_witness(data, read).to_dict() == want
+    assert walks == [prod]
